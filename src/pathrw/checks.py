@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import UnreachableEndpointsError
 from .groupoid import class_of, comp, identity, inv, zpow_class
 from .oracle import (
     Budget,
@@ -34,11 +35,9 @@ def _sizes(rng: Lcg, max_size: int) -> int:
     return 1 + rng.randint(max_size)
 
 
-def _pinned_term(space, n, rng, src, tgt):
-    """random_term with pinned endpoints, nudging the size up past the few
-    small values no term of those endpoints can have."""
-    from .errors import UnreachableEndpointsError
-
+def _pinned_term(space, n, rng, src=None, tgt=None):
+    """random_term with optionally pinned endpoints, nudging the size up
+    past the few small values no term of those endpoints can have."""
     for bump in range(4):
         try:
             return random_term(space, n + bump, rng, src, tgt)

@@ -28,7 +28,7 @@ import sys
 
 from .checks import run_checks
 from .errors import PathError
-from .oracle import Budget, bfs_rw_eq
+from .oracle import DEFAULT_MAX_STATES, Budget, bfs_rw_eq
 from .pi1 import encode, decode, parse_group_value, render_group_value
 from .rewrite import format_step, normalize, rw_eq, trace
 from .spaces import BUILTIN_NAMES, SpacePresentation, builtin, parse_space_file
@@ -157,7 +157,9 @@ def _run_equal(args) -> tuple[int, str]:
     trace_ = None
     if args.oracle:
         budget = Budget(
-            max_states=args.max_states or 200_000,
+            max_states=(
+                DEFAULT_MAX_STATES if args.max_states is None else args.max_states
+            ),
             max_term_size=args.max_term_size,
         )
         verdict = bfs_rw_eq(space, p, q, budget)

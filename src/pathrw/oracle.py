@@ -23,9 +23,11 @@ from .errors import EndpointMismatchError, UnreachableEndpointsError
 from .rewrite import (
     _preorder,
     _replace_at,
+    Word,
     apply_step,
     normalize,
     redexes,
+    term_of_word,
 )
 from .spaces import SpacePresentation
 from .terms import Gen, PathExpr, Refl, Symm, Trans, endpoints, size
@@ -150,7 +152,7 @@ def enumerate_loops(space: SpacePresentation, max_len: int):
     yield Refl(base)
     for length in range(1, max_len + 1):
         for letters in _loops_of_length(space, base, length):
-            yield _term_of_letters(letters, base)
+            yield term_of_word(Word(letters, base, base))
 
 
 def _loops_of_length(space: SpacePresentation, base: str, length: int):
@@ -171,16 +173,6 @@ def _loops_of_length(space: SpacePresentation, base: str, length: int):
                 letters.pop()
 
     yield from go(base, [])
-
-
-def _term_of_letters(letters, base: str) -> PathExpr:
-    if not letters:
-        return Refl(base)
-    lits = [Gen(n) if s > 0 else Symm(Gen(n)) for n, s in letters]
-    acc = lits[0]
-    for lit in lits[1:]:
-        acc = Trans(acc, lit)
-    return acc
 
 
 def random_term(

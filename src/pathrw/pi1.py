@@ -1,9 +1,10 @@
 """Loop classes at the basepoint as elements of a concrete group.
 
-Each builtin space carries a group tag naming the shape of its basepoint
-loop group; this module converts between normal forms and tagged group
-elements, and provides the group arithmetic itself so the translation can
-be checked to be a homomorphism.
+All four builtin groups are pairs (m, n); the builtin table in `spaces`
+gives each group tag its arity, modulus and twist, and each builtin space
+its loop generators. Encoding reads (m, n) off the canonical word a^m b^n,
+decoding writes that word, and the group arithmetic is one formula for
+every tag, so the translation can be checked to be a homomorphism.
 
 The two spaces whose basepoint sits on a circle factor (cylinder, mobius
 band) encode through an explicit retraction onto the circle rather than by
@@ -22,9 +23,9 @@ from .errors import (
     ParseError,
 )
 from .groupoid import PathClass, class_of
-from .rewrite import normalize, term_of_word
-from .spaces import GroupTag, SpacePresentation, builtin
-from .terms import Gen, PathExpr, Refl, SpaceMap, Trans, endpoints, map_path, zpow
+from .rewrite import Word, normalize, term_of_word
+from .spaces import _SHAPES, GroupTag, SpacePresentation, _builtin_record, builtin
+from .terms import PathExpr, SpaceMap, Trans, endpoints, map_path
 
 
 @dataclass(frozen=True)
@@ -38,32 +39,35 @@ class GroupValue:
     n: int = 0
 
     def __post_init__(self) -> None:
-        if self.tag in (GroupTag.FREE_Z, GroupTag.Z2) and self.n != 0:
+        shape = _SHAPES[self.tag]
+        if shape.arity == 1 and self.n != 0:
             raise ValueError(f"{self.tag.value} values have a single component")
-        if self.tag is GroupTag.Z2 and self.m not in (0, 1):
-            raise ValueError("Z2 values are 0 or 1")
+        if shape.modulus is not None and not 0 <= self.m < shape.modulus:
+            residues = " or ".join(str(r) for r in range(shape.modulus))
+            raise ValueError(f"{self.tag.value} values are {residues}")
 
 
 @lru_cache(maxsize=None)
+def _retraction(name: str) -> SpaceMap:
+    """The retraction onto the circle that a builtin's record gives."""
+    source = builtin(name)
+    circle = builtin("circle")
+    return SpaceMap(
+        source=source,
+        target=circle,
+        point_map={pt: circle.basepoint for pt in source.points},
+        gen_map=dict(_builtin_record(source).retraction),
+    )
+
+
 def cylinder_to_circle() -> SpaceMap:
     """Retraction collapsing the cylinder onto its base circle."""
-    return SpaceMap(
-        source=builtin("cylinder"),
-        target=builtin("circle"),
-        point_map={"b0": "pt", "b1": "pt"},
-        gen_map={"s": Refl("pt"), "l0": Gen("a"), "l1": Gen("a")},
-    )
+    return _retraction("cylinder")
 
 
-@lru_cache(maxsize=None)
 def mobius_to_circle() -> SpaceMap:
     """Deformation of the band onto its core circle."""
-    return SpaceMap(
-        source=builtin("mobius"),
-        target=builtin("circle"),
-        point_map={"pt": "pt"},
-        gen_map={"a": Gen("a")},
-    )
+    return _retraction("mobius")
 
 
 def _require_basepoint_loop(space: SpacePresentation, p: PathExpr) -> None:
@@ -74,86 +78,42 @@ def _require_basepoint_loop(space: SpacePresentation, p: PathExpr) -> None:
         )
 
 
-def _circle_winding(p: PathExpr) -> int:
-    word = normalize(builtin("circle"), p).word
-    return sum(sign for _, sign in word.letters)
-
-
 def encode(space: SpacePresentation, p: PathExpr) -> GroupValue:
     """The group element of a basepoint loop."""
-    tag = space.group_tag
-    if tag is None:
+    rec = _builtin_record(space)
+    if rec is None:
         raise GroupTagMismatchError(
             f"space '{space.name}' carries no group tag; encode is undefined"
         )
     _require_basepoint_loop(space, p)
-    if space.name == "cylinder":
-        return GroupValue(tag, _circle_winding(map_path(cylinder_to_circle(), p)))
-    if space.name == "mobius":
-        return GroupValue(tag, _circle_winding(map_path(mobius_to_circle(), p)))
-    word = normalize(space, p).word
-    if tag is GroupTag.FREE_Z:
-        return GroupValue(tag, sum(sign for _, sign in word.letters))
-    if tag is GroupTag.ZXZ:
-        a = space.generators[0].name
-        m = sum(sign for name, sign in word.letters if name == a)
-        n = sum(sign for name, sign in word.letters if name != a)
-        return GroupValue(tag, m, n)
-    if tag is GroupTag.Z_SEMIDIRECT_Z:
-        a = space.generators[0].name
-        m = 0
-        n = 0
-        for name, sign in word.letters:
-            if name == a:
-                m += sign
-                n = -n
-            else:
-                n += sign
-        return GroupValue(tag, m, n)
-    if tag is GroupTag.Z2:
-        return GroupValue(tag, len(word.letters) % 2)
-    raise AssertionError(f"unhandled group tag {tag!r}")
-
-
-def encode_class(c: PathClass) -> GroupValue:
-    return encode(c.space, term_of_word(c.nf.word))
+    if rec.retraction is not None:
+        retraction = _retraction(space.name)
+        p = map_path(retraction, p)
+        rec = _builtin_record(retraction.target)
+    m, n = rec.fold(normalize(rec.space, p).word.letters)
+    return GroupValue(space.group_tag, m, n)
 
 
 def decode(space: SpacePresentation, value: GroupValue) -> PathClass:
     """The loop class a group element names. Inverse to encode on classes."""
-    tag = space.group_tag
-    if tag is None:
+    rec = _builtin_record(space)
+    if rec is None:
         raise GroupTagMismatchError(
             f"space '{space.name}' carries no group tag; decode is undefined"
         )
-    if value.tag is not tag:
+    if value.tag is not space.group_tag:
         raise GroupTagMismatchError(
             f"value tagged {value.tag.value} does not fit space '{space.name}' "
-            f"(expected {tag.value})"
+            f"(expected {space.group_tag.value})"
         )
     base = space.basepoint
-    if tag is GroupTag.FREE_Z:
-        loop = space.generators[0].name
-        if space.name == "cylinder":
-            loop = space.generators[1].name
-        return class_of(space, zpow(space, Gen(loop), value.m))
-    if tag in (GroupTag.ZXZ, GroupTag.Z_SEMIDIRECT_Z):
-        a = Gen(space.generators[0].name)
-        b = Gen(space.generators[1].name)
-        term = Trans(zpow(space, a, value.m), zpow(space, b, value.n))
-        return class_of(space, term)
-    if tag is GroupTag.Z2:
-        if value.m % 2:
-            return class_of(space, Gen(space.generators[0].name))
-        return class_of(space, Refl(base))
-    raise AssertionError(f"unhandled group tag {tag!r}")
+    word = Word(rec.write(value.m, value.n), base, base)
+    return class_of(space, term_of_word(word))
 
 
-def _require_same_tag(v1: GroupValue, v2: GroupValue) -> None:
-    if v1.tag is not v2.tag:
-        raise GroupTagMismatchError(
-            f"cannot combine {v1.tag.value} with {v2.tag.value}"
-        )
+def _reduced(tag: GroupTag, m: int, n: int) -> GroupValue:
+    modulus = _SHAPES[tag].modulus
+    return GroupValue(tag, m if modulus is None else m % modulus, n)
 
 
 def group_identity(tag: GroupTag) -> GroupValue:
@@ -161,34 +121,19 @@ def group_identity(tag: GroupTag) -> GroupValue:
 
 
 def group_mul(v1: GroupValue, v2: GroupValue) -> GroupValue:
-    _require_same_tag(v1, v2)
-    tag = v1.tag
-    if tag is GroupTag.FREE_Z:
-        return GroupValue(tag, v1.m + v2.m)
-    if tag is GroupTag.ZXZ:
-        return GroupValue(tag, v1.m + v2.m, v1.n + v2.n)
-    if tag is GroupTag.Z_SEMIDIRECT_Z:
-        # Appending v2 first twists v1's second coordinate once per unit of
-        # v2's first coordinate.
-        flip = -1 if v2.m % 2 else 1
-        return GroupValue(tag, v1.m + v2.m, flip * v1.n + v2.n)
-    if tag is GroupTag.Z2:
-        return GroupValue(tag, (v1.m + v2.m) % 2)
-    raise AssertionError(f"unhandled group tag {tag!r}")
+    if v1.tag is not v2.tag:
+        raise GroupTagMismatchError(
+            f"cannot combine {v1.tag.value} with {v2.tag.value}"
+        )
+    # Appending v2 twists v1's second coordinate once per unit of v2's
+    # first coordinate.
+    flip = _SHAPES[v1.tag].flip(v2.m)
+    return _reduced(v1.tag, v1.m + v2.m, flip * v1.n + v2.n)
 
 
 def group_inv(v: GroupValue) -> GroupValue:
-    tag = v.tag
-    if tag is GroupTag.FREE_Z:
-        return GroupValue(tag, -v.m)
-    if tag is GroupTag.ZXZ:
-        return GroupValue(tag, -v.m, -v.n)
-    if tag is GroupTag.Z_SEMIDIRECT_Z:
-        flip = -1 if v.m % 2 else 1
-        return GroupValue(tag, -v.m, -flip * v.n)
-    if tag is GroupTag.Z2:
-        return GroupValue(tag, v.m % 2)
-    raise AssertionError(f"unhandled group tag {tag!r}")
+    flip = _SHAPES[v.tag].flip(v.m)
+    return _reduced(v.tag, -v.m, -flip * v.n)
 
 
 def homomorphism_check(
@@ -201,7 +146,7 @@ def homomorphism_check(
 
 
 def render_group_value(value: GroupValue) -> str:
-    if value.tag in (GroupTag.ZXZ, GroupTag.Z_SEMIDIRECT_Z):
+    if _SHAPES[value.tag].arity == 2:
         return f"({value.m}, {value.n})"
     return str(value.m)
 
@@ -209,24 +154,24 @@ def render_group_value(value: GroupValue) -> str:
 def parse_group_value(tag: GroupTag, text: str) -> GroupValue:
     """Parse a group element in the shape render_group_value emits."""
     stripped = text.strip()
-    if tag in (GroupTag.ZXZ, GroupTag.Z_SEMIDIRECT_Z):
-        if not (stripped.startswith("(") and stripped.endswith(")")):
-            raise ParseError(
-                f"{tag.value} values look like (m, n); got {text!r}"
-            )
+    if _SHAPES[tag].arity == 2:
         parts = stripped[1:-1].split(",")
-        if len(parts) != 2:
+        if stripped[:1] != "(" or stripped[-1:] != ")" or len(parts) != 2:
             raise ParseError(
                 f"{tag.value} values look like (m, n); got {text!r}"
             )
         try:
-            return GroupValue(tag, int(parts[0].strip()), int(parts[1].strip()))
+            coords = [int(part) for part in parts]
         except ValueError:
             raise ParseError(f"bad integer in {text!r}") from None
+    else:
+        try:
+            coords = [int(stripped)]
+        except ValueError:
+            raise ParseError(
+                f"{tag.value} values are integers; got {text!r}"
+            ) from None
     try:
-        m = int(stripped)
-    except ValueError:
-        raise ParseError(f"{tag.value} values are integers; got {text!r}") from None
-    if tag is GroupTag.Z2 and m not in (0, 1):
-        raise ParseError(f"Z2 values are 0 or 1; got {text!r}")
-    return GroupValue(tag, m)
+        return GroupValue(tag, *coords)
+    except ValueError as exc:
+        raise ParseError(f"{exc}; got {text!r}") from None

@@ -23,13 +23,17 @@ counterpart running right to left (unit introduction, cancellation-pair
 introduction with an explicit payload term, inverse-of-inverse introduction,
 congruence folding). Intro rules never appear in `redexes`; they exist so
 that any derivation in the symmetric closure of the rules, including the
-relation-driven reordering the per-space strategies perform, can be written
+relation-driven reordering in the builtins' trace phases, can be written
 as a plain forward step list and replayed with `apply_step`.
 
-`normalize` computes words directly (leaf fold, stack cancellation, then the
-space's word-level strategy); `trace` performs the same normalization as an
-explicit rule-by-rule derivation and records it. The two routes are
-independent and the tests hold them equal.
+`normalize` computes words directly: leaf fold, stack cancellation, then
+the canonical-word rule of the space's record in the builtin table (see
+`spaces`). Most builtins fold the letters into their group element (m, n)
+and write a^m b^n; the cylinder substitutes its far loop and reduces again;
+a space without a record keeps its freely reduced word. `trace` performs
+the same normalization as an explicit rule-by-rule derivation, ending with
+the hand-written relation phase the record names, and records it. The two
+routes are independent and the tests hold them equal.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import EndpointMismatchError, StepNotEnabledError
-from .spaces import GroupTag
+from .spaces import _builtin_record
 from .terms import Gen, PathExpr, Refl, Symm, Trans, endpoints
 
 if TYPE_CHECKING:
@@ -350,55 +354,21 @@ def free_normalize(space: "SpacePresentation", p: PathExpr) -> Word:
     return Word(_reduce_letters(letters), src, tgt)
 
 
-def _power_letters(name: str, n: int) -> tuple[tuple[str, int], ...]:
-    sign = 1 if n > 0 else -1
-    return tuple((name, sign) for _ in range(abs(n)))
-
-
 def _canonical_word(space: "SpacePresentation", w: Word) -> Word:
-    tag = space.group_tag
-    if tag is None:
+    rec = _builtin_record(space)
+    if rec is None:
         return w
-    if tag is GroupTag.FREE_Z:
-        if space.name == "cylinder":
-            return _cylinder_canonical(space, w)
-        return w
-    if tag is GroupTag.ZXZ:
-        a = space.generators[0].name
-        b = space.generators[1].name
-        m = sum(sign for name, sign in w.letters if name == a)
-        n = sum(sign for name, sign in w.letters if name == b)
-        return Word(_power_letters(a, m) + _power_letters(b, n), w.src, w.tgt)
-    if tag is GroupTag.Z_SEMIDIRECT_Z:
-        a = space.generators[0].name
-        b = space.generators[1].name
-        m = 0
-        n = 0
-        for name, sign in w.letters:
-            if name == a:
-                m += sign
-                n = -n
-            else:
-                n += sign
-        return Word(_power_letters(a, m) + _power_letters(b, n), w.src, w.tgt)
-    if tag is GroupTag.Z2:
-        g = space.generators[0].name
-        if len(w.letters) % 2:
-            return Word(((g, 1),), w.src, w.tgt)
-        return Word((), w.src, w.tgt)
-    raise AssertionError(f"unhandled group tag {tag!r}")
-
-
-def _cylinder_canonical(space: "SpacePresentation", w: Word) -> Word:
-    s = space.generators[0].name
-    l0 = space.generators[1].name
-    l1 = space.generators[2].name
+    if rec.substitution is None:
+        return Word(rec.write(*rec.fold(w.letters)), w.src, w.tgt)
     letters: list[tuple[str, int]] = []
     for name, sign in w.letters:
-        if name == l1:
-            letters.extend([(s, -1), (l0, sign), (s, 1)])
-        else:
+        image = rec.substitution.get(name)
+        if image is None:
             letters.append((name, sign))
+        elif sign > 0:
+            letters.extend(image)
+        else:
+            letters.extend((n, -s) for n, s in reversed(image))
     return Word(_reduce_letters(letters), w.src, w.tgt)
 
 
@@ -745,6 +715,15 @@ def _klein_templates(space: "SpacePresentation") -> Callable[[int, int], _Templa
     return fn
 
 
+# The hand-written relation phases a builtin's record can name.
+_TRACE_PHASES: dict[str, Callable[[_Normalizer], None]] = {
+    "cylinder": _Normalizer.cylinder_phase,
+    "torus": lambda nz: nz.sort_phase(_torus_templates(nz.space)),
+    "klein": lambda nz: nz.sort_phase(_klein_templates(nz.space)),
+    "parity": _Normalizer.parity_phase,
+}
+
+
 def trace(
     space: "SpacePresentation", p: PathExpr
 ) -> tuple[NormalForm, tuple[RewriteStep, ...]]:
@@ -757,13 +736,7 @@ def trace(
     nz.run_rules((ASSOC_LEFT,))
     nz.run_rules((TRANS_REFL_LEFT, TRANS_REFL_RIGHT))
     nz.cancel_phase()
-    tag = space.group_tag
-    if tag is GroupTag.FREE_Z and space.name == "cylinder":
-        nz.cylinder_phase()
-    elif tag is GroupTag.ZXZ:
-        nz.sort_phase(_torus_templates(space))
-    elif tag is GroupTag.Z_SEMIDIRECT_Z:
-        nz.sort_phase(_klein_templates(space))
-    elif tag is GroupTag.Z2:
-        nz.parity_phase()
+    rec = _builtin_record(space)
+    if rec is not None and rec.trace_phase is not None:
+        _TRACE_PHASES[rec.trace_phase](nz)
     return NormalForm(nz.word()), tuple(nz.steps)

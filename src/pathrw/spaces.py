@@ -1,17 +1,23 @@
 """Finitely presented spaces: points, generator paths, relations.
 
 Six builtin presentations ship with the library (circle, cylinder, mobius,
-torus, klein, rp2). Each carries a group tag naming the fundamental group
-its normalizer targets; presentations loaded from files carry no tag and
-normalize by free reduction only.
+torus, klein, rp2). Each carries a group tag naming its fundamental group;
+presentations loaded from files carry no tag and normalize by free
+reduction only.
+
+This module owns the builtin table, the one place each builtin is handled:
+`_SHAPES` gives each group tag its arithmetic and `_BUILTINS` gives each
+builtin its presentation and how to compute in it. Normal forms, traces,
+encode/decode, group arithmetic and rendering read these records instead
+of testing which space or tag they have.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
+from typing import Mapping
 
 from . import terms
 from .errors import ParseError, UnknownSpaceError
@@ -19,7 +25,7 @@ from .terms import Gen, PathExpr, Refl, Symm, Trans
 
 
 class GroupTag(enum.Enum):
-    """Which canonical-form strategy (and group arithmetic) a space uses."""
+    """Which group a builtin space's basepoint loops form."""
 
     FREE_Z = "FreeZ"
     ZXZ = "ZxZ"
@@ -67,23 +73,94 @@ class SpacePresentation:
         )
 
 
-BUILTIN_NAMES = ("circle", "cylinder", "mobius", "torus", "klein", "rp2")
+_Letters = tuple[tuple[str, int], ...]
 
 
-@lru_cache(maxsize=None)
-def builtin(name: str) -> SpacePresentation:
-    """One of the six builtin presentations, by name. Deterministic."""
-    if name == "circle":
-        return SpacePresentation(
-            name="circle",
-            points=("pt",),
-            generators=(Generator("a", "pt", "pt"),),
-            relations=(),
-            basepoint="pt",
-            group_tag=GroupTag.FREE_Z,
-        )
-    if name == "cylinder":
-        return SpacePresentation(
+@dataclass(frozen=True)
+class _GroupShape:
+    """A tagged group written as pairs (m, n), multiplied by
+
+        (m1, n1) * (m2, n2) = (m1 + m2, flip(m2) * n1 + n2)
+
+    where flip(m) is -1 for odd m in a twisted group and 1 otherwise. Arity
+    1 keeps n at 0; a modulus reduces m."""
+
+    arity: int
+    modulus: int | None = None
+    twisted: bool = False
+
+    def flip(self, m: int) -> int:
+        return -1 if self.twisted and m % 2 else 1
+
+
+_SHAPES = {
+    GroupTag.FREE_Z: _GroupShape(1),
+    GroupTag.ZXZ: _GroupShape(2),
+    GroupTag.Z_SEMIDIRECT_Z: _GroupShape(2, twisted=True),
+    GroupTag.Z2: _GroupShape(1, modulus=2),
+}
+
+
+@dataclass(frozen=True)
+class _Builtin:
+    """A builtin presentation and how to compute in it.
+
+    `loops` are the generators a, b of the canonical loops a^m b^n. A space
+    with a `substitution` canonicalizes by replacing the letters it names
+    and reducing freely; any other folds its letters into (m, n) and writes
+    a^m b^n. `retraction` maps generators onto the circle for encoding,
+    `trace_phase` names the relation phase `trace` runs, and `display`
+    renames generators on output."""
+
+    space: SpacePresentation
+    loops: tuple[str, ...]
+    substitution: Mapping[str, _Letters] | None = None
+    retraction: Mapping[str, PathExpr] | None = None
+    trace_phase: str | None = None
+    display: Mapping[str, str] = field(default_factory=dict)
+
+    def fold(self, letters: _Letters) -> tuple[int, int]:
+        """The group element (m, n) of a word over the loop generators."""
+        a = self.loops[0]
+        shape = _SHAPES[self.space.group_tag]
+        twisted = shape.twisted
+        m = n = 0
+        for name, sign in letters:
+            if name == a:
+                m += sign
+                if twisted:
+                    n = -n
+            else:
+                n += sign
+        if shape.modulus is not None:
+            m %= shape.modulus
+        return m, n
+
+    def write(self, m: int, n: int) -> _Letters:
+        """The canonical word a^m b^n of a group element."""
+        out: list[tuple[str, int]] = []
+        for name, e in zip(self.loops, (m, n)):
+            out.extend([(name, 1 if e > 0 else -1)] * abs(e))
+        return tuple(out)
+
+
+def _one_point(
+    name: str, tag: GroupTag, gens: tuple[str, ...], *relations: Relation
+) -> SpacePresentation:
+    return SpacePresentation(
+        name=name,
+        points=("pt",),
+        generators=tuple(Generator(g, "pt", "pt") for g in gens),
+        relations=relations,
+        basepoint="pt",
+        group_tag=tag,
+    )
+
+
+_BUILTINS = {
+    "circle": _Builtin(_one_point("circle", GroupTag.FREE_Z, ("a",)), loops=("a",)),
+    "cylinder": _Builtin(
+        SpacePresentation(
             name="cylinder",
             points=("b0", "b1"),
             generators=(
@@ -93,71 +170,80 @@ def builtin(name: str) -> SpacePresentation:
             ),
             relations=(
                 Relation(
-                    "cylSquare",
-                    Trans(Gen("s"), Gen("l1")),
-                    Trans(Gen("l0"), Gen("s")),
+                    "cylSquare", Trans(Gen("s"), Gen("l1")), Trans(Gen("l0"), Gen("s"))
                 ),
             ),
             basepoint="b0",
             group_tag=GroupTag.FREE_Z,
-        )
-    if name == "mobius":
-        return SpacePresentation(
-            name="mobius",
-            points=("pt",),
-            generators=(Generator("a", "pt", "pt"),),
-            relations=(),
-            basepoint="pt",
-            group_tag=GroupTag.FREE_Z,
-        )
-    if name == "torus":
-        return SpacePresentation(
-            name="torus",
-            points=("pt",),
-            generators=(Generator("a", "pt", "pt"), Generator("b", "pt", "pt")),
-            relations=(
-                Relation(
-                    "torusComm",
-                    Trans(Gen("a"), Gen("b")),
-                    Trans(Gen("b"), Gen("a")),
-                ),
+        ),
+        loops=("l0",),
+        substitution={"l1": (("s", -1), ("l0", 1), ("s", 1))},
+        retraction={"s": Refl("pt"), "l0": Gen("a"), "l1": Gen("a")},
+        trace_phase="cylinder",
+    ),
+    "mobius": _Builtin(
+        _one_point("mobius", GroupTag.FREE_Z, ("a",)),
+        loops=("a",),
+        retraction={"a": Gen("a")},
+    ),
+    "torus": _Builtin(
+        _one_point(
+            "torus",
+            GroupTag.ZXZ,
+            ("a", "b"),
+            Relation(
+                "torusComm", Trans(Gen("a"), Gen("b")), Trans(Gen("b"), Gen("a"))
             ),
-            basepoint="pt",
-            group_tag=GroupTag.ZXZ,
-        )
-    if name == "klein":
-        return SpacePresentation(
-            name="klein",
-            points=("pt",),
-            generators=(Generator("a", "pt", "pt"), Generator("b", "pt", "pt")),
-            relations=(
-                Relation(
-                    "kleinSurf",
-                    Trans(Trans(Gen("a"), Gen("b")), Symm(Gen("a"))),
-                    Symm(Gen("b")),
-                ),
+        ),
+        loops=("a", "b"),
+        trace_phase="torus",
+    ),
+    "klein": _Builtin(
+        _one_point(
+            "klein",
+            GroupTag.Z_SEMIDIRECT_Z,
+            ("a", "b"),
+            Relation(
+                "kleinSurf",
+                Trans(Trans(Gen("a"), Gen("b")), Symm(Gen("a"))),
+                Symm(Gen("b")),
             ),
-            basepoint="pt",
-            group_tag=GroupTag.Z_SEMIDIRECT_Z,
+        ),
+        loops=("a", "b"),
+        trace_phase="klein",
+    ),
+    "rp2": _Builtin(
+        _one_point(
+            "rp2",
+            GroupTag.Z2,
+            ("alpha",),
+            Relation("loopSquare", Trans(Gen("alpha"), Gen("alpha")), Refl("pt")),
+        ),
+        loops=("alpha",),
+        trace_phase="parity",
+        display={"alpha": "α"},
+    ),
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
+def builtin(name: str) -> SpacePresentation:
+    """One of the six builtin presentations, by name. Deterministic."""
+    rec = _BUILTINS.get(name)
+    if rec is None:
+        raise UnknownSpaceError(
+            f"no builtin space named '{name}' (choose from {', '.join(BUILTIN_NAMES)})"
         )
-    if name == "rp2":
-        return SpacePresentation(
-            name="rp2",
-            points=("pt",),
-            generators=(Generator("alpha", "pt", "pt"),),
-            relations=(
-                Relation(
-                    "loopSquare",
-                    Trans(Gen("alpha"), Gen("alpha")),
-                    Refl("pt"),
-                ),
-            ),
-            basepoint="pt",
-            group_tag=GroupTag.Z2,
-        )
-    raise UnknownSpaceError(
-        f"no builtin space named '{name}' (choose from {', '.join(BUILTIN_NAMES)})"
-    )
+    return rec.space
+
+
+def _builtin_record(space: SpacePresentation) -> _Builtin | None:
+    """The table record of a builtin presentation; None for a space without
+    a group tag, such as one loaded from a file."""
+    if space.group_tag is None:
+        return None
+    return _BUILTINS.get(space.name)
 
 
 def validate(space: SpacePresentation) -> list[str]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
+from .spaces import _builtin_record
 from .terms import Gen, PathExpr, Refl, Symm, Trans, zpow
 
 if TYPE_CHECKING:
@@ -173,9 +174,8 @@ def parse_path(space: "SpacePresentation", text: str) -> PathExpr:
 
 
 def _display(space: "SpacePresentation", name: str) -> str:
-    if space.name == "rp2" and name == "alpha":
-        return _GREEK_ALPHA
-    return name
+    rec = _builtin_record(space)
+    return name if rec is None else rec.display.get(name, name)
 
 
 def render_path(space: "SpacePresentation", p: PathExpr) -> str:

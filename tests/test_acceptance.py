@@ -8,7 +8,7 @@ overrun fails the gate even when the math checks out.
 
 import time
 
-from pathrw.errors import UnreachableEndpointsError
+from pathrw.checks import _pinned_term
 from pathrw.groupoid import class_of, comp, identity, inv
 from pathrw.oracle import (
     Budget,
@@ -16,7 +16,6 @@ from pathrw.oracle import (
     bfs_rw_eq,
     enumerate_loops,
     enumerate_terms,
-    random_term,
 )
 from pathrw.pi1 import GroupValue, decode, encode, group_mul
 from pathrw.rewrite import (
@@ -51,16 +50,6 @@ def _finish(label: str, budget_s: float, t0: float, failures: list, detail: str)
     assert elapsed < budget_s, f"{label}: overran the {budget_s:.0f}s budget"
 
 
-def _near(space, n, rng, src=None, tgt=None):
-    """random_term, stepping the size up past infeasible values."""
-    for bump in range(4):
-        try:
-            return random_term(space, n + bump, rng, src, tgt)
-        except UnreachableEndpointsError:
-            continue
-    raise UnreachableEndpointsError(f"nothing near size {n} in '{space.name}'")
-
-
 def _int_round_trips(space, failures):
     tag = space.group_tag
     for n in range(-50, 51):
@@ -73,7 +62,7 @@ def _int_round_trips(space, failures):
 def _loop_round_trips(space, rng, count, max_size, failures):
     base = space.basepoint
     for i in range(count):
-        x = _near(space, 1 + rng.randint(max_size), rng, base, base)
+        x = _pinned_term(space, 1 + rng.randint(max_size), rng, base, base)
         if decode(space, encode(space, x)) != class_of(space, x):
             failures.append(f"{space.name}: loop sample {i} moved class")
             return
@@ -122,7 +111,7 @@ def test_torus_pair_isomorphism():
     rng = Lcg(109)
     a, b = Gen("a"), Gen("b")
     for i in range(200):
-        x = _near(TORUS, 1 + rng.randint(16), rng, "pt", "pt")
+        x = _pinned_term(TORUS, 1 + rng.randint(16), rng, "pt", "pt")
         v = encode(TORUS, x)
         steps = [
             (a, GroupValue(tag, v.m + 1, v.n)),
@@ -154,8 +143,8 @@ def test_klein_twisted_pair_isomorphism():
                 failures.append(f"exchange ({n}, {m})")
     rng = Lcg(113)
     for i in range(1000):
-        x = _near(KLEIN, 1 + rng.randint(12), rng, "pt", "pt")
-        y = _near(KLEIN, 1 + rng.randint(12), rng, "pt", "pt")
+        x = _pinned_term(KLEIN, 1 + rng.randint(12), rng, "pt", "pt")
+        y = _pinned_term(KLEIN, 1 + rng.randint(12), rng, "pt", "pt")
         if encode(KLEIN, Trans(x, y)) != group_mul(encode(KLEIN, x), encode(KLEIN, y)):
             failures.append(f"homomorphism pair {i}")
             break
@@ -203,11 +192,11 @@ def test_strict_groupoid_laws():
         points = tuple(space.points)
         for i in range(1000):
             x = rng.choice(points)
-            t1 = _near(space, 1 + rng.randint(8), rng, src=x)
+            t1 = _pinned_term(space, 1 + rng.randint(8), rng, src=x)
             y = endpoints(space, t1)[1]
-            t2 = _near(space, 1 + rng.randint(8), rng, src=y)
+            t2 = _pinned_term(space, 1 + rng.randint(8), rng, src=y)
             z = endpoints(space, t2)[1]
-            t3 = _near(space, 1 + rng.randint(8), rng, src=z)
+            t3 = _pinned_term(space, 1 + rng.randint(8), rng, src=z)
             c1, c2, c3 = (class_of(space, t) for t in (t1, t2, t3))
             if comp(comp(c1, c2), c3) != comp(c1, comp(c2, c3)):
                 failures.append(f"{space.name} associativity at {i}")
@@ -292,7 +281,7 @@ def test_normalizer_agrees_with_search_oracle():
         rng = Lcg(137)
         made = 0
         while made < 60:
-            p = _near(space, 1 + rng.randint(depth), rng)
+            p = _pinned_term(space, 1 + rng.randint(depth), rng)
             q = p
             for _ in range(1 + rng.randint(3)):
                 steps = redexes(space, q)
@@ -305,9 +294,9 @@ def test_normalizer_agrees_with_search_oracle():
             judge(space, p, q, wide)
         # independent draws at the sizes the search settles outright
         for _ in range(20):
-            p = _near(space, 1 + rng.randint(4), rng)
+            p = _pinned_term(space, 1 + rng.randint(4), rng)
             src, tgt = endpoints(space, p)
-            q = _near(space, 1 + rng.randint(4), rng, src, tgt)
+            q = _pinned_term(space, 1 + rng.randint(4), rng, src, tgt)
             judge(space, p, q, Budget(max_states=20_000))
         # full-depth draws; whatever the capped search settles must agree
         tight = Budget(max_states=4_000)
@@ -341,11 +330,11 @@ def test_local_confluence_probe():
     for space in ALL_SPACES:
         rng = Lcg(139)
         for i in range(2000):
-            p = _near(space, 1 + rng.randint(12), rng)
+            p = _pinned_term(space, 1 + rng.randint(12), rng)
             target = normalize(space, p)
             for step in redexes(space, p):
                 if normalize(space, apply_step(space, p, step)) != target:
-                    failures.append(f"{space.name} sample {i}: {step.rule.name}")
+                    failures.append(f"{space.name} sample {i}: {step.rule}")
                     break
             if failures:
                 break
@@ -361,7 +350,7 @@ def test_trace_replay():
     for space in ALL_SPACES:
         rng = Lcg(149)
         for i in range(500):
-            p = _near(space, 1 + rng.randint(14), rng)
+            p = _pinned_term(space, 1 + rng.randint(14), rng)
             nf, steps = trace(space, p)
             if nf != normalize(space, p):
                 failures.append(f"{space.name} sample {i}: trace went elsewhere")

@@ -102,6 +102,16 @@ class TestEqual:
         assert code == 1
         assert text.startswith("undecided")
 
+    def test_zero_state_budget_searches_nothing(self):
+        code, text = run(
+            [
+                "equal", "--space", "circle", "--oracle",
+                "--max-states", "0", "a", "a * a",
+            ]
+        )
+        assert code == 1
+        assert text == "undecided (searched 0 states)"
+
     def test_json_result_is_a_plain_verdict(self):
         code, text = run(
             ["equal", "--space", "torus", "--json", "a * b", "b * a"]
