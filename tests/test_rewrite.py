@@ -18,6 +18,7 @@ from pathrw import (
     format_step,
     free_normalize,
     normalize,
+    parse_path,
     random_term,
     redexes,
     relation_bwd,
@@ -415,3 +416,177 @@ class TestTrace:
         _, steps = trace(KLEIN, t)
         lines = [format_step(s, KLEIN) for s in steps]
         assert all(" @ " in line for line in lines)
+
+
+# The exact step lists `trace` writes. The first twelve cases apply each
+# relation template once; the last six exercise the bracketing around a
+# rewrite: a pair before, at and as the whole spine, and a one-letter
+# rewrite inside a longer spine.
+TRACE_GOLDEN = [
+    ("torus", "b * a", [
+        "relation_bwd(torusComm) @ root",
+    ]),
+    ("torus", "b * ~a", [
+        "trans_refl_left_intro @ root",
+        "symm_trans_cancel_intro @ 0 [a]",
+        "assoc_left @ root",
+        "assoc_right @ 1",
+        "relation_fwd(torusComm) @ 1.0",
+        "assoc_left @ 1",
+        "trans_symm_cancel @ 1.1",
+        "trans_refl_right @ 1",
+    ]),
+    ("torus", "~b * a", [
+        "trans_refl_right_intro @ root",
+        "trans_symm_cancel_intro @ 1 [b]",
+        "assoc_left @ root",
+        "assoc_right @ 1",
+        "relation_fwd(torusComm) @ 1.0",
+        "assoc_left @ 1",
+        "assoc_right @ root",
+        "symm_trans_cancel @ 0",
+        "trans_refl_left @ root",
+    ]),
+    ("torus", "~b * ~a", [
+        "symm_trans_congr_intro @ root",
+        "relation_fwd(torusComm) @ 0",
+        "symm_trans_congr @ root",
+    ]),
+    ("klein", "b * a", [
+        "symm_symm_intro @ 0",
+        "relation_bwd(kleinSurf) @ 0.0",
+        "symm_trans_congr @ 0",
+        "symm_symm @ 0.0",
+        "symm_trans_congr @ 0.1",
+        "assoc_left @ root",
+        "assoc_left @ 1",
+        "symm_trans_cancel @ 1.1",
+        "trans_refl_right @ 1",
+    ]),
+    ("klein", "b * ~a", [
+        "trans_refl_left_intro @ root",
+        "symm_trans_cancel_intro @ 0 [a]",
+        "assoc_left @ root",
+        "assoc_right @ 1",
+        "relation_fwd(kleinSurf) @ 1",
+    ]),
+    ("klein", "~b * a", [
+        "relation_bwd(kleinSurf) @ 0",
+        "assoc_left @ root",
+        "symm_trans_cancel @ 1",
+        "trans_refl_right @ root",
+    ]),
+    ("klein", "~b * ~a", [
+        "symm_trans_congr_intro @ root",
+        "trans_refl_right_intro @ 0",
+        "trans_symm_cancel_intro @ 0.1 [~a]",
+        "assoc_right @ 0",
+        "relation_fwd(kleinSurf) @ 0.0",
+        "symm_trans_congr @ root",
+        "symm_symm @ 0",
+        "symm_symm @ 1",
+    ]),
+    ("cylinder", "l1", [
+        "trans_refl_left_intro @ root",
+        "symm_trans_cancel_intro @ 0 [s]",
+        "assoc_left @ root",
+        "relation_fwd(cylSquare) @ 1",
+    ]),
+    ("cylinder", "~l1", [
+        "trans_refl_left_intro @ 0",
+        "symm_trans_cancel_intro @ 0.0 [s]",
+        "assoc_left @ 0",
+        "relation_fwd(cylSquare) @ 0.1",
+        "symm_trans_congr @ root",
+        "symm_trans_congr @ 0",
+        "symm_symm @ 1",
+        "assoc_left @ root",
+    ]),
+    ("rp2", "~alpha", [
+        "trans_refl_left_intro @ root",
+        "relation_bwd(loopSquare) @ 0",
+        "assoc_left @ root",
+        "trans_symm_cancel @ 1",
+        "trans_refl_right @ root",
+    ]),
+    ("rp2", "alpha * alpha", [
+        "relation_fwd(loopSquare) @ root",
+    ]),
+    ("torus", "b * a * a", [
+        "assoc_left @ root",
+        "assoc_right @ root",
+        "relation_bwd(torusComm) @ 0",
+        "assoc_left @ root",
+        "relation_bwd(torusComm) @ 1",
+    ]),
+    ("circle", "a * ~a * a", [
+        "assoc_left @ root",
+        "assoc_right @ root",
+        "trans_symm_cancel @ 0",
+        "trans_refl_left @ root",
+    ]),
+    ("circle", "a * a * ~a", [
+        "assoc_left @ root",
+        "trans_symm_cancel @ 1",
+        "trans_refl_right @ root",
+    ]),
+    ("cylinder", "s * l1 * ~s", [
+        "assoc_left @ root",
+        "trans_refl_left_intro @ 1.0",
+        "symm_trans_cancel_intro @ 1.0.0 [s]",
+        "assoc_left @ 1.0",
+        "relation_fwd(cylSquare) @ 1.0.1",
+        "assoc_left @ 1",
+        "assoc_left @ 1.1",
+        "assoc_right @ root",
+        "trans_symm_cancel @ 0",
+        "trans_refl_left @ root",
+        "trans_symm_cancel @ 1",
+        "trans_refl_right @ root",
+    ]),
+    ("rp2", "~alpha * ~alpha * ~alpha", [
+        "assoc_left @ root",
+        "trans_refl_left_intro @ 0",
+        "relation_bwd(loopSquare) @ 0.0",
+        "assoc_left @ 0",
+        "trans_symm_cancel @ 0.1",
+        "trans_refl_right @ 0",
+        "trans_refl_left_intro @ 1.0",
+        "relation_bwd(loopSquare) @ 1.0.0",
+        "assoc_left @ 1.0",
+        "trans_symm_cancel @ 1.0.1",
+        "trans_refl_right @ 1.0",
+        "trans_refl_left_intro @ 1.1",
+        "relation_bwd(loopSquare) @ 1.1.0",
+        "assoc_left @ 1.1",
+        "trans_symm_cancel @ 1.1.1",
+        "trans_refl_right @ 1.1",
+        "assoc_right @ root",
+        "relation_fwd(loopSquare) @ 0",
+        "trans_refl_left @ root",
+    ]),
+    ("klein", "a * b * ~a * b", [
+        "assoc_left @ root",
+        "assoc_left @ root",
+        "assoc_right @ 1",
+        "trans_refl_left_intro @ 1.0",
+        "symm_trans_cancel_intro @ 1.0.0 [a]",
+        "assoc_left @ 1.0",
+        "assoc_right @ 1.0.1",
+        "relation_fwd(kleinSurf) @ 1.0.1",
+        "assoc_left @ 1",
+        "assoc_right @ root",
+        "trans_symm_cancel @ 0",
+        "trans_refl_left @ root",
+        "symm_trans_cancel @ root",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, text, want", TRACE_GOLDEN, ids=[f"{n}:{t}" for n, t, _ in TRACE_GOLDEN]
+)
+def test_trace_step_lines(name, text, want):
+    space = builtin(name)
+    _, steps = trace(space, parse_path(space, text))
+    assert [format_step(s, space) for s in steps] == want
