@@ -19,7 +19,7 @@ from .oracle import (
     random_term,
 )
 from .pi1 import decode, encode, group_mul, homomorphism_check
-from .rewrite import apply_step, free_normalize, normalize, trace
+from .rewrite import apply_step, free_normalize, normalize, rw_eq, term_of_word, trace
 from .spaces import SpacePresentation
 from .terms import Symm, Trans, endpoints
 
@@ -49,8 +49,6 @@ def _pinned_term(space, n, rng, src=None, tgt=None):
 def _check_normalize_idempotent(
     space: SpacePresentation, seed: int, samples: int, max_size: int
 ) -> CheckResult:
-    from .rewrite import term_of_word
-
     rng = Lcg(seed)
     for i in range(samples):
         t = random_term(space, _sizes(rng, max_size), rng)
@@ -165,8 +163,6 @@ def _check_oracle_agreement(
     budget: Budget,
 ) -> CheckResult:
     rng = Lcg(seed)
-    from .rewrite import rw_eq
-
     # Normal forms in a file-loaded space ignore its relations, so there the
     # search may prove equal pairs the fast path cannot; only the fast path's
     # positive answers are binding.
@@ -190,6 +186,8 @@ def _check_oracle_agreement(
                 False,
                 f"sample {i}: normalize said {fast}, search said {verdict.kind}",
             )
+    if decided == 0:
+        return CheckResult("oracle-agreement", False, f"0/{samples} decided")
     return CheckResult("oracle-agreement", True, f"{decided}/{samples} decided, all agree")
 
 
@@ -225,6 +223,10 @@ def run_checks(
     budget: Budget | None = None,
 ) -> list[CheckResult]:
     """Run every suite that applies to the space. Deterministic in seed."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     if budget is None:
         budget = Budget(max_states=20_000)
     results = [

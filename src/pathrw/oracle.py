@@ -6,7 +6,8 @@ with `normalize`. Search states are terms; edges are reduction steps plus
 the size-bounded introduction steps, which makes the step graph symmetric:
 within a size cap, the set reachable from a term is its whole equivalence
 class, and exhausting it without meeting the target is a genuine "not equal
-at this size" answer rather than a timeout.
+at this size" answer rather than a timeout, provided the cap admits both
+inputs.
 
 Also here: a deterministic random term generator (a fixed 64-bit linear
 congruential generator, so seeds mean the same thing everywhere), exhaustive
@@ -47,6 +48,14 @@ class Budget:
 
     max_states: int = DEFAULT_MAX_STATES
     max_term_size: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_states < 0:
+            raise ValueError(f"max_states must be at least 0, got {self.max_states}")
+        if self.max_term_size is not None and self.max_term_size < 1:
+            raise ValueError(
+                f"max_term_size must be at least 1, got {self.max_term_size}"
+            )
 
 
 @dataclass(frozen=True)
@@ -275,6 +284,8 @@ def bfs_rw_eq(
     """Search for a rewrite derivation between p and q. EQUAL is definitive;
     NOT_EQUAL_WITHIN_BUDGET means one side's entire size-capped class was
     enumerated without meeting the other; BUDGET_EXHAUSTED decides nothing.
+    A cap below either input's size can cut that input off from its class,
+    so running out then is BUDGET_EXHAUSTED too.
 
     The search runs from both ends at once. Every step has an inverse step,
     so an edge usable in one direction is usable in the other and a meeting
@@ -285,9 +296,10 @@ def bfs_rw_eq(
         )
     if budget is None:
         budget = Budget()
+    largest = max(size(p), size(q))
     cap = budget.max_term_size
     if cap is None:
-        cap = max(size(p), size(q)) + DEFAULT_SIZE_MARGIN
+        cap = largest + DEFAULT_SIZE_MARGIN
     if p == q:
         return OracleVerdict(EQUAL, 0)
     seen_p: set[PathExpr] = {p}
@@ -313,6 +325,8 @@ def bfs_rw_eq(
             if nb not in seen:
                 seen.add(nb)
                 frontier.append(nb)
+    if cap < largest:
+        return OracleVerdict(BUDGET_EXHAUSTED, explored)
     return OracleVerdict(NOT_EQUAL_WITHIN_BUDGET, explored)
 
 
@@ -321,7 +335,8 @@ def explore_class(
 ) -> tuple[set[PathExpr], bool]:
     """All terms reachable from p within the budget, plus whether the
     enumeration finished. A finished set is the entire equivalence class of
-    p among terms within the size cap."""
+    p among terms within the size cap; a p larger than the cap never
+    finishes."""
     if budget is None:
         budget = Budget()
     cap = budget.max_term_size
@@ -340,7 +355,7 @@ def explore_class(
                 continue
             seen.add(nb)
             frontier.append(nb)
-    return seen, True
+    return seen, size(p) <= cap
 
 
 def local_confluence_probe(space: SpacePresentation, p: PathExpr) -> bool:

@@ -23,16 +23,19 @@ counterpart running right to left (unit introduction, cancellation-pair
 introduction with an explicit payload term, inverse-of-inverse introduction,
 congruence folding). Intro rules never appear in `redexes`; they exist so
 that any derivation in the symmetric closure of the rules, including the
-relation-driven reordering in the builtins' trace phases, can be written
-as a plain forward step list and replayed with `apply_step`.
+relation-driven rewriting in the builtins' spine rules, can be written as
+a plain forward step list and replayed with `apply_step`.
 
 `normalize` computes words directly: leaf fold, stack cancellation, then
 the canonical-word rule of the space's record in the builtin table (see
 `spaces`). Most builtins fold the letters into their group element (m, n)
 and write a^m b^n; the cylinder substitutes its far loop and reduces again;
 a space without a record keeps its freely reduced word. `trace` performs
-the same normalization as an explicit rule-by-rule derivation, ending with
-the hand-written relation phase the record names, and records it. The two
+the same normalization as an explicit rule-by-rule derivation and records
+it: it flattens the term into a right-nested spine of letters, then
+rewrites the spine by tiers of spine rules. A tier maps a pattern of one
+letter or two adjacent letters to a step template; free cancellation is
+the first tier, and the relation tiers the record names follow. The two
 routes are independent and the tests hold them equal.
 """
 
@@ -415,15 +418,10 @@ def _letter(lit: PathExpr) -> tuple[str, int] | None:
     return None
 
 
-def _cancel_rule(li: PathExpr, lj: PathExpr) -> RuleId | None:
-    if isinstance(li, Symm) and li.inner == lj:
-        return SYMM_TRANS_CANCEL
-    if isinstance(lj, Symm) and lj.inner == li:
-        return TRANS_SYMM_CANCEL
-    return None
-
-
 _Template = list[tuple[RuleId, Position, PathExpr | None]]
+# A tier of spine rules: a pattern of one letter or two adjacent letters,
+# each a (generator name, sign) pair, mapped to the steps that rewrite it.
+_Tier = dict[tuple[tuple[str, int], ...], _Template]
 
 
 class _Normalizer:
@@ -464,153 +462,59 @@ class _Normalizer:
         out.append((cur, pos))
         return out
 
-    def eliminate_pair_with(self, i: int, k: int, rule: RuleId) -> None:
-        """Collapse adjacent literals i, i+1 to a constant path and drop it."""
-        base: Position = (1,) * i
-        if i == k - 2:
-            self.apply(rule, base)
-            if k == 2:
-                return
-            self.apply(TRANS_REFL_RIGHT, (1,) * (i - 1))
-        else:
-            self.apply(ASSOC_RIGHT, base)
-            self.apply(rule, base + (0,))
-            self.apply(TRANS_REFL_LEFT, base)
+    def rewrite_first(self, tier: _Tier) -> bool:
+        """Rewrite the leftmost spine match of a tier; False if none.
 
-    def cancel_phase(self) -> None:
-        while True:
-            lits = self.literals()
-            k = len(lits)
-            found = None
-            for i in range(k - 1):
-                rule = _cancel_rule(lits[i][0], lits[i + 1][0])
-                if rule is not None:
-                    found = (i, rule)
-                    break
-            if found is None:
-                return
-            self.eliminate_pair_with(found[0], k, found[1])
-
-    def swap_pair(self, i: int, k: int, template: _Template) -> None:
-        """Rewrite the adjacent literal pair at i through a step template."""
-        base: Position = (1,) * i
-        exposed = i < k - 2
-        if exposed:
-            self.apply(ASSOC_RIGHT, base)
-            node = base + (0,)
-        else:
-            node = base
-        for rule, rel, payload in template:
-            self.apply(rule, node + tuple(rel), payload)
-        if exposed:
-            self.apply(ASSOC_LEFT, base)
-
-    def sort_phase(self, template_fn: Callable[[int, int], _Template]) -> None:
-        """Move first-generator letters left past second-generator letters,
-        justified by the space's relation, then re-reduce; repeats until
-        stable. The swap count is budgeted; exceeding it is a bug."""
-        a = self.space.generators[0].name
-        b = self.space.generators[1].name
-        budget = (len(self.literals()) + 2) ** 2 + 16
-        swaps = 0
-        while True:
-            lits = self.literals()
-            k = len(lits)
-            found = None
-            for i in range(k - 1):
-                ci = _letter(lits[i][0])
-                cj = _letter(lits[i + 1][0])
-                if ci and cj and ci[0] == b and cj[0] == a:
-                    found = (i, ci[1], cj[1])
-                    break
-            if found is None:
-                before = self.term
-                self.cancel_phase()
-                if self.term == before:
-                    return
+        A one-letter rule rewrites the literal in place and re-flattens. A
+        two-letter rule brackets the pair into one node (unless it is the
+        spine's last pair), rewrites that node, then drops it if it became
+        constant or unbrackets it otherwise."""
+        lits = self.literals()
+        letters = [_letter(lit) for lit, _ in lits]
+        k = len(lits)
+        for i, le in enumerate(letters):
+            template = tier.get((le,))
+            if template is not None:
+                for rule, rel, payload in template:
+                    self.apply(rule, lits[i][1] + rel, payload)
+                self.run_rules((ASSOC_LEFT,))
+                return True
+            template = tier.get((le, letters[i + 1])) if i < k - 1 else None
+            if template is None:
                 continue
-            i, sb, sa = found
-            self.swap_pair(i, k, template_fn(sb, sa))
-            swaps += 1
-            if swaps > budget:
-                raise RuntimeError(
-                    "relation phase exceeded its swap budget; this is a bug"
-                )
+            base: Position = (1,) * i
+            last = i == k - 2
+            node = base if last else base + (0,)
+            if not last:
+                self.apply(ASSOC_RIGHT, base)
+            for rule, rel, payload in template:
+                self.apply(rule, node + rel, payload)
+            if isinstance(subterm_at(self.term, node), Refl):
+                if not last:
+                    self.apply(TRANS_REFL_LEFT, base)
+                elif k > 2:
+                    self.apply(TRANS_REFL_RIGHT, base[:-1])
+            elif not last:
+                self.apply(ASSOC_LEFT, base)
+            return True
+        return False
 
-    def cylinder_phase(self) -> None:
-        """Eliminate the far loop through the square relation, then cancel."""
-        space = self.space
-        seg = Gen(space.generators[0].name)
-        l1 = space.generators[2].name
-        fwd = relation_fwd(space.relations[0].name)
+    def rewrite_spine(self, tiers: list[_Tier]) -> None:
+        """Exhaust each tier in order, and repeat the passes until one adds
+        no step. The rewrite count is budgeted; exceeding it is a bug."""
+        budget = (len(self.literals()) + 2) ** 2 + 16
+        rewrites = 0
         while True:
-            target = None
-            for lit, pos in self.literals():
-                le = _letter(lit)
-                if le is not None and le[0] == l1:
-                    target = (pos, le[1])
-                    break
-            if target is None:
-                break
-            pos, sign = target
-            if sign > 0:
-                seq: _Template = [
-                    (TRANS_REFL_LEFT_INTRO, (), None),
-                    (SYMM_TRANS_CANCEL_INTRO, (0,), seg),
-                    (ASSOC_LEFT, (), None),
-                    (fwd, (1,), None),
-                ]
-            else:
-                seq = [
-                    (TRANS_REFL_LEFT_INTRO, (0,), None),
-                    (SYMM_TRANS_CANCEL_INTRO, (0, 0), seg),
-                    (ASSOC_LEFT, (0,), None),
-                    (fwd, (0, 1), None),
-                    (SYMM_TRANS_CONGR, (), None),
-                    (SYMM_TRANS_CONGR, (0,), None),
-                    (SYMM_SYMM, (1,), None),
-                    (ASSOC_LEFT, (), None),
-                ]
-            for rule, rel, payload in seq:
-                self.apply(rule, tuple(pos) + tuple(rel), payload)
-            self.run_rules((ASSOC_LEFT,))
-        self.cancel_phase()
-
-    def parity_phase(self) -> None:
-        """Flip negative letters positive via the squaring relation, then
-        drop adjacent positive pairs; leaves the empty or one-letter word."""
-        rel = self.space.relations[0]
-        fwd = relation_fwd(rel.name)
-        bwd = relation_bwd(rel.name)
-        while True:
-            target = None
-            for lit, pos in self.literals():
-                le = _letter(lit)
-                if le is not None and le[1] < 0:
-                    target = pos
-                    break
-            if target is None:
-                break
-            seq: _Template = [
-                (TRANS_REFL_LEFT_INTRO, (), None),
-                (bwd, (0,), None),
-                (ASSOC_LEFT, (), None),
-                (TRANS_SYMM_CANCEL, (1,), None),
-                (TRANS_REFL_RIGHT, (), None),
-            ]
-            for rule, rpos, payload in seq:
-                self.apply(rule, tuple(target) + tuple(rpos), payload)
-        while True:
-            lits = self.literals()
-            k = len(lits)
-            found = None
-            for i in range(k - 1):
-                if isinstance(lits[i][0], Gen) and isinstance(lits[i + 1][0], Gen):
-                    found = i
-                    break
-            if found is None:
+            before = rewrites
+            for tier in tiers:
+                while self.rewrite_first(tier):
+                    rewrites += 1
+                    if rewrites > budget:
+                        raise RuntimeError(
+                            "spine rewriting exceeded its budget; this is a bug"
+                        )
+            if rewrites == before:
                 return
-            self.eliminate_pair_with(found, k, fwd)
 
     def word(self) -> Word:
         src, tgt = endpoints(self.space, self.term)
@@ -624,103 +528,145 @@ class _Normalizer:
         return Word(tuple(letters), src, tgt)
 
 
-def _torus_templates(space: "SpacePresentation") -> Callable[[int, int], _Template]:
-    rel = space.relations[0].name
-    a_gen = Gen(space.generators[0].name)
-    b_gen = Gen(space.generators[1].name)
-    fwd = relation_fwd(rel)
-    bwd = relation_bwd(rel)
+def _cancel_tier(space: "SpacePresentation") -> _Tier:
+    """Free cancellation: ~g g and g ~g collapse to a constant path."""
+    tier: _Tier = {}
+    for g in space.generators:
+        tier[((g.name, -1), (g.name, 1))] = [(SYMM_TRANS_CANCEL, (), None)]
+        tier[((g.name, 1), (g.name, -1))] = [(TRANS_SYMM_CANCEL, (), None)]
+    return tier
 
-    def fn(sb: int, sa: int) -> _Template:
-        if sb > 0 and sa > 0:
-            return [(bwd, (), None)]
-        if sb > 0 and sa < 0:
-            return [
-                (TRANS_REFL_LEFT_INTRO, (), None),
-                (SYMM_TRANS_CANCEL_INTRO, (0,), a_gen),
-                (ASSOC_LEFT, (), None),
-                (ASSOC_RIGHT, (1,), None),
-                (fwd, (1, 0), None),
-                (ASSOC_LEFT, (1,), None),
-                (TRANS_SYMM_CANCEL, (1, 1), None),
-                (TRANS_REFL_RIGHT, (1,), None),
-            ]
-        if sb < 0 and sa > 0:
-            return [
-                (TRANS_REFL_RIGHT_INTRO, (), None),
-                (TRANS_SYMM_CANCEL_INTRO, (1,), b_gen),
-                (ASSOC_LEFT, (), None),
-                (ASSOC_RIGHT, (1,), None),
-                (fwd, (1, 0), None),
-                (ASSOC_LEFT, (1,), None),
-                (ASSOC_RIGHT, (), None),
-                (SYMM_TRANS_CANCEL, (0,), None),
-                (TRANS_REFL_LEFT, (), None),
-            ]
-        return [
+
+def _torus_tiers(space: "SpacePresentation") -> list[_Tier]:
+    """Move each a left past each b through the commutation relation."""
+    a, b = (g.name for g in space.generators[:2])
+    fwd = relation_fwd(space.relations[0].name)
+    bwd = relation_bwd(space.relations[0].name)
+    return [{
+        ((b, 1), (a, 1)): [(bwd, (), None)],
+        ((b, 1), (a, -1)): [
+            (TRANS_REFL_LEFT_INTRO, (), None),
+            (SYMM_TRANS_CANCEL_INTRO, (0,), Gen(a)),
+            (ASSOC_LEFT, (), None),
+            (ASSOC_RIGHT, (1,), None),
+            (fwd, (1, 0), None),
+            (ASSOC_LEFT, (1,), None),
+            (TRANS_SYMM_CANCEL, (1, 1), None),
+            (TRANS_REFL_RIGHT, (1,), None),
+        ],
+        ((b, -1), (a, 1)): [
+            (TRANS_REFL_RIGHT_INTRO, (), None),
+            (TRANS_SYMM_CANCEL_INTRO, (1,), Gen(b)),
+            (ASSOC_LEFT, (), None),
+            (ASSOC_RIGHT, (1,), None),
+            (fwd, (1, 0), None),
+            (ASSOC_LEFT, (1,), None),
+            (ASSOC_RIGHT, (), None),
+            (SYMM_TRANS_CANCEL, (0,), None),
+            (TRANS_REFL_LEFT, (), None),
+        ],
+        ((b, -1), (a, -1)): [
             (SYMM_TRANS_CONGR_INTRO, (), None),
             (fwd, (0,), None),
             (SYMM_TRANS_CONGR, (), None),
-        ]
+        ],
+    }]
 
-    return fn
 
-
-def _klein_templates(space: "SpacePresentation") -> Callable[[int, int], _Template]:
-    rel = space.relations[0].name
-    a_gen = Gen(space.generators[0].name)
-    a_inv = Symm(Gen(space.generators[0].name))
-    fwd = relation_fwd(rel)
-    bwd = relation_bwd(rel)
-
-    def fn(sb: int, sa: int) -> _Template:
-        if sb > 0 and sa > 0:
-            return [
-                (SYMM_SYMM_INTRO, (0,), None),
-                (bwd, (0, 0), None),
-                (SYMM_TRANS_CONGR, (0,), None),
-                (SYMM_SYMM, (0, 0), None),
-                (SYMM_TRANS_CONGR, (0, 1), None),
-                (ASSOC_LEFT, (), None),
-                (ASSOC_LEFT, (1,), None),
-                (SYMM_TRANS_CANCEL, (1, 1), None),
-                (TRANS_REFL_RIGHT, (1,), None),
-            ]
-        if sb > 0 and sa < 0:
-            return [
-                (TRANS_REFL_LEFT_INTRO, (), None),
-                (SYMM_TRANS_CANCEL_INTRO, (0,), a_gen),
-                (ASSOC_LEFT, (), None),
-                (ASSOC_RIGHT, (1,), None),
-                (fwd, (1,), None),
-            ]
-        if sb < 0 and sa > 0:
-            return [
-                (bwd, (0,), None),
-                (ASSOC_LEFT, (), None),
-                (SYMM_TRANS_CANCEL, (1,), None),
-                (TRANS_REFL_RIGHT, (), None),
-            ]
-        return [
+def _klein_tiers(space: "SpacePresentation") -> list[_Tier]:
+    """Move each a left past each b, flipping the b, through the surface
+    relation."""
+    a, b = (g.name for g in space.generators[:2])
+    fwd = relation_fwd(space.relations[0].name)
+    bwd = relation_bwd(space.relations[0].name)
+    return [{
+        ((b, 1), (a, 1)): [
+            (SYMM_SYMM_INTRO, (0,), None),
+            (bwd, (0, 0), None),
+            (SYMM_TRANS_CONGR, (0,), None),
+            (SYMM_SYMM, (0, 0), None),
+            (SYMM_TRANS_CONGR, (0, 1), None),
+            (ASSOC_LEFT, (), None),
+            (ASSOC_LEFT, (1,), None),
+            (SYMM_TRANS_CANCEL, (1, 1), None),
+            (TRANS_REFL_RIGHT, (1,), None),
+        ],
+        ((b, 1), (a, -1)): [
+            (TRANS_REFL_LEFT_INTRO, (), None),
+            (SYMM_TRANS_CANCEL_INTRO, (0,), Gen(a)),
+            (ASSOC_LEFT, (), None),
+            (ASSOC_RIGHT, (1,), None),
+            (fwd, (1,), None),
+        ],
+        ((b, -1), (a, 1)): [
+            (bwd, (0,), None),
+            (ASSOC_LEFT, (), None),
+            (SYMM_TRANS_CANCEL, (1,), None),
+            (TRANS_REFL_RIGHT, (), None),
+        ],
+        ((b, -1), (a, -1)): [
             (SYMM_TRANS_CONGR_INTRO, (), None),
             (TRANS_REFL_RIGHT_INTRO, (0,), None),
-            (TRANS_SYMM_CANCEL_INTRO, (0, 1), a_inv),
+            (TRANS_SYMM_CANCEL_INTRO, (0, 1), Symm(Gen(a))),
             (ASSOC_RIGHT, (0,), None),
             (fwd, (0, 0), None),
             (SYMM_TRANS_CONGR, (), None),
             (SYMM_SYMM, (0,), None),
             (SYMM_SYMM, (1,), None),
-        ]
+        ],
+    }]
 
-    return fn
+
+def _cylinder_tiers(space: "SpacePresentation") -> list[_Tier]:
+    """Eliminate the far loop through the square relation: l1 -> ~s l0 s."""
+    seg = Gen(space.generators[0].name)
+    l1 = space.generators[2].name
+    fwd = relation_fwd(space.relations[0].name)
+    return [{
+        ((l1, 1),): [
+            (TRANS_REFL_LEFT_INTRO, (), None),
+            (SYMM_TRANS_CANCEL_INTRO, (0,), seg),
+            (ASSOC_LEFT, (), None),
+            (fwd, (1,), None),
+        ],
+        ((l1, -1),): [
+            (TRANS_REFL_LEFT_INTRO, (0,), None),
+            (SYMM_TRANS_CANCEL_INTRO, (0, 0), seg),
+            (ASSOC_LEFT, (0,), None),
+            (fwd, (0, 1), None),
+            (SYMM_TRANS_CONGR, (), None),
+            (SYMM_TRANS_CONGR, (0,), None),
+            (SYMM_SYMM, (1,), None),
+            (ASSOC_LEFT, (), None),
+        ],
+    }]
 
 
-# The hand-written relation phases a builtin's record can name.
-_TRACE_PHASES: dict[str, Callable[[_Normalizer], None]] = {
-    "cylinder": _Normalizer.cylinder_phase,
-    "torus": lambda nz: nz.sort_phase(_torus_templates(nz.space)),
-    "klein": lambda nz: nz.sort_phase(_klein_templates(nz.space)),
-    "parity": _Normalizer.parity_phase,
+def _parity_tiers(space: "SpacePresentation") -> list[_Tier]:
+    """Flip every ~alpha to alpha through the squaring relation, then drop
+    adjacent pairs; leaves the empty or one-letter word."""
+    alpha = space.generators[0].name
+    fwd = relation_fwd(space.relations[0].name)
+    bwd = relation_bwd(space.relations[0].name)
+    return [
+        {((alpha, -1),): [
+            (TRANS_REFL_LEFT_INTRO, (), None),
+            (bwd, (0,), None),
+            (ASSOC_LEFT, (), None),
+            (TRANS_SYMM_CANCEL, (1,), None),
+            (TRANS_REFL_RIGHT, (), None),
+        ]},
+        {((alpha, 1), (alpha, 1)): [(fwd, (), None)]},
+    ]
+
+
+# The relation tiers a builtin's record can name; `trace` runs them after
+# free cancellation.
+_TRACE_PHASES: dict[str, Callable[["SpacePresentation"], list[_Tier]]] = {
+    "cylinder": _cylinder_tiers,
+    "torus": _torus_tiers,
+    "klein": _klein_tiers,
+    "parity": _parity_tiers,
 }
 
 
@@ -735,8 +681,9 @@ def trace(
     nz.run_rules((SYMM_REFL, SYMM_SYMM, SYMM_TRANS_CONGR))
     nz.run_rules((ASSOC_LEFT,))
     nz.run_rules((TRANS_REFL_LEFT, TRANS_REFL_RIGHT))
-    nz.cancel_phase()
+    tiers = [_cancel_tier(space)]
     rec = _builtin_record(space)
     if rec is not None and rec.trace_phase is not None:
-        _TRACE_PHASES[rec.trace_phase](nz)
+        tiers += _TRACE_PHASES[rec.trace_phase](space)
+    nz.rewrite_spine(tiers)
     return NormalForm(nz.word()), tuple(nz.steps)

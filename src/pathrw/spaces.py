@@ -109,8 +109,9 @@ class _Builtin:
     with a `substitution` canonicalizes by replacing the letters it names
     and reducing freely; any other folds its letters into (m, n) and writes
     a^m b^n. `retraction` maps generators onto the circle for encoding,
-    `trace_phase` names the relation phase `trace` runs, and `display`
-    renames generators on output."""
+    `trace_phase` names the tiers of spine rules (letter patterns mapped to
+    step templates, in `rewrite`) that `trace` applies after free
+    cancellation, and `display` renames generators on output."""
 
     space: SpacePresentation
     loops: tuple[str, ...]

@@ -112,6 +112,27 @@ class TestEqual:
         assert code == 1
         assert text == "undecided (searched 0 states)"
 
+    def test_cap_below_an_input_is_undecided(self):
+        # both sides have 3 nodes, so a cap of 2 hides every derivation
+        code, text = run(
+            [
+                "equal", "--space", "torus", "--oracle",
+                "--max-term-size", "2", "a * b", "b * a",
+            ]
+        )
+        assert code == 1
+        assert text.startswith("undecided")
+
+    def test_negative_state_budget_is_bad_input(self):
+        code, text = run(
+            [
+                "equal", "--space", "circle", "--oracle",
+                "--max-states", "-1", "a", "a * a",
+            ]
+        )
+        assert code == 2
+        assert "-1" in text
+
     def test_json_result_is_a_plain_verdict(self):
         code, text = run(
             ["equal", "--space", "torus", "--json", "a * b", "b * a"]
@@ -182,6 +203,25 @@ class TestCheck:
         assert "homomorphism" in names
         assert obj["result"]["passed"] is True
         assert len(names) == 8
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-states", "-1"), ("--samples", "-5"), ("--size", "0")],
+    )
+    def test_out_of_range_counts_are_bad_input(self, flag, value):
+        code, text = run(["check", "--space", "torus", flag, value])
+        assert code == 2
+        assert text.startswith("error: ") and value in text
+
+    def test_nothing_decided_fails_oracle_agreement(self):
+        code, text = run(
+            [
+                "check", "--space", "torus", "--samples", "3", "--size", "4",
+                "--max-states", "0",
+            ]
+        )
+        assert code == 1
+        assert "FAIL oracle-agreement: 0/10 decided" in text.splitlines()
 
 
 class TestSpaces:

@@ -257,6 +257,22 @@ class TestBfsVerdicts:
         assert not v.is_decided
         assert v.explored <= 3
 
+    def test_cap_below_an_input_is_undecided(self):
+        a_b, b_a = parse_path(TORUS, "a * b"), parse_path(TORUS, "b * a")
+        v = bfs_rw_eq(TORUS, a_b, b_a, Budget(max_term_size=2))
+        assert v.kind == BUDGET_EXHAUSTED
+        # a reduction into the cap can still meet the other side
+        w = bfs_rw_eq(
+            CIRCLE, parse_path(CIRCLE, "a * ~a"), Refl("pt"), Budget(max_term_size=1)
+        )
+        assert w.kind == EQUAL
+
+    def test_out_of_range_budget_rejected(self):
+        with pytest.raises(ValueError, match="got -1"):
+            Budget(max_states=-1)
+        with pytest.raises(ValueError, match="got 0"):
+            Budget(max_term_size=0)
+
     def test_single_steps_are_sound(self):
         rng = Lcg(37)
         for space in ALL_SPACES:
@@ -312,6 +328,12 @@ class TestExploreClass:
             assert size(t) <= 6
             assert normalize(TORUS, t) == nf
         assert parse_path(TORUS, "b * a") in seen
+
+    def test_start_above_cap_reports_incomplete(self):
+        _, complete = explore_class(
+            TORUS, parse_path(TORUS, "a * b"), Budget(max_term_size=2)
+        )
+        assert not complete
 
     def test_starved_budget_reports_incomplete(self):
         seen, complete = explore_class(
