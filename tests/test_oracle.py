@@ -343,6 +343,82 @@ class TestExploreClass:
         assert len(seen) >= 1
 
 
+# (space, p, q, max_states, verdict kind, states explored), captured from the
+# search as it stood before its inner loop was rewritten. The explored count
+# depends on the exact order in which neighbours are generated, so these pin
+# the search order, not only the verdicts.
+PINNED_SEARCHES = (
+    # proofs
+    ("circle", "a * ~a * a", "a", 30_000, EQUAL, 2),
+    ("circle", "~(a * ~a) * a", "a * refl", 30_000, EQUAL, 5),
+    ("rp2", "alpha * alpha", "refl", 30_000, EQUAL, 1),
+    ("rp2", "~alpha", "alpha", 30_000, EQUAL, 13),
+    ("torus", "a * b", "b * a", 30_000, EQUAL, 1),
+    ("torus", "a * b * ~a", "b", 30_000, EQUAL, 9),
+    ("klein", "~b * ~a", "~a * b", 30_000, EQUAL, 1192),
+    ("mobius", "a * (~a * a)", "a", 30_000, EQUAL, 2),
+    ("cylinder", "s * l1 * ~s", "l0", 30_000, EQUAL, 8),
+    ("cylinder", "l0 * s", "s * l1", 30_000, EQUAL, 1),
+    ("cylinder", "~s * l0 * s", "l1", 30_000, EQUAL, 27),
+    ("cylinder", "~s * (s * ~s)", "~s", 30_000, EQUAL, 2),
+    # refutations
+    ("circle", "a", "a * a", 20_000, NOT_EQUAL_WITHIN_BUDGET, 1032),
+    ("circle", "~a", "refl", 20_000, NOT_EQUAL_WITHIN_BUDGET, 388),
+    ("rp2", "alpha", "refl", 20_000, NOT_EQUAL_WITHIN_BUDGET, 305),
+    ("torus", "a", "b", 20_000, NOT_EQUAL_WITHIN_BUDGET, 195),
+    ("torus", "a * b", "~b", 20_000, NOT_EQUAL_WITHIN_BUDGET, 1758),
+    ("klein", "b * a", "a * b", 20_000, NOT_EQUAL_WITHIN_BUDGET, 1008),
+    ("mobius", "a", "~a", 20_000, NOT_EQUAL_WITHIN_BUDGET, 378),
+    ("cylinder", "l0", "refl(b0)", 20_000, NOT_EQUAL_WITHIN_BUDGET, 194),
+    ("cylinder", "s", "l0 * s", 20_000, NOT_EQUAL_WITHIN_BUDGET, 1868),
+    ("cylinder", "l1", "refl(b1)", 20_000, NOT_EQUAL_WITHIN_BUDGET, 194),
+    ("cylinder", "~s", "~s * l0", 20_000, NOT_EQUAL_WITHIN_BUDGET, 3704),
+    # bounded searches
+    ("circle", "a * a", "~a * a", 4_000, NOT_EQUAL_WITHIN_BUDGET, 2935),
+    ("rp2", "alpha * ~alpha", "alpha", 4_000, BUDGET_EXHAUSTED, 4000),
+    ("torus", "a * b", "b * b", 4_000, NOT_EQUAL_WITHIN_BUDGET, 1012),
+    ("torus", "a * ~b", "~b * a", 4_000, EQUAL, 1439),
+    ("klein", "b * a * ~b", "a", 4_000, BUDGET_EXHAUSTED, 4000),
+    ("cylinder", "s * ~s", "l0", 4_000, BUDGET_EXHAUSTED, 4000),
+    ("cylinder", "l0 * s", "s", 4_000, NOT_EQUAL_WITHIN_BUDGET, 1868),
+    ("cylinder", "~s * s", "l1 * l1", 4_000, NOT_EQUAL_WITHIN_BUDGET, 3726),
+    ("cylinder", "~s * l0", "l1 * ~s", 4_000, EQUAL, 1404),
+)
+
+# (space, start, size cap, class size), from the same search
+PINNED_CLASSES = (
+    ("circle", "refl", 6, 64),
+    ("torus", "a * b", 7, 178),
+    ("rp2", "alpha", 6, 94),
+    ("cylinder", "s", 6, 57),
+    ("klein", "~b", 6, 41),
+    ("mobius", "a", 6, 49),
+)
+
+
+class TestSearchOrder:
+    def test_verdicts_and_explored_counts_are_pinned(self):
+        got = []
+        for name, p, q, states, _, _ in PINNED_SEARCHES:
+            space = builtin(name)
+            v = bfs_rw_eq(
+                space, parse_path(space, p), parse_path(space, q), Budget(states)
+            )
+            got.append((name, p, q, states, v.kind, v.explored))
+        assert got == list(PINNED_SEARCHES)
+
+    def test_class_sizes_are_pinned(self):
+        got = []
+        for name, start, cap, _ in PINNED_CLASSES:
+            space = builtin(name)
+            seen, complete = explore_class(
+                space, parse_path(space, start), Budget(100_000, cap)
+            )
+            assert complete
+            got.append((name, start, cap, len(seen)))
+        assert got == list(PINNED_CLASSES)
+
+
 class TestLocalConfluence:
     def test_normal_forms_pass_trivially(self):
         assert local_confluence_probe(CIRCLE, Gen("a"))
