@@ -155,13 +155,15 @@ def _run_equal(args) -> tuple[int, str]:
     p = parse_path(space, args.expr1)
     q = parse_path(space, args.expr2)
     trace_ = None
+    # the search budget is checked with or without --oracle, so out-of-range
+    # values are bad input either way
+    budget = Budget(
+        max_states=(
+            DEFAULT_MAX_STATES if args.max_states is None else args.max_states
+        ),
+        max_term_size=args.max_term_size,
+    )
     if args.oracle:
-        budget = Budget(
-            max_states=(
-                DEFAULT_MAX_STATES if args.max_states is None else args.max_states
-            ),
-            max_term_size=args.max_term_size,
-        )
         verdict = bfs_rw_eq(space, p, q, budget)
         if verdict.kind == "EQUAL":
             result, code = "equal", 0

@@ -9,6 +9,20 @@ class, and exhausting it without meeting the target is a genuine "not equal
 at this size" answer rather than a timeout, provided the cap admits both
 inputs.
 
+Each state is expanded in one pass over its nodes. A term's one-step
+rewrites are the steps at its root followed by each child's rewrites
+plugged back into it, so positions come in preorder; a subterm's rewrites
+and endpoints are computed once per search and reused by every state that
+contains it, and the reductions come from the shape-indexed table in
+`rewrite`. Neighbour order is part of the contract, since it fixes the
+search order and so every explored count: reductions first in `redexes`
+order, then the introductions at each position in preorder, with
+cancellation-pair payloads in `enumerate_terms` order. A search builds its
+terms through its own hash-consing table (Filliatre and Conchon, "Type-safe
+modular hash-consing", 2006), so equal terms are one object and visited-set
+hits are identity hits; the table is dropped when the search returns, and
+term equality stays structural, so no answer depends on it.
+
 Also here: a deterministic random term generator (a fixed 64-bit linear
 congruential generator, so seeds mean the same thing everywhere), exhaustive
 loop and term enumerators, and a one-step confluence probe.
@@ -19,12 +33,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import EndpointMismatchError, UnreachableEndpointsError
 from .rewrite import (
-    _preorder,
-    _replace_at,
     Word,
+    _reduce_at,
+    _relation_table,
     apply_step,
     normalize,
     redexes,
@@ -243,36 +258,165 @@ def _random_term(
 # ---------------------------------------------------------------------------
 # the search oracle
 
-def _neighbors(space: SpacePresentation, t: PathExpr, cap: int) -> list[PathExpr]:
-    out: list[PathExpr] = []
-    for step in redexes(space, t):
-        out.append(apply_step(space, t, step))
-    size_t = size(t)
-    for pos, sub in _preorder(t):
-        s, tg = endpoints(space, sub)
-        if size_t + 2 <= cap:
-            out.append(_replace_at(t, pos, Trans(Refl(s), sub)))
-            out.append(_replace_at(t, pos, Trans(sub, Refl(tg))))
-            out.append(_replace_at(t, pos, Symm(Symm(sub))))
-        if (
-            isinstance(sub, Trans)
-            and isinstance(sub.first, Symm)
-            and isinstance(sub.second, Symm)
-        ):
-            out.append(
-                _replace_at(t, pos, Symm(Trans(sub.second.inner, sub.first.inner)))
-            )
-        if isinstance(sub, Refl):
-            if size_t + 1 <= cap:
-                out.append(_replace_at(t, pos, Symm(sub)))
-            payload_cap = (cap - size_t - 1) // 2
-            for qn in range(1, payload_cap + 1):
+
+class _Search:
+    """The hash-consing table of one search, plus what the search reuses.
+
+    Terms built through it are keyed by their class and the identity of
+    their children, so equal terms built during one search are one object
+    and the search's set lookups hit on identity. The table lives only as
+    long as the search that made it. Equality and hashing stay structural,
+    so a term built outside the table still matches."""
+
+    def __init__(self, space: SpacePresentation, cap: int):
+        self.space = space
+        self.cap = cap
+        self._refls: dict[str, Refl] = {}
+        self._gens: dict[str, Gen] = {}
+        self._symms: dict[int, Symm] = {}
+        self._transes: dict[tuple[int, int], Trans] = {}
+        # (point, payload size cap) -> every cancellation pair introducible
+        # at a constant path there, in enumeration order
+        self._pairs: dict[tuple[str, int], list[PathExpr]] = {}
+        self._ends: dict[int, tuple[str, str]] = {}
+        # room -> id(subterm) -> its reductions, or its introductions
+        self._reductions_of: dict[int, dict] = {}
+        self._introductions_of: dict[int, dict] = {}
+        self.relations = _relation_table(space, self.intern)
+
+    def refl(self, point: str) -> Refl:
+        t = self._refls.get(point)
+        if t is None:
+            t = self._refls[point] = Refl(point)
+        return t
+
+    def symm(self, inner: PathExpr) -> Symm:
+        t = self._symms.get(id(inner))
+        if t is None:
+            t = self._symms[id(inner)] = Symm(inner)
+        return t
+
+    def trans(self, first: PathExpr, second: PathExpr) -> Trans:
+        key = (id(first), id(second))
+        t = self._transes.get(key)
+        if t is None:
+            t = self._transes[key] = Trans(first, second)
+        return t
+
+    def intern(self, t: PathExpr) -> PathExpr:
+        """The table's copy of a term built elsewhere."""
+        if isinstance(t, Trans):
+            return self.trans(self.intern(t.first), self.intern(t.second))
+        if isinstance(t, Symm):
+            return self.symm(self.intern(t.inner))
+        if isinstance(t, Refl):
+            return self.refl(t.point)
+        g = self._gens.get(t.name)
+        if g is None:
+            g = self._gens[t.name] = Gen(t.name)
+        return g
+
+    def ends(self, t: PathExpr) -> tuple[str, str]:
+        e = self._ends.get(id(t))
+        if e is None:
+            cls = type(t)
+            if cls is Trans:
+                e = (self.ends(t.first)[0], self.ends(t.second)[1])
+            elif cls is Symm:
+                tgt, src = self.ends(t.inner)
+                e = (src, tgt)
+            elif cls is Refl:
+                e = (t.point, t.point)
+            else:
+                g = self.space.generator_map[t.name]
+                e = (g.src, g.tgt)
+            self._ends[id(t)] = e
+        return e
+
+    def neighbors(self, t: PathExpr) -> Iterator[PathExpr]:
+        """Every term one step from t within the size cap, in a fixed order
+        that decides the search order: reductions in `redexes` order, then
+        the introductions at each position in preorder."""
+        yield from self.rewrites(self.reductions_here, self._reductions_of, t, self.cap)
+        yield from self.rewrites(
+            self.introductions_here, self._introductions_of, t, self.cap
+        )
+
+    # A term's one-step rewrites are built from its children's: the steps at
+    # its root, then each child's rewrites plugged back into it, which is
+    # positions in preorder. `room` is the most nodes the rewritten term may
+    # have, so a child's room is its parent's less the parent's other nodes.
+    # A subterm recurs across many states, so its rewrites are kept for the
+    # rest of the search; a state's own list is used once and is not.
+
+    def rewrites(self, here, memo: dict, t: PathExpr, room: int) -> list[PathExpr]:
+        """Every term one `here` step from t, at any position, with at most
+        `room` nodes."""
+        out = here(t, room)
+        cls = type(t)
+        if cls is Trans:
+            first, second, n, trans = t.first, t.second, t._size, self.trans
+            inside = self._inside(here, memo, first, room - n + first._size)
+            out += [trans(x, second) for x in inside]
+            inside = self._inside(here, memo, second, room - n + second._size)
+            out += [trans(first, x) for x in inside]
+        elif cls is Symm:
+            symm = self.symm
+            out += [symm(x) for x in self._inside(here, memo, t.inner, room - 1)]
+        return out
+
+    def _inside(self, here, memo: dict, t: PathExpr, room: int) -> list[PathExpr]:
+        at_room = memo.get(room)
+        if at_room is None:
+            at_room = memo[room] = {}
+        out = at_room.get(id(t))
+        if out is None:
+            out = at_room[id(t)] = self.rewrites(here, memo, t, room)
+        return out
+
+    def reductions_here(self, t: PathExpr, room: int) -> list[PathExpr]:
+        """The reductions at t's root, in `redexes` order."""
+        return [
+            new for _, new in _reduce_at(t, self.ends(t)[0], self.relations, self)
+            if new._size <= room
+        ]
+
+    def introductions_here(self, t: PathExpr, room: int) -> list[PathExpr]:
+        """The introductions at t's root: the two units and the
+        inverse-of-inverse, then congruence folding, or the inverted
+        constant and the cancellation pairs at a constant path."""
+        n = t._size
+        out = []
+        if n + 2 <= room:
+            src, tgt = self.ends(t)
+            out.append(self.trans(self.refl(src), t))
+            out.append(self.trans(t, self.refl(tgt)))
+            out.append(self.symm(self.symm(t)))
+        cls = type(t)
+        if cls is Trans:
+            if type(t.first) is Symm and type(t.second) is Symm and n - 1 <= room:
+                out.append(self.symm(self.trans(t.second.inner, t.first.inner)))
+        elif cls is Refl:
+            if n + 1 <= room:
+                out.append(self.symm(t))
+            out += self.cancel_pairs(t.point, (room - 2) // 2)
+        return out
+
+    def cancel_pairs(self, point: str, max_payload: int) -> list[PathExpr]:
+        key = (point, max_payload)
+        pairs = self._pairs.get(key)
+        if pairs is None:
+            pairs = self._pairs[key] = []
+            space = self.space
+            for qn in range(1, max_payload + 1):
                 for other in space.points:
-                    for q in enumerate_terms(space, qn, other, sub.point):
-                        out.append(_replace_at(t, pos, Trans(Symm(q), q)))
-                    for q in enumerate_terms(space, qn, sub.point, other):
-                        out.append(_replace_at(t, pos, Trans(q, Symm(q))))
-    return out
+                    for q in enumerate_terms(space, qn, other, point):
+                        q = self.intern(q)
+                        pairs.append(self.trans(self.symm(q), q))
+                    for q in enumerate_terms(space, qn, point, other):
+                        q = self.intern(q)
+                        pairs.append(self.trans(q, self.symm(q)))
+        return pairs
 
 
 def bfs_rw_eq(
@@ -302,6 +446,8 @@ def bfs_rw_eq(
         cap = largest + DEFAULT_SIZE_MARGIN
     if p == q:
         return OracleVerdict(EQUAL, 0)
+    search = _Search(space, cap)
+    p, q = search.intern(p), search.intern(q)
     seen_p: set[PathExpr] = {p}
     seen_q: set[PathExpr] = {q}
     front_p: deque[PathExpr] = deque([p])
@@ -317,9 +463,7 @@ def bfs_rw_eq(
             frontier, seen, other = front_q, seen_q, seen_p
         t = frontier.popleft()
         explored += 1
-        for nb in _neighbors(space, t, cap):
-            if size(nb) > cap:
-                continue
+        for nb in search.neighbors(t):
             if nb in other:
                 return OracleVerdict(EQUAL, explored)
             if nb not in seen:
@@ -337,11 +481,14 @@ def explore_class(
     enumeration finished. A finished set is the entire equivalence class of
     p among terms within the size cap; a p larger than the cap never
     finishes."""
+    endpoints(space, p)
     if budget is None:
         budget = Budget()
     cap = budget.max_term_size
     if cap is None:
         cap = size(p) + DEFAULT_SIZE_MARGIN
+    search = _Search(space, cap)
+    p = search.intern(p)
     seen = {p}
     frontier: deque[PathExpr] = deque([p])
     explored = 0
@@ -350,11 +497,10 @@ def explore_class(
             return seen, False
         t = frontier.popleft()
         explored += 1
-        for nb in _neighbors(space, t, cap):
-            if size(nb) > cap or nb in seen:
-                continue
-            seen.add(nb)
-            frontier.append(nb)
+        for nb in search.neighbors(t):
+            if nb not in seen:
+                seen.add(nb)
+                frontier.append(nb)
     return seen, size(p) <= cap
 
 

@@ -16,7 +16,10 @@ The reduction rules, in the order `redexes` tries them at each position:
 
 Cancellation fires only on structurally equal operands. Positions address
 subterms by child index: 0 under an inverse node or the first leg of a
-composition, 1 the second leg.
+composition, 1 the second leg. Each rule's local effect is written once, in
+a table indexed by the node's shape (its class and its children's classes);
+relation rules are looked up by the side they rewrite. `redexes`,
+`apply_step`, `trace` and the search oracle all read that table.
 
 Every rule above that is not its own inverse also has an `*_intro`
 counterpart running right to left (unit introduction, cancellation-pair
@@ -86,19 +89,6 @@ SYMM_REFL_INTRO = RuleId("symm_refl_intro")
 SYMM_SYMM_INTRO = RuleId("symm_symm_intro")
 SYMM_TRANS_CONGR_INTRO = RuleId("symm_trans_congr_intro")
 
-GROUPOID_REDUCTION_RULES = (
-    TRANS_REFL_LEFT,
-    TRANS_REFL_RIGHT,
-    SYMM_TRANS_CANCEL,
-    TRANS_SYMM_CANCEL,
-    SYMM_REFL,
-    SYMM_SYMM,
-    SYMM_TRANS_CONGR,
-    ASSOC_LEFT,
-    ASSOC_RIGHT,
-)
-
-
 def relation_fwd(name: str) -> RuleId:
     return RuleId("relation_fwd", name)
 
@@ -155,102 +145,238 @@ def format_step(step: RewriteStep, space: "SpacePresentation | None" = None) -> 
 # positions and local rewriting
 
 
-def subterm_at(p: PathExpr, pos: Position) -> PathExpr:
+# The ancestors of a subterm, innermost first, as nested (parent, child index,
+# rest) triples ending in None; the child index is the position digit.
+Chain = tuple | None
+
+
+def _descend(p: PathExpr, pos: Position) -> tuple[Chain, PathExpr]:
+    """The subterm at a position and its ancestor chain."""
+    chain: Chain = None
     cur = p
     for idx in pos:
         if isinstance(cur, Symm) and idx == 0:
-            cur = cur.inner
-        elif isinstance(cur, Trans) and idx == 0:
-            cur = cur.first
-        elif isinstance(cur, Trans) and idx == 1:
-            cur = cur.second
+            nxt = cur.inner
+        elif isinstance(cur, Trans) and idx in (0, 1):
+            nxt = cur.second if idx else cur.first
         else:
             raise StepNotEnabledError(
                 f"no subterm at position {format_position(pos)}"
             )
-    return cur
+        chain = (cur, idx, chain)
+        cur = nxt
+    return chain, cur
 
 
-def _replace_at(p: PathExpr, pos: Position, new: PathExpr) -> PathExpr:
-    if not pos:
-        return new
-    idx = pos[0]
-    rest = pos[1:]
-    if isinstance(p, Symm) and idx == 0:
-        return Symm(_replace_at(p.inner, rest, new))
-    if isinstance(p, Trans) and idx == 0:
-        return Trans(_replace_at(p.first, rest, new), p.second)
-    if isinstance(p, Trans) and idx == 1:
-        return Trans(p.first, _replace_at(p.second, rest, new))
-    raise StepNotEnabledError(f"no subterm at position {format_position(pos)}")
+def subterm_at(p: PathExpr, pos: Position) -> PathExpr:
+    return _descend(p, pos)[1]
 
 
-def _preorder(p: PathExpr, pos: Position = ()) -> Iterator[tuple[Position, PathExpr]]:
-    yield pos, p
-    if isinstance(p, Symm):
-        yield from _preorder(p.inner, pos + (0,))
-    elif isinstance(p, Trans):
-        yield from _preorder(p.first, pos + (0,))
-        yield from _preorder(p.second, pos + (1,))
+def _preorder(p: PathExpr) -> Iterator[tuple[Chain, PathExpr]]:
+    """Every subterm of p with its ancestor chain, in preorder."""
+    stack: list[tuple[PathExpr, Chain]] = [(p, None)]
+    while stack:
+        node, chain = stack.pop()
+        yield chain, node
+        cls = type(node)
+        if cls is Trans:
+            stack.append((node.second, (node, 1, chain)))
+            stack.append((node.first, (node, 0, chain)))
+        elif cls is Symm:
+            stack.append((node.inner, (node, 0, chain)))
+
+
+def _walk(
+    space: "SpacePresentation", p: PathExpr
+) -> list[tuple[Chain, PathExpr, str, str]]:
+    """Every subterm of p in preorder, with its ancestor chain and endpoints.
+
+    The endpoints are computed bottom-up in one pass, so the walk is linear
+    in p. An ill-formed term raises what `endpoints` raises."""
+    subs = list(_preorder(p))
+    # In preorder a node's children follow it, so a reverse pass meets them
+    # first: the first leg sits right after its parent, the second leg after
+    # the first leg's whole subtree.
+    ends: list = [None] * len(subs)
+    gens = space.generator_map
+    for i in range(len(subs) - 1, -1, -1):
+        node = subs[i][1]
+        cls = type(node)
+        if cls is Trans:
+            src, mid = ends[i + 1]
+            mid2, tgt = ends[i + 1 + node.first._size]
+            if mid != mid2:
+                endpoints(space, node)
+        elif cls is Symm:
+            tgt, src = ends[i + 1]
+        elif cls is Gen and node.name in gens:
+            gen = gens[node.name]
+            src, tgt = gen.src, gen.tgt
+        elif cls is Refl and node.point in space.point_set:
+            src = tgt = node.point
+        else:
+            src, tgt = endpoints(space, node)
+        ends[i] = (src, tgt)
+    return [(chain, node, *ends[i]) for i, (chain, node) in enumerate(subs)]
+
+
+def _position(chain: Chain) -> Position:
+    digits: list[int] = []
+    while chain is not None:
+        _, idx, chain = chain
+        digits.append(idx)
+    return tuple(reversed(digits))
+
+
+def _plug(chain: Chain, new: PathExpr, mk) -> PathExpr:
+    """The whole term with the subterm at the end of `chain` replaced by
+    `new`, rebuilt through the constructors `mk`."""
+    while chain is not None:
+        parent, idx, chain = chain
+        if type(parent) is Symm:
+            new = mk.symm(new)
+        elif idx:
+            new = mk.trans(parent.first, new)
+        else:
+            new = mk.trans(new, parent.second)
+    return new
+
+
+class _Plain:
+    """The plain term constructors, for local effects outside a search."""
+
+    refl = Refl
+    symm = Symm
+    trans = Trans
+
+
+# The reduction rules in `redexes` order, each with the shape it rewrites
+# (the node's class, then its children's classes, None for any) and its local
+# effect. An effect gets the node, the node's source point and the
+# constructors to build with, and returns None when the rule's equality side
+# condition fails.
+_REDUCTIONS = (
+    (TRANS_REFL_LEFT, (Trans, Refl, None), lambda t, pt, mk: t.second),
+    (TRANS_REFL_RIGHT, (Trans, None, Refl), lambda t, pt, mk: t.first),
+    (
+        SYMM_TRANS_CANCEL, (Trans, Symm, None),
+        lambda t, pt, mk: mk.refl(pt) if t.first.inner == t.second else None,
+    ),
+    (
+        TRANS_SYMM_CANCEL, (Trans, None, Symm),
+        lambda t, pt, mk: mk.refl(pt) if t.second.inner == t.first else None,
+    ),
+    (SYMM_REFL, (Symm, Refl), lambda t, pt, mk: t.inner),
+    (SYMM_SYMM, (Symm, Symm), lambda t, pt, mk: t.inner.inner),
+    (
+        SYMM_TRANS_CONGR, (Symm, Trans),
+        lambda t, pt, mk: mk.trans(mk.symm(t.inner.second), mk.symm(t.inner.first)),
+    ),
+    (
+        ASSOC_LEFT, (Trans, Trans, None),
+        lambda t, pt, mk: mk.trans(t.first.first, mk.trans(t.first.second, t.second)),
+    ),
+    (
+        ASSOC_RIGHT, (Trans, None, Trans),
+        lambda t, pt, mk: mk.trans(mk.trans(t.first, t.second.first), t.second.second),
+    ),
+)
+
+GROUPOID_REDUCTION_RULES = tuple(rule for rule, _, _ in _REDUCTIONS)
+# the rules whose effect reads the source point: they leave a constant path
+_CANCELLATIONS = (SYMM_TRANS_CANCEL.kind, TRANS_SYMM_CANCEL.kind)
+_RELATION_KINDS = ("relation_fwd", "relation_bwd")
+
+
+def _shape(t: PathExpr) -> tuple | None:
+    """A node's class and its children's classes; None for a leaf."""
+    cls = type(t)
+    if cls is Trans:
+        return (Trans, type(t.first), type(t.second))
+    if cls is Symm:
+        return (Symm, type(t.inner))
+    return None
+
+
+_CLASSES = (Refl, Gen, Symm, Trans)
+_NONE: dict = {}
+
+# rule kind -> (rule, effect), for the reduction rules that fit each node
+# shape, in `redexes` order
+_BY_SHAPE = {
+    shape: {
+        rule.kind: (rule, effect)
+        for rule, need, effect in _REDUCTIONS
+        if len(need) == len(shape)
+        and all(n is None or n is k for n, k in zip(need, shape))
+    }
+    for shape in [(Symm, a) for a in _CLASSES]
+    + [(Trans, a, b) for a in _CLASSES for b in _CLASSES]
+}
+
+# Relation rules keyed by the side they rewrite: for each term, the forward
+# rules whose lhs it is, then the backward rules whose rhs it is, each with
+# the term it rewrites to, in declaration order.
+def _relation_table(space: "SpacePresentation", intern=lambda t: t) -> dict:
+    by_name = {rel.name: rel for rel in space.relations}
+    table: dict = {}
+    for rel in space.relations:
+        r = by_name[rel.name]
+        table.setdefault(intern(r.lhs), []).append((relation_fwd(rel.name), intern(r.rhs)))
+    for rel in space.relations:
+        r = by_name[rel.name]
+        table.setdefault(intern(r.rhs), []).append((relation_bwd(rel.name), intern(r.lhs)))
+    return table
 
 
 @lru_cache(maxsize=128)
-def _relation_map(space: "SpacePresentation") -> dict:
-    return {rel.name: rel for rel in space.relations}
+def _plain_relations(space: "SpacePresentation") -> dict:
+    return _relation_table(space)
 
 
-def _local_result(
+def _reduce_at(
+    t: PathExpr, pt: str, relations: dict, mk
+) -> list[tuple[RuleId, PathExpr]]:
+    """(rule, rewritten node) for every reduction rule enabled at the root
+    of t, in `redexes` order: the groupoid rules that fit t's shape, then
+    forward relation rules, then backward ones. `pt` is t's source point."""
+    out = []
+    for rule, effect in _BY_SHAPE.get(_shape(t), _NONE).values():
+        new = effect(t, pt, mk)
+        if new is not None:
+            out.append((rule, new))
+    if relations:
+        out.extend(relations.get(t, ()))
+    return out
+
+
+def reductions(
+    space: "SpacePresentation", p: PathExpr
+) -> Iterator[tuple[RuleId, Position, PathExpr]]:
+    """Every enabled reduction step of p with the term it produces: positions
+    in preorder, rules in their declaration order at each position."""
+    relations = _plain_relations(space)
+    for chain, sub, src, _ in _walk(space, p):
+        for rule, new in _reduce_at(sub, src, relations, _Plain):
+            yield rule, _position(chain), _plug(chain, new, _Plain)
+
+
+def redexes(space: "SpacePresentation", p: PathExpr) -> list[RewriteStep]:
+    """All enabled reduction steps, outermost-leftmost position first and
+    rules in their declaration order at each position."""
+    return [RewriteStep(rule, pos) for rule, pos, _ in reductions(space, p)]
+
+
+def _intro_result(
     space: "SpacePresentation",
     sub: PathExpr,
     rule: RuleId,
     payload: PathExpr | None,
 ) -> PathExpr | None:
-    """Result of rewriting `sub` in place by `rule`, or None if not enabled."""
+    """Result of rewriting `sub` in place by an intro rule, or None if not
+    enabled."""
     k = rule.kind
-    if k == "trans_refl_left":
-        if isinstance(sub, Trans) and isinstance(sub.first, Refl):
-            return sub.second
-    elif k == "trans_refl_right":
-        if isinstance(sub, Trans) and isinstance(sub.second, Refl):
-            return sub.first
-    elif k == "symm_trans_cancel":
-        if (
-            isinstance(sub, Trans)
-            and isinstance(sub.first, Symm)
-            and sub.first.inner == sub.second
-        ):
-            return Refl(endpoints(space, sub.second)[1])
-    elif k == "trans_symm_cancel":
-        if (
-            isinstance(sub, Trans)
-            and isinstance(sub.second, Symm)
-            and sub.second.inner == sub.first
-        ):
-            return Refl(endpoints(space, sub.first)[0])
-    elif k == "symm_refl":
-        if isinstance(sub, Symm) and isinstance(sub.inner, Refl):
-            return sub.inner
-    elif k == "symm_symm":
-        if isinstance(sub, Symm) and isinstance(sub.inner, Symm):
-            return sub.inner.inner
-    elif k == "symm_trans_congr":
-        if isinstance(sub, Symm) and isinstance(sub.inner, Trans):
-            return Trans(Symm(sub.inner.second), Symm(sub.inner.first))
-    elif k == "assoc_left":
-        if isinstance(sub, Trans) and isinstance(sub.first, Trans):
-            return Trans(sub.first.first, Trans(sub.first.second, sub.second))
-    elif k == "assoc_right":
-        if isinstance(sub, Trans) and isinstance(sub.second, Trans):
-            return Trans(Trans(sub.first, sub.second.first), sub.second.second)
-    elif k == "relation_fwd":
-        rel = _relation_map(space).get(rule.relation)
-        if rel is not None and sub == rel.lhs:
-            return rel.rhs
-    elif k == "relation_bwd":
-        rel = _relation_map(space).get(rule.relation)
-        if rel is not None and sub == rel.rhs:
-            return rel.lhs
-    elif k == "trans_refl_left_intro":
+    if k == "trans_refl_left_intro":
         return Trans(Refl(endpoints(space, sub)[0]), sub)
     elif k == "trans_refl_right_intro":
         return Trans(sub, Refl(endpoints(space, sub)[1]))
@@ -279,38 +405,42 @@ def _local_result(
     return None
 
 
-@lru_cache(maxsize=128)
-def reduction_rules(space: "SpacePresentation") -> tuple[RuleId, ...]:
-    """The rules `redexes` enumerates, in their fixed order."""
-    rules = list(GROUPOID_REDUCTION_RULES)
-    for rel in space.relations:
-        rules.append(relation_fwd(rel.name))
-    for rel in space.relations:
-        rules.append(relation_bwd(rel.name))
-    return tuple(rules)
+def _reduction_result(
+    space: "SpacePresentation", sub: PathExpr, rule: RuleId
+) -> PathExpr | None:
+    """Result of rewriting `sub` in place by one reduction rule, or None if
+    not enabled."""
+    k = rule.kind
+    if k in _RELATION_KINDS:
+        enabled = _plain_relations(space).get(sub, ())
+        return next((new for r, new in enabled if r == rule), None)
+    fit = _BY_SHAPE.get(_shape(sub), _NONE).get(k)
+    if fit is None:
+        return None
+    # only a cancellation reads the source point: its node is a composition,
+    # which starts where its first leg does
+    pt = endpoints(space, sub.first)[0] if k in _CANCELLATIONS else None
+    return fit[1](sub, pt, _Plain)
 
 
-def redexes(space: "SpacePresentation", p: PathExpr) -> list[RewriteStep]:
-    """All enabled reduction steps, outermost-leftmost position first and
-    rules in their declaration order at each position."""
-    rules = reduction_rules(space)
-    out: list[RewriteStep] = []
-    for pos, sub in _preorder(p):
-        for rule in rules:
-            if _local_result(space, sub, rule, None) is not None:
-                out.append(RewriteStep(rule, pos))
-    return out
+_REDUCTION_KINDS = frozenset(
+    [rule.kind for rule in GROUPOID_REDUCTION_RULES] + list(_RELATION_KINDS)
+)
 
 
 def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> PathExpr:
     """Apply one step; raises StepNotEnabledError if the pattern is absent."""
-    sub = subterm_at(p, step.at)
-    new = _local_result(space, sub, step.rule, step.payload)
+    chain, sub = _descend(p, step.at)
+    rule = step.rule
+    if rule.kind in _REDUCTION_KINDS:
+        new = _reduction_result(space, sub, rule)
+    else:
+        new = _intro_result(space, sub, rule, step.payload)
     if new is None:
         raise StepNotEnabledError(
             f"rule {step.rule} is not enabled at {format_position(step.at)}"
         )
-    return _replace_at(p, step.at, new)
+    return _plug(chain, new, _Plain)
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +568,25 @@ class _Normalizer:
         self.term = apply_step(self.space, self.term, step)
 
     def run_rules(self, rules: tuple[RuleId, ...]) -> None:
+        """Apply the outermost-leftmost enabled step of `rules`, groupoid
+        reduction rules, until none is enabled."""
         while True:
             hit = None
-            for pos, sub in _preorder(self.term):
+            for chain, sub in _preorder(self.term):
+                fits = _BY_SHAPE.get(_shape(sub), _NONE)
                 for rule in rules:
-                    if _local_result(self.space, sub, rule, None) is not None:
-                        hit = (rule, pos)
-                        break
+                    if rule.kind in fits:
+                        new = _reduction_result(self.space, sub, rule)
+                        if new is not None:
+                            hit = (rule, chain, new)
+                            break
                 if hit:
                     break
             if hit is None:
                 return
-            self.apply(hit[0], hit[1])
+            rule, chain, new = hit
+            self.steps.append(RewriteStep(rule, _position(chain)))
+            self.term = _plug(chain, new, _Plain)
 
     def literals(self) -> list[tuple[PathExpr, Position]]:
         out: list[tuple[PathExpr, Position]] = []

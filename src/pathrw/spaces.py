@@ -65,12 +65,24 @@ class SpacePresentation:
     group_tag: GroupTag | None = None
     point_set: frozenset[str] = field(init=False, compare=False, repr=False)
     generator_map: dict = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "point_set", frozenset(self.points))
         object.__setattr__(
             self, "generator_map", {g.name: g for g in self.generators}
         )
+        # Spaces key the memoized tables of the rewrite engine and the
+        # enumerators, so the structural hash is computed once, here.
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.name, self.points, self.generators, self.relations,
+                  self.basepoint, self.group_tag)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 _Letters = tuple[tuple[str, int], ...]

@@ -26,7 +26,10 @@ if TYPE_CHECKING:
 # structural hash on every lookup dominates its runtime. Each node stores
 # its hash (and node count) once at construction, built from the children's
 # cached values, so hashing stays O(1) and equality keeps short-circuiting
-# on the hash mismatch fast path inside set buckets.
+# on the hash mismatch fast path inside set buckets. Equality also
+# short-circuits on identity, so subtrees shared between two terms (or a
+# search's hash-consed terms, which share every equal subtree) compare in
+# O(1).
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +80,7 @@ class Symm:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return other is self or (
             isinstance(other, Symm)
             and self._hash == other._hash
             and self.inner == other.inner
@@ -101,7 +104,7 @@ class Trans:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return other is self or (
             isinstance(other, Trans)
             and self._hash == other._hash
             and self.first == other.first

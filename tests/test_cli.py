@@ -133,6 +133,19 @@ class TestEqual:
         assert code == 2
         assert "-1" in text
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-states", "-1", "--max-term-size", "0"],
+            ["--max-states", "-1"],
+            ["--max-term-size", "0"],
+        ],
+    )
+    def test_out_of_range_budget_is_bad_input_without_oracle(self, flags):
+        code, text = run(["equal", "--space", "torus", *flags, "a", "b"])
+        assert code == 2
+        assert text.startswith("error:")
+
     def test_json_result_is_a_plain_verdict(self):
         code, text = run(
             ["equal", "--space", "torus", "--json", "a * b", "b * a"]

@@ -1,14 +1,23 @@
 """Tests for the search oracle, the enumerators, and the seeded RNG."""
 
+import gc
+import weakref
+
 import pytest
 
-from pathrw.errors import EndpointMismatchError, UnreachableEndpointsError
+from pathrw import oracle
+from pathrw.errors import (
+    EndpointMismatchError,
+    UnknownGeneratorError,
+    UnreachableEndpointsError,
+)
 from pathrw.oracle import (
     BUDGET_EXHAUSTED,
     EQUAL,
     NOT_EQUAL_WITHIN_BUDGET,
     Budget,
     Lcg,
+    OracleVerdict,
     bfs_rw_eq,
     enumerate_loops,
     enumerate_terms,
@@ -16,7 +25,19 @@ from pathrw.oracle import (
     local_confluence_probe,
     random_term,
 )
-from pathrw.rewrite import apply_step, normalize, redexes
+from pathrw.rewrite import (
+    SYMM_REFL_INTRO,
+    SYMM_SYMM_INTRO,
+    SYMM_TRANS_CANCEL_INTRO,
+    SYMM_TRANS_CONGR_INTRO,
+    TRANS_REFL_LEFT_INTRO,
+    TRANS_REFL_RIGHT_INTRO,
+    TRANS_SYMM_CANCEL_INTRO,
+    RewriteStep,
+    apply_step,
+    normalize,
+    redexes,
+)
 from pathrw.spaces import BUILTIN_NAMES, builtin
 from pathrw.syntax import parse_path, render_path
 from pathrw.terms import Gen, Refl, Symm, Trans, endpoints, size
@@ -335,6 +356,12 @@ class TestExploreClass:
         )
         assert not complete
 
+    def test_ill_formed_start_rejected(self):
+        with pytest.raises(UnknownGeneratorError):
+            explore_class(CIRCLE, Trans(Gen("a"), Gen("zz")))
+        with pytest.raises(EndpointMismatchError):
+            explore_class(CYL, Trans(Gen("s"), Gen("s")))
+
     def test_starved_budget_reports_incomplete(self):
         seen, complete = explore_class(
             KLEIN, parse_path(KLEIN, "a * b * a"), Budget(max_states=2)
@@ -417,6 +444,96 @@ class TestSearchOrder:
             assert complete
             got.append((name, start, cap, len(seen)))
         assert got == list(PINNED_CLASSES)
+
+
+def _preorder_positions(t, pos=()):
+    yield pos, t
+    if isinstance(t, Symm):
+        yield from _preorder_positions(t.inner, pos + (0,))
+    elif isinstance(t, Trans):
+        yield from _preorder_positions(t.first, pos + (0,))
+        yield from _preorder_positions(t.second, pos + (1,))
+
+
+def _reference_neighbors(space, t, cap):
+    """The search's neighbour list, spelled out with apply_step."""
+    out = [apply_step(space, t, s) for s in redexes(space, t)]
+    n = size(t)
+
+    def intro(rule, pos, payload=None):
+        out.append(apply_step(space, t, RewriteStep(rule, pos, payload)))
+
+    for pos, sub in _preorder_positions(t):
+        if n + 2 <= cap:
+            for rule in (TRANS_REFL_LEFT_INTRO, TRANS_REFL_RIGHT_INTRO, SYMM_SYMM_INTRO):
+                intro(rule, pos)
+        if (
+            isinstance(sub, Trans)
+            and isinstance(sub.first, Symm)
+            and isinstance(sub.second, Symm)
+        ):
+            intro(SYMM_TRANS_CONGR_INTRO, pos)
+        if isinstance(sub, Refl):
+            if n + 1 <= cap:
+                intro(SYMM_REFL_INTRO, pos)
+            for qn in range(1, (cap - n - 1) // 2 + 1):
+                for other in space.points:
+                    for q in enumerate_terms(space, qn, other, sub.point):
+                        intro(SYMM_TRANS_CANCEL_INTRO, pos, q)
+                    for q in enumerate_terms(space, qn, sub.point, other):
+                        intro(TRANS_SYMM_CANCEL_INTRO, pos, q)
+    return [nb for nb in out if size(nb) <= cap]
+
+
+class TestNeighborOrder:
+    def test_neighbors_match_the_reference_order(self):
+        # one search per space and cap, so subterm rewrites are reused
+        # across the terms as they are in a real search
+        rng = Lcg(53)
+        for space in ALL_SPACES:
+            terms = [random_term(space, 1 + rng.randint(9), rng) for _ in range(25)]
+            for cap in (6, 9, 12):
+                search = oracle._Search(space, cap)
+                for t in terms:
+                    got = list(search.neighbors(search.intern(t)))
+                    assert got == _reference_neighbors(space, t, cap), (
+                        space.name, render_path(space, t), cap
+                    )
+
+
+class TestSearchTable:
+    def test_terms_built_in_a_search_die_with_it(self, monkeypatch):
+        built = []
+        neighbors = oracle._Search.neighbors
+
+        def spy(search, t):
+            for nb in neighbors(search, t):
+                built.append(weakref.ref(nb))
+                yield nb
+
+        monkeypatch.setattr(oracle._Search, "neighbors", spy)
+        p, q = parse_path(TORUS, "a * b"), parse_path(TORUS, "b * b")
+        assert bfs_rw_eq(TORUS, p, q, Budget(max_states=50)).kind == BUDGET_EXHAUSTED
+        assert built
+        gc.collect()
+        assert [r for r in built if r() is not None] == []
+
+    def test_equal_terms_built_in_one_search_are_one_object(self):
+        search = oracle._Search(TORUS, 9)
+        t = search.intern(parse_path(TORUS, "a * b * ~a"))
+        assert search.intern(parse_path(TORUS, "a * b * ~a")) is t
+        assert search.trans(t.first, search.symm(search.intern(Gen("a")))) is t
+
+    def test_terms_built_outside_match_structurally(self):
+        p = parse_path(TORUS, "a * b")
+        same = parse_path(TORUS, "a * b")
+        assert same is not p
+        assert bfs_rw_eq(TORUS, p, same) == OracleVerdict(EQUAL, 0)
+        v = bfs_rw_eq(TORUS, p, Trans(Gen("b"), Gen("a")))
+        assert v == OracleVerdict(EQUAL, 1)
+        seen, complete = explore_class(TORUS, p, Budget(max_term_size=5))
+        assert complete
+        assert same in seen and Trans(Gen("b"), Gen("a")) in seen
 
 
 class TestLocalConfluence:

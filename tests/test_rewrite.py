@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathrw import (
     EndpointMismatchError,
+    UnknownGeneratorError,
     Gen,
     Lcg,
     NormalForm,
@@ -43,7 +46,11 @@ from pathrw.rewrite import (
     TRANS_REFL_RIGHT_INTRO,
     TRANS_SYMM_CANCEL,
     TRANS_SYMM_CANCEL_INTRO,
+    reductions,
 )
+from pathrw.oracle import enumerate_terms
+from pathrw.spaces import parse_space_text
+from pathrw.syntax import render_path
 
 CIRCLE = builtin("circle")
 CYL = builtin("cylinder")
@@ -55,6 +62,23 @@ A = Gen("a")
 B = Gen("b")
 
 ALL_SPACES = [builtin(n) for n in ("circle", "cylinder", "mobius", "torus", "klein", "rp2")]
+
+TORUS_FILE = "point pt\ngen a : pt -> pt\ngen b : pt -> pt\nrel comm : a * b = b * a\n"
+SMALL_TERM_SPACES = ALL_SPACES + [parse_space_text(TORUS_FILE, "torusfile")]
+
+
+def _small_terms(space):
+    """Every term of at most 6 nodes (5 on the cylinder) at every endpoint
+    pair, then 40 seeded random terms of 7 to 16 nodes, where one position
+    can hold both associativity redexes."""
+    top = 5 if space.name == "cylinder" else 6
+    for src in space.points:
+        for tgt in space.points:
+            for n in range(1, top + 1):
+                yield from enumerate_terms(space, n, src, tgt)
+    rng = Lcg(11)
+    for _ in range(40):
+        yield random_term(space, 7 + rng.randint(10), rng)
 
 
 def step(rule, at=(), payload=None):
@@ -234,6 +258,38 @@ class TestRedexes:
                 ends = endpoints(sp, t)
                 for s in redexes(sp, t):
                     assert endpoints(sp, apply_step(sp, t, s)) == ends
+
+    def test_ill_formed_term_rejected(self):
+        with pytest.raises(UnknownGeneratorError):
+            redexes(CIRCLE, Trans(A, Gen("zz")))
+        with pytest.raises(EndpointMismatchError):
+            redexes(CYL, Trans(Gen("s"), Gen("s")))
+
+    def test_reducer_agrees_with_apply_step(self):
+        # small and seeded random terms of the builtins and a file-loaded
+        # torus; each step the reducer yields must replay
+        for space in SMALL_TERM_SPACES:
+            for t in _small_terms(space):
+                found = list(reductions(space, t))
+                assert [RewriteStep(r, pos) for r, pos, _ in found] == redexes(space, t)
+                for rule, pos, result in found:
+                    assert result == apply_step(space, t, RewriteStep(rule, pos))
+
+    def test_redexes_of_small_terms_are_pinned(self):
+        # digest of every small term's redex list, one line per term, as
+        # written before the reducer was indexed by node shape
+        digest = hashlib.sha256()
+        count = 0
+        for space in SMALL_TERM_SPACES:
+            for t in _small_terms(space):
+                steps = ";".join(format_step(s) for s in redexes(space, t))
+                line = f"{space.name}|{render_path(space, t)}|{steps}\n"
+                digest.update(line.encode())
+                count += 1
+        assert count == 2615
+        assert digest.hexdigest() == (
+            "c3cc9b4cba4af3e72ae6a45466d344c6e75f13a24694c85a1db59596cff0b977"
+        )
 
 
 class TestWireFormat:
