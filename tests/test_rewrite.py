@@ -291,6 +291,30 @@ class TestRedexes:
             "c3cc9b4cba4af3e72ae6a45466d344c6e75f13a24694c85a1db59596cff0b977"
         )
 
+    def test_traces_of_larger_terms_are_pinned(self):
+        # digest of the normal form and every step line `trace` writes for
+        # seeded random terms of 10 to 70 nodes and long torus and klein
+        # words, as written while `trace` rebuilt the whole term per step
+        rng = Lcg(23)
+        cases = [
+            (space, random_term(space, 10 + rng.randint(61), rng))
+            for space in SMALL_TERM_SPACES
+            for _ in range(30)
+        ]
+        for space, n in ((TORUS, 100), (TORUS, 200), (KLEIN, 100), (KLEIN, 150)):
+            letters = tuple((rng.choice("ab"), rng.choice((1, -1))) for _ in range(n))
+            cases.append((space, term_of_word(Word(letters, "pt", "pt"))))
+        digest = hashlib.sha256()
+        for space, t in cases:
+            nf, steps = trace(space, t)
+            digest.update(f"{space.name}|{nf.word}\n".encode())
+            for s in steps:
+                digest.update(f"{format_step(s, space)}\n".encode())
+        assert len(cases) == 214
+        assert digest.hexdigest() == (
+            "1a5a3fe61def229fc54252d85a1fbb37846cf125f7a0731ad5e856be15ab40a3"
+        )
+
 
 class TestWireFormat:
     def test_root_position(self):
