@@ -25,6 +25,7 @@ from .errors import (
 from .groupoid import PathClass, class_of
 from .rewrite import Word, normalize, term_of_word
 from .spaces import _SHAPES, GroupTag, SpacePresentation, _builtin_record, builtin
+from .syntax import MAX_TERM_NODES
 from .terms import PathExpr, SpaceMap, Trans, endpoints, map_path
 
 
@@ -172,6 +173,16 @@ def parse_group_value(tag: GroupTag, text: str) -> GroupValue:
                 f"{tag.value} values are integers; got {text!r}"
             ) from None
     try:
-        return GroupValue(tag, *coords)
+        value = GroupValue(tag, *coords)
     except ValueError as exc:
         raise ParseError(f"{exc}; got {text!r}") from None
+    # decode writes a^m b^n: a node per letter, one more per inverse letter,
+    # and a composition between letters
+    letters = sum(abs(c) for c in coords)
+    nodes = max(2 * letters - 1, 1) + sum(-c for c in coords if c < 0)
+    if nodes > MAX_TERM_NODES:
+        raise ParseError(
+            f"value too large: its loop has {nodes:,} nodes, the limit is "
+            f"{MAX_TERM_NODES:,}"
+        )
+    return value

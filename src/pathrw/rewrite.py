@@ -40,6 +40,13 @@ rewrites the spine by tiers of spine rules. A tier maps a pattern of one
 letter or two adjacent letters to a step template; free cancellation is
 the first tier, and the relation tiers the record names follow. The two
 routes are independent and the tests hold them equal.
+
+`trace` never rebuilds the whole term. Its flattening phases rewrite by a
+preorder scan that resumes at the parent of each rewritten node. The spine
+is then kept as a list of literals: a spine rule applies its template with
+`apply_step` to the one- or two-letter node it matched, and its steps and
+the bracketing steps around them are recorded at their positions in the
+whole term, which is never built.
 """
 
 from __future__ import annotations
@@ -166,10 +173,6 @@ def _descend(p: PathExpr, pos: Position) -> tuple[Chain, PathExpr]:
         chain = (cur, idx, chain)
         cur = nxt
     return chain, cur
-
-
-def subterm_at(p: PathExpr, pos: Position) -> PathExpr:
-    return _descend(p, pos)[1]
 
 
 def _preorder(p: PathExpr) -> Iterator[tuple[Chain, PathExpr]]:
@@ -450,24 +453,24 @@ def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> Pa
 def _letters_of(
     space: "SpacePresentation", p: PathExpr
 ) -> tuple[list[tuple[str, int]], str, str]:
-    if isinstance(p, Refl):
-        src, tgt = endpoints(space, p)
-        return [], src, tgt
-    if isinstance(p, Gen):
-        src, tgt = endpoints(space, p)
-        return [(p.name, 1)], src, tgt
-    if isinstance(p, Symm):
-        letters, src, tgt = _letters_of(space, p.inner)
-        return [(name, -sign) for name, sign in reversed(letters)], tgt, src
-    if isinstance(p, Trans):
-        left, src1, tgt1 = _letters_of(space, p.first)
-        right, src2, tgt2 = _letters_of(space, p.second)
-        if tgt1 != src2:
-            raise EndpointMismatchError(
-                f"cannot compose: first ends at '{tgt1}', second starts at '{src2}'"
-            )
-        return left + right, src1, tgt2
-    raise TypeError(f"not a path term: {p!r}")
+    """The signed letters of a term in order, with its endpoints: one walk
+    from the root that carries the sign, as an inverse reverses its leg."""
+    src, tgt = endpoints(space, p)
+    letters: list[tuple[str, int]] = []
+    todo: list[tuple[PathExpr, int]] = [(p, 1)]
+    while todo:
+        node, sign = todo.pop()
+        cls = type(node)
+        if cls is Gen:
+            letters.append((node.name, sign))
+        elif cls is Symm:
+            todo.append((node.inner, -sign))
+        elif cls is Trans:
+            if sign > 0:
+                todo += ((node.second, 1), (node.first, 1))
+            else:
+                todo += ((node.first, -1), (node.second, -1))
+    return letters, src, tgt
 
 
 def _reduce_letters(letters: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
@@ -554,97 +557,175 @@ _Template = list[tuple[RuleId, Position, PathExpr | None]]
 _Tier = dict[tuple[tuple[str, int], ...], _Template]
 
 
-class _Normalizer:
-    """Applies the normalization strategy while recording every step."""
+# A leaf standing for the rest of the spine while a one-letter rewrite is
+# re-flattened; no rule `trace` runs matches it or reads it.
+_REST = Gen("")
 
-    def __init__(self, space: "SpacePresentation", p: PathExpr):
+
+def _legs(t: PathExpr) -> list[PathExpr]:
+    """The legs of a right-nested composition, left to right."""
+    out: list[PathExpr] = []
+    while type(t) is Trans:
+        out.append(t.first)
+        t = t.second
+    out.append(t)
+    return out
+
+
+def _child(t: PathExpr, idx: int) -> PathExpr:
+    if type(t) is Symm:
+        return t.inner
+    return t.second if idx else t.first
+
+
+def _rebuild(parent: PathExpr, idx: int, child: PathExpr) -> PathExpr:
+    """`parent` with its child at `idx` replaced by `child`."""
+    if child is _child(parent, idx):
+        return parent
+    if type(parent) is Symm:
+        return Symm(child)
+    return Trans(parent.first, child) if idx else Trans(child, parent.second)
+
+
+class _Normalizer:
+    """Applies the normalization strategy while recording every step; the
+    whole term is never rebuilt (see the module docstring)."""
+
+    def __init__(self, space: "SpacePresentation"):
         self.space = space
-        self.term = p
         self.steps: list[RewriteStep] = []
 
-    def apply(self, rule: RuleId, pos: Position, payload: PathExpr | None = None) -> None:
-        step = RewriteStep(rule, tuple(pos), payload)
-        self.steps.append(step)
-        self.term = apply_step(self.space, self.term, step)
+    def run_rules(
+        self, rules: tuple[RuleId, ...], term: PathExpr, at: Position = ()
+    ) -> PathExpr:
+        """Rewrite `term` by its outermost-leftmost enabled step of `rules`
+        until none is enabled; each step is recorded at `at` plus its
+        position in `term`.
 
-    def run_rules(self, rules: tuple[RuleId, ...]) -> None:
-        """Apply the outermost-leftmost enabled step of `rules`, groupoid
-        reduction rules, until none is enabled."""
+        After a rewrite the preorder scan resumes at the rewritten node's
+        parent, not at the root. That needs every rule in `rules` to be
+        decided by the shape of a node alone (its class and its children's
+        classes), as every groupoid reduction rule but the two cancellations
+        is: nodes before the parent in preorder are then untouched and were
+        found not to match, and the ancestors above the parent keep their
+        shape."""
+        parents: list[PathExpr] = []
+        path: list[int] = []
+        node = term
+        resume = 0  # the child to enter when `node` does not match
         while True:
-            hit = None
-            for chain, sub in _preorder(self.term):
-                fits = _BY_SHAPE.get(_shape(sub), _NONE)
-                for rule in rules:
-                    if rule.kind in fits:
-                        new = _reduction_result(self.space, sub, rule)
-                        if new is not None:
-                            hit = (rule, chain, new)
-                            break
-                if hit:
+            fits = _BY_SHAPE.get(_shape(node), _NONE)
+            fit = next((fits[r.kind] for r in rules if r.kind in fits), None)
+            if fit is not None:
+                rule, effect = fit
+                self.steps.append(RewriteStep(rule, at + tuple(path)))
+                node = effect(node, None, _Plain)
+                resume = 0
+                if parents:
+                    # the rewritten node is new: scan it again after its
+                    # parent, but not its left sibling, which did not match
+                    resume = path.pop()
+                    node = _rebuild(parents.pop(), resume, node)
+                continue
+            if type(node) in (Trans, Symm):
+                parents.append(node)
+                path.append(resume)
+                node = _child(node, resume)
+                resume = 0
+                continue
+            # a leaf: climb to the nearest second leg not yet scanned
+            while True:
+                if not parents:
+                    return node
+                idx = path.pop()
+                node = _rebuild(parents.pop(), idx, node)
+                if idx == 0 and type(node) is Trans:
+                    parents.append(node)
+                    path.append(1)
+                    node = node.second
                     break
-            if hit is None:
-                return
-            rule, chain, new = hit
-            self.steps.append(RewriteStep(rule, _position(chain)))
-            self.term = _plug(chain, new, _Plain)
 
-    def literals(self) -> list[tuple[PathExpr, Position]]:
-        out: list[tuple[PathExpr, Position]] = []
-        cur = self.term
-        pos: Position = ()
-        while isinstance(cur, Trans):
-            out.append((cur.first, pos + (0,)))
-            pos = pos + (1,)
-            cur = cur.second
-        out.append((cur, pos))
-        return out
+    def _rewrite(
+        self, node: PathExpr, at: Position, template: _Template
+    ) -> PathExpr:
+        """Apply a spine rule's template to the node it matched, which sits
+        at `at` in the whole term; apply_step checks every step."""
+        for rule, rel, payload in template:
+            self.steps.append(RewriteStep(rule, at + rel, payload))
+            node = apply_step(self.space, node, RewriteStep(rule, rel, payload))
+        return node
 
-    def rewrite_first(self, tier: _Tier) -> bool:
-        """Rewrite the leftmost spine match of a tier; False if none.
+    def rewrite_first(self, tier: _Tier, start: int = 0) -> int | None:
+        """Rewrite the leftmost spine match of a tier at or after `start`;
+        return where the next search for the tier may start, or None if
+        nothing matched.
 
         A one-letter rule rewrites the literal in place and re-flattens. A
         two-letter rule brackets the pair into one node (unless it is the
         spine's last pair), rewrites that node, then drops it if it became
-        constant or unbrackets it otherwise."""
-        lits = self.literals()
-        letters = [_letter(lit) for lit, _ in lits]
-        k = len(lits)
-        for i, le in enumerate(letters):
+        constant or unbrackets it otherwise. The spine is right-nested, so
+        the i-th literal sits at position 1.1...1.0 (i ones), the last one
+        at i ones."""
+        spine, letters = self.spine, self.letters
+        k = len(spine)
+        for i in range(start, k):
+            le = letters[i]
             template = tier.get((le,))
             if template is not None:
-                for rule, rel, payload in template:
-                    self.apply(rule, lits[i][1] + rel, payload)
-                self.run_rules((ASSOC_LEFT,))
-                return True
+                base: Position = (1,) * i
+                last = i == k - 1
+                new = self._rewrite(spine[i], base if last else base + (0,), template)
+                # re-flatten only the rewritten node: the rest of the spine
+                # holds no assoc_left redex, so a leaf can stand for it
+                legs = _legs(self.run_rules(
+                    (ASSOC_LEFT,), new if last else Trans(new, _REST), base
+                ))
+                self._splice(i, i + 1, legs if last else legs[:-1])
+                return max(i - 1, 0)
             template = tier.get((le, letters[i + 1])) if i < k - 1 else None
             if template is None:
                 continue
-            base: Position = (1,) * i
+            base = (1,) * i
             last = i == k - 2
-            node = base if last else base + (0,)
             if not last:
-                self.apply(ASSOC_RIGHT, base)
-            for rule, rel, payload in template:
-                self.apply(rule, node + rel, payload)
-            if isinstance(subterm_at(self.term, node), Refl):
+                self.steps.append(RewriteStep(ASSOC_RIGHT, base))
+            new = self._rewrite(
+                Trans(spine[i], spine[i + 1]), base if last else base + (0,), template
+            )
+            if type(new) is Refl:
+                legs = []
                 if not last:
-                    self.apply(TRANS_REFL_LEFT, base)
+                    self.steps.append(RewriteStep(TRANS_REFL_LEFT, base))
                 elif k > 2:
-                    self.apply(TRANS_REFL_RIGHT, base[:-1])
+                    self.steps.append(RewriteStep(TRANS_REFL_RIGHT, base[:-1]))
+                else:
+                    legs = [new]
             elif not last:
-                self.apply(ASSOC_LEFT, base)
-            return True
-        return False
+                self.steps.append(RewriteStep(ASSOC_LEFT, base))
+                legs = [new.first, new.second]
+            else:
+                legs = _legs(new)
+            self._splice(i, i + 2, legs)
+            return max(i - 1, 0)
+        return None
 
-    def rewrite_spine(self, tiers: list[_Tier]) -> None:
-        """Exhaust each tier in order, and repeat the passes until one adds
-        no step. The rewrite count is budgeted; exceeding it is a bug."""
-        budget = (len(self.literals()) + 2) ** 2 + 16
+    def _splice(self, i: int, j: int, legs: list[PathExpr]) -> None:
+        self.spine[i:j] = legs
+        self.letters[i:j] = [_letter(lit) for lit in legs]
+
+    def rewrite_spine(self, term: PathExpr, tiers: list[_Tier]) -> None:
+        """Hold a flattened term as a spine, exhaust each tier in order, and
+        repeat the passes until one adds no step. The rewrite count is
+        budgeted; exceeding it is a bug."""
+        self.spine = _legs(term)
+        self.letters = [_letter(lit) for lit in self.spine]
+        budget = (len(self.spine) + 2) ** 2 + 16
         rewrites = 0
         while True:
             before = rewrites
             for tier in tiers:
-                while self.rewrite_first(tier):
+                start: int | None = 0
+                while (start := self.rewrite_first(tier, start)) is not None:
                     rewrites += 1
                     if rewrites > budget:
                         raise RuntimeError(
@@ -653,11 +734,9 @@ class _Normalizer:
             if rewrites == before:
                 return
 
-    def word(self) -> Word:
-        src, tgt = endpoints(self.space, self.term)
+    def word(self, src: str, tgt: str) -> Word:
         letters: list[tuple[str, int]] = []
-        for lit, _ in self.literals():
-            le = _letter(lit)
+        for lit, le in zip(self.spine, self.letters):
             if le is not None:
                 letters.append(le)
             elif not isinstance(lit, Refl):
@@ -813,14 +892,14 @@ def trace(
     """Normalize by explicit rule application, returning the normal form and
     the ordered step list. Replaying the steps from p with apply_step lands
     on a term whose letters read off the normal form word."""
-    endpoints(space, p)
-    nz = _Normalizer(space, p)
-    nz.run_rules((SYMM_REFL, SYMM_SYMM, SYMM_TRANS_CONGR))
-    nz.run_rules((ASSOC_LEFT,))
-    nz.run_rules((TRANS_REFL_LEFT, TRANS_REFL_RIGHT))
+    src, tgt = endpoints(space, p)
+    nz = _Normalizer(space)
+    p = nz.run_rules((SYMM_REFL, SYMM_SYMM, SYMM_TRANS_CONGR), p)
+    p = nz.run_rules((ASSOC_LEFT,), p)
+    p = nz.run_rules((TRANS_REFL_LEFT, TRANS_REFL_RIGHT), p)
     tiers = [_cancel_tier(space)]
     rec = _builtin_record(space)
     if rec is not None and rec.trace_phase is not None:
         tiers += _TRACE_PHASES[rec.trace_phase](space)
-    nz.rewrite_spine(tiers)
-    return NormalForm(nz.word()), tuple(nz.steps)
+    nz.rewrite_spine(p, tiers)
+    return NormalForm(nz.word(src, tgt)), tuple(nz.steps)

@@ -24,6 +24,11 @@ if TYPE_CHECKING:
     from .rewrite import Word
     from .spaces import SpacePresentation
 
+# The most nodes a parsed term may have, checked before anything is built,
+# so a short text such as `a^100000000` is refused instead of allocated. A
+# word of n letters is a term of 2n - 1 nodes or more.
+MAX_TERM_NODES = 1_000_000
+
 _GREEK_ALPHA = "α"
 _SYMBOLS = {"*", "~", "^", "(", ")"}
 
@@ -89,6 +94,12 @@ class _Parser:
         if tok[1] != value:
             raise ParseError(f"expected '{value}', found '{tok[1]}'")
 
+    def fits(self, nodes: int) -> None:
+        if nodes > MAX_TERM_NODES:
+            raise ParseError(
+                f"term too large: {nodes:,} nodes, the limit is {MAX_TERM_NODES:,}"
+            )
+
     def parse(self) -> PathExpr:
         expr = self.expr()
         tok = self.peek()
@@ -104,13 +115,16 @@ class _Parser:
                 return left
             self.take()
             right = self.unary()
+            self.fits(left._size + right._size + 1)
             left = Trans(left, right)
 
     def unary(self) -> PathExpr:
         tok = self.peek()
         if tok is not None and tok[1] == "~":
             self.take()
-            return Symm(self.unary())
+            inner = self.unary()
+            self.fits(inner._size + 1)
+            return Symm(inner)
         return self.postfix()
 
     def postfix(self) -> PathExpr:
@@ -123,7 +137,11 @@ class _Parser:
             kind, value = self.take()
             if kind != "int":
                 raise ParseError(f"expected an integer exponent, found '{value}'")
-            term = zpow(self.space, term, int(value))
+            k = int(value)
+            # zpow writes |k| copies (each inverted when k < 0) joined by
+            # |k| - 1 compositions
+            self.fits(abs(k) * (term._size + (k < 0) + 1) - 1 if k else 1)
+            term = zpow(self.space, term, k)
 
     def primary(self) -> PathExpr:
         kind, value = self.take()

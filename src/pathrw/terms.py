@@ -115,31 +115,53 @@ class Trans:
 PathExpr = Refl | Gen | Symm | Trans
 
 
+# markers on the work stack of `endpoints`
+_FLIP = object()
+_JOIN = object()
+
+
 def endpoints(space: "SpacePresentation", p: PathExpr) -> tuple[str, str]:
-    """Source and target of a term; raises if the term is ill-formed."""
-    if isinstance(p, Refl):
-        if p.point not in space.point_set:
-            raise UnknownPointError(f"'{p.point}' is not a point of '{space.name}'")
-        return (p.point, p.point)
-    if isinstance(p, Gen):
-        gen = space.generator_map.get(p.name)
-        if gen is None:
-            raise UnknownGeneratorError(
-                f"'{p.name}' is not a generator of '{space.name}'"
-            )
-        return (gen.src, gen.tgt)
-    if isinstance(p, Symm):
-        src, tgt = endpoints(space, p.inner)
-        return (tgt, src)
-    if isinstance(p, Trans):
-        src1, tgt1 = endpoints(space, p.first)
-        src2, tgt2 = endpoints(space, p.second)
-        if tgt1 != src2:
-            raise EndpointMismatchError(
-                f"cannot compose: first ends at '{tgt1}', second starts at '{src2}'"
-            )
-        return (src1, tgt2)
-    raise TypeError(f"not a path term: {p!r}")
+    """Source and target of a term; raises if the term is ill-formed.
+
+    The walk keeps its own stack, so a deep term needs no recursion. It
+    visits nodes in post-order, left leg first, so the error raised is the
+    first one met in that order."""
+    ends: list[tuple[str, str]] = []
+    todo: list = [p]
+    while todo:
+        node = todo.pop()
+        cls = type(node)
+        if cls is Trans:
+            todo += (_JOIN, node.second, node.first)
+        elif cls is Gen:
+            gen = space.generator_map.get(node.name)
+            if gen is None:
+                raise UnknownGeneratorError(
+                    f"'{node.name}' is not a generator of '{space.name}'"
+                )
+            ends.append((gen.src, gen.tgt))
+        elif cls is Symm:
+            todo += (_FLIP, node.inner)
+        elif node is _JOIN:
+            src2, tgt2 = ends.pop()
+            src1, tgt1 = ends.pop()
+            if tgt1 != src2:
+                raise EndpointMismatchError(
+                    f"cannot compose: first ends at '{tgt1}', second starts at '{src2}'"
+                )
+            ends.append((src1, tgt2))
+        elif node is _FLIP:
+            src, tgt = ends.pop()
+            ends.append((tgt, src))
+        elif cls is Refl:
+            if node.point not in space.point_set:
+                raise UnknownPointError(
+                    f"'{node.point}' is not a point of '{space.name}'"
+                )
+            ends.append((node.point, node.point))
+        else:
+            raise TypeError(f"not a path term: {node!r}")
+    return ends[0]
 
 
 def size(p: PathExpr) -> int:

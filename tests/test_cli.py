@@ -1,7 +1,12 @@
 """End-to-end tests for the command line interface, via cli.run."""
 
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -345,6 +350,26 @@ class TestErrorExits:
         code, text = run(["equal", "--space", "cylinder", "s", "l0"])
         assert code == 2
         assert "error:" in text
+
+    @pytest.mark.parametrize("argv", [
+        ["decode", "--space", "circle", "100000000"],
+        ["normalize", "--space", "circle", "a^100000000"],
+    ])
+    def test_oversized_input_is_refused_before_building(self, argv):
+        # a fresh interpreter with a time limit and a 1 GiB address space,
+        # so a missing size check fails the test instead of exhausting memory
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "pathrw", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+            preexec_fn=limit_memory,
+        )
+        assert done.returncode == 2
+        assert "the limit is 1,000,000" in done.stderr
 
 
 class TestOutputsReplay:

@@ -236,3 +236,16 @@ class TestValueText:
             parse_group_value(GroupTag.Z2, "5")
         with pytest.raises(ParseError):
             parse_group_value(GroupTag.ZXZ, "(1, )")
+
+    def test_values_checked_against_the_node_limit(self):
+        # the loop a^m b^n has 2(|m| + |n|) - 1 nodes plus one per inverse
+        assert parse_group_value(GroupTag.FREE_Z, "500000").m == 500000
+        assert parse_group_value(GroupTag.FREE_Z, "-333333").m == -333333
+        assert parse_group_value(GroupTag.ZXZ, "(250000, -166666)").n == -166666
+        for tag, text in [
+            (GroupTag.FREE_Z, "500001"),
+            (GroupTag.FREE_Z, "-333334"),
+            (GroupTag.ZXZ, "(250001, 250000)"),
+        ]:
+            with pytest.raises(ParseError, match="the limit is 1,000,000"):
+                parse_group_value(tag, text)

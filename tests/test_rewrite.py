@@ -498,6 +498,31 @@ class TestTrace:
         assert all(" @ " in line for line in lines)
 
 
+class TestDeepTerms:
+    # words of 10^4 letters nest 10^4 deep, ten times the recursion limit
+
+    def test_normalize_of_a_long_word(self):
+        t = parse_path(TORUS, " * ".join(["b", "~a"] * 5000))
+        want = (("a", -1),) * 5000 + (("b", 1),) * 5000
+        assert normalize(TORUS, t).word.letters == want
+
+    def test_trace_of_a_long_word_replays(self):
+        letters = [("b", 1), ("a", 1)] + [("a", 1), ("a", -1)] * 2500 + [("b", 1)] * 4998
+        t = term_of_word(Word(tuple(letters), "pt", "pt"))
+        nf, steps = trace(TORUS, t)
+        assert nf.word.letters == (("a", 1),) + (("b", 1),) * 4999
+        cur = t
+        for s in steps:
+            cur = apply_step(TORUS, cur, s)
+        # read the replayed spine back leg by leg: term equality recurses
+        legs = []
+        while isinstance(cur, Trans):
+            legs.append(cur.first)
+            cur = cur.second
+        legs.append(cur)
+        assert legs == [A] + [B] * 4999
+
+
 # The exact step lists `trace` writes. The first twelve cases apply each
 # relation template once; the last six exercise the bracketing around a
 # rewrite: a pair before, at and as the whole spine, and a one-letter

@@ -98,6 +98,12 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_path(CIRCLE, "  ")
 
+    def test_power_checked_against_the_node_limit(self):
+        # each would be 1,000,001 nodes or more; none is built
+        for text in ("a^500001", "(~a)^333334", "a^-333334", "(a * a)^333334"):
+            with pytest.raises(ParseError, match="the limit is 1,000,000"):
+                parse_path(CIRCLE, text)
+
     def test_whitespace_insensitive(self):
         assert parse_path(TORUS, "a*b") == parse_path(TORUS, "  a  *  b  ")
 
