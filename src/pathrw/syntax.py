@@ -94,7 +94,7 @@ class _Parser:
         if tok[1] != value:
             raise ParseError(f"expected '{value}', found '{tok[1]}'")
 
-    def fits(self, nodes: int) -> None:
+    def check_size(self, nodes: int) -> None:
         if nodes > MAX_TERM_NODES:
             raise ParseError(
                 f"term too large: {nodes:,} nodes, the limit is {MAX_TERM_NODES:,}"
@@ -115,7 +115,7 @@ class _Parser:
                 return left
             self.take()
             right = self.unary()
-            self.fits(left._size + right._size + 1)
+            self.check_size(left._size + right._size + 1)
             left = Trans(left, right)
 
     def unary(self) -> PathExpr:
@@ -123,7 +123,7 @@ class _Parser:
         if tok is not None and tok[1] == "~":
             self.take()
             inner = self.unary()
-            self.fits(inner._size + 1)
+            self.check_size(inner._size + 1)
             return Symm(inner)
         return self.postfix()
 
@@ -140,7 +140,7 @@ class _Parser:
             k = int(value)
             # zpow writes |k| copies (each inverted when k < 0) joined by
             # |k| - 1 compositions
-            self.fits(abs(k) * (term._size + (k < 0) + 1) - 1 if k else 1)
+            self.check_size(abs(k) * (term._size + (k < 0) + 1) - 1 if k else 1)
             term = zpow(self.space, term, k)
 
     def primary(self) -> PathExpr:
