@@ -134,7 +134,7 @@ class NormalForm:
 def format_position(pos: Position) -> str:
     if not pos:
         return "root"
-    return ".".join(str(i) for i in pos)
+    return ".".join(map(str, pos))
 
 
 def format_step(step: RewriteStep, space: "SpacePresentation | None" = None) -> str:
@@ -155,24 +155,6 @@ def format_step(step: RewriteStep, space: "SpacePresentation | None" = None) -> 
 # The ancestors of a subterm, innermost first, as nested (parent, child index,
 # rest) triples ending in None; the child index is the position digit.
 Chain = tuple | None
-
-
-def _descend(p: PathExpr, pos: Position) -> tuple[Chain, PathExpr]:
-    """The subterm at a position and its ancestor chain."""
-    chain: Chain = None
-    cur = p
-    for idx in pos:
-        if isinstance(cur, Symm) and idx == 0:
-            nxt = cur.inner
-        elif isinstance(cur, Trans) and idx in (0, 1):
-            nxt = cur.second if idx else cur.first
-        else:
-            raise StepNotEnabledError(
-                f"no subterm at position {format_position(pos)}"
-            )
-        chain = (cur, idx, chain)
-        cur = nxt
-    return chain, cur
 
 
 def _preorder(p: PathExpr) -> Iterator[tuple[Chain, PathExpr]]:
@@ -231,17 +213,17 @@ def _position(chain: Chain) -> Position:
     return tuple(reversed(digits))
 
 
-def _plug(chain: Chain, new: PathExpr, mk) -> PathExpr:
+def _plug(chain: Chain, new: PathExpr) -> PathExpr:
     """The whole term with the subterm at the end of `chain` replaced by
-    `new`, rebuilt through the constructors `mk`."""
+    `new`."""
     while chain is not None:
         parent, idx, chain = chain
         if type(parent) is Symm:
-            new = mk.symm(new)
+            new = Symm(new)
         elif idx:
-            new = mk.trans(parent.first, new)
+            new = Trans(parent.first, new)
         else:
-            new = mk.trans(new, parent.second)
+            new = Trans(new, parent.second)
     return new
 
 
@@ -361,7 +343,7 @@ def reductions(
     relations = _plain_relations(space)
     for chain, sub, src, _ in _walk(space, p):
         for rule, new in _reduce_at(sub, src, relations, _Plain):
-            yield rule, _position(chain), _plug(chain, new, _Plain)
+            yield rule, _position(chain), _plug(chain, new)
 
 
 def redexes(space: "SpacePresentation", p: PathExpr) -> list[RewriteStep]:
@@ -433,7 +415,18 @@ _REDUCTION_KINDS = frozenset(
 
 def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> PathExpr:
     """Apply one step; raises StepNotEnabledError if the pattern is absent."""
-    chain, sub = _descend(p, step.at)
+    ancestors: list[PathExpr] = []
+    sub = p
+    for idx in step.at:
+        ancestors.append(sub)
+        if type(sub) is Trans and idx in (0, 1):
+            sub = sub.second if idx else sub.first
+        elif type(sub) is Symm and idx == 0:
+            sub = sub.inner
+        else:
+            raise StepNotEnabledError(
+                f"no subterm at position {format_position(step.at)}"
+            )
     rule = step.rule
     if rule.kind in _REDUCTION_KINDS:
         new = _reduction_result(space, sub, rule)
@@ -443,7 +436,15 @@ def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> Pa
         raise StepNotEnabledError(
             f"rule {step.rule} is not enabled at {format_position(step.at)}"
         )
-    return _plug(chain, new, _Plain)
+    # rebuild the ancestors bottom-up around the rewritten subterm
+    for parent, idx in zip(reversed(ancestors), reversed(step.at)):
+        if type(parent) is Symm:
+            new = Symm(new)
+        elif idx:
+            new = Trans(parent.first, new)
+        else:
+            new = Trans(new, parent.second)
+    return new
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ form, which the parser also accepts.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import ParseError
 from .spaces import _builtin_record
@@ -46,15 +46,8 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
             tokens.append(("sym", ch))
             i += 1
             continue
-        if ch == "-" and i + 1 < n and text[i + 1].isdigit():
+        if ch.isdigit() or (ch == "-" and text[i + 1 : i + 2].isdigit()):
             j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j]))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
             while j < n and text[j].isdigit():
                 j += 1
             tokens.append(("int", text[i:j]))
@@ -101,34 +94,45 @@ class _Parser:
             )
 
     def parse(self) -> PathExpr:
-        expr = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token '{tok[1]}'")
-        return expr
-
-    def expr(self) -> PathExpr:
-        left = self.unary()
+        """The whole text as one term, read by one loop at every nesting
+        level: a run of `~` is counted, and an open parenthesis pushes the
+        composition so far and the `~` count before it."""
+        # per open parenthesis: the left operand before it and its `~` count
+        pending: list[tuple[PathExpr | None, int]] = []
+        left: PathExpr | None = None
         while True:
-            tok = self.peek()
-            if tok is None or tok[1] != "*":
-                return left
-            self.take()
-            right = self.unary()
-            self.check_size(left._size + right._size + 1)
-            left = Trans(left, right)
+            tildes = 0
+            while (tok := self.peek()) is not None and tok[1] == "~":
+                self.take()
+                tildes += 1
+            if tok is not None and tok[1] == "(":
+                self.take()
+                pending.append((left, tildes))
+                left = None
+                continue
+            term = self.primary()
+            while True:
+                term = self.postfix(term)
+                for _ in range(tildes):
+                    self.check_size(term._size + 1)
+                    term = Symm(term)
+                if left is not None:
+                    self.check_size(left._size + term._size + 1)
+                    term = Trans(left, term)
+                tok = self.peek()
+                if tok is not None and tok[1] == "*":
+                    self.take()
+                    left = term
+                    break
+                if not pending:
+                    if tok is not None:
+                        raise ParseError(f"unexpected token '{tok[1]}'")
+                    return term
+                # the parenthesised term is the primary of its outer level
+                self.expect(")")
+                left, tildes = pending.pop()
 
-    def unary(self) -> PathExpr:
-        tok = self.peek()
-        if tok is not None and tok[1] == "~":
-            self.take()
-            inner = self.unary()
-            self.check_size(inner._size + 1)
-            return Symm(inner)
-        return self.postfix()
-
-    def postfix(self) -> PathExpr:
-        term = self.primary()
+    def postfix(self, term: PathExpr) -> PathExpr:
         while True:
             tok = self.peek()
             if tok is None or tok[1] != "^":
@@ -145,10 +149,6 @@ class _Parser:
 
     def primary(self) -> PathExpr:
         kind, value = self.take()
-        if value == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
         if kind == "name" and value == "refl":
             tok = self.peek()
             if tok is not None and tok[1] == "(":
@@ -191,31 +191,41 @@ def parse_path(space: "SpacePresentation", text: str) -> PathExpr:
     return _Parser(space, text).parse()
 
 
-def _display(space: "SpacePresentation", name: str) -> str:
+def _display(space: "SpacePresentation") -> Mapping[str, str]:
+    """Generator names whose output form differs from their input name."""
     rec = _builtin_record(space)
-    return name if rec is None else rec.display.get(name, name)
+    return {} if rec is None else rec.display
 
 
 def render_path(space: "SpacePresentation", p: PathExpr) -> str:
-    """Grammar-conformant text for a term; parse_path round-trips it."""
-    if isinstance(p, Refl):
-        if len(space.points) == 1:
-            return "refl"
-        return f"refl({p.point})"
-    if isinstance(p, Gen):
-        return _display(space, p.name)
-    if isinstance(p, Symm):
-        inner = render_path(space, p.inner)
-        if isinstance(p.inner, Trans):
-            return f"~({inner})"
-        return f"~{inner}"
-    if isinstance(p, Trans):
-        left = render_path(space, p.first)
-        right = render_path(space, p.second)
-        if isinstance(p.second, Trans):
-            right = f"({right})"
-        return f"{left} * {right}"
-    raise TypeError(f"not a path term: {p!r}")
+    """Grammar-conformant text for a term; parse_path round-trips it. The
+    walk keeps its own stack of terms and text pieces still to write."""
+    if not isinstance(p, (Refl, Gen, Symm, Trans)):
+        raise TypeError(f"not a path term: {p!r}")
+    display = _display(space)
+    refl = "refl" if len(space.points) == 1 else None
+    parts: list[str] = []
+    todo: list = [p]
+    while todo:
+        node = todo.pop()
+        cls = type(node)
+        if cls is str:
+            parts.append(node)
+        elif cls is Trans:
+            if type(node.second) is Trans:
+                todo += (")", node.second, " * (", node.first)
+            else:
+                todo += (node.second, " * ", node.first)
+        elif cls is Symm:
+            if type(node.inner) is Trans:
+                todo += (")", node.inner, "~(")
+            else:
+                todo += (node.inner, "~")
+        elif cls is Gen:
+            parts.append(display.get(node.name, node.name))
+        else:
+            parts.append(refl or f"refl({node.point})")
+    return "".join(parts)
 
 
 def render_word(space: "SpacePresentation", word: "Word") -> str:
@@ -224,8 +234,9 @@ def render_word(space: "SpacePresentation", word: "Word") -> str:
         if len(space.points) == 1:
             return "refl"
         return f"refl({word.src})"
+    display = _display(space)
     parts = []
     for name, sign in word.letters:
-        shown = _display(space, name)
+        shown = display.get(name, name)
         parts.append(shown if sign > 0 else f"~{shown}")
     return " * ".join(parts)

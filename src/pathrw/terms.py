@@ -22,95 +22,109 @@ from .errors import (
 if TYPE_CHECKING:
     from .spaces import SpacePresentation
 
-# The search oracle keeps millions of terms in hash sets; recomputing a
-# structural hash on every lookup dominates its runtime. Each node stores
-# its hash (and node count) once at construction, built from the children's
-# cached values, so hashing stays O(1) and equality keeps short-circuiting
-# on the hash mismatch fast path inside set buckets. Equality also
-# short-circuits on identity, so subtrees shared between two terms (or a
-# search's hash-consed terms, which share every equal subtree) compare in
-# O(1).
+# Terms are built by the million (the oracle's hash sets, `apply_step`'s
+# rebuilt ancestors), so each of the four classes sets its slots directly:
+# no dataclass, no per-instance `__dict__`. A node stores its hash and node
+# count once, from its children's, and refuses assignment and deletion.
+# Equality is written once, in `_Term`. It answers at once on identity
+# (shared or hash-consed subtrees compare in O(1)) or on a class or hash
+# mismatch, and otherwise walks both trees with an explicit stack.
 
 
-@dataclass(frozen=True, eq=False)
-class Refl:
+class _Term:
+    """What the four term classes share: the cached hash and node count,
+    structural equality and immutability."""
+
+    __slots__ = ("_hash", "_size", "__weakref__")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            cls = type(a)
+            if type(b) is not cls or a._hash != b._hash:
+                return False
+            if cls is Trans:
+                todo += ((a.second, b.second), (a.first, b.first))
+            elif cls is Symm:
+                todo.append((a.inner, b.inner))
+            elif cls is Gen:
+                if a.name != b.name:
+                    return False
+            elif a.point != b.point:
+                return False
+        return True
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field '{name}' of a term")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field '{name}' of a term")
+
+    def __repr__(self) -> str:
+        cls = type(self)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in cls.__slots__)
+        return f"{cls.__name__}({fields})"
+
+
+class Refl(_Term):
     """Constant path at a named point."""
 
-    point: str
+    __slots__ = ("point",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((0, self.point)))
-        object.__setattr__(self, "_size", 1)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Refl) and self.point == other.point
+    def __init__(self, point: str) -> None:
+        _set_point(self, point)
+        _set_hash(self, hash((0, point)))
+        _set_size(self, 1)
 
 
-@dataclass(frozen=True, eq=False)
-class Gen:
+class Gen(_Term):
     """A generator path, referenced by name."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((1, self.name)))
-        object.__setattr__(self, "_size", 1)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Gen) and self.name == other.name
+    def __init__(self, name: str) -> None:
+        _set_name(self, name)
+        _set_hash(self, hash((1, name)))
+        _set_size(self, 1)
 
 
-@dataclass(frozen=True, eq=False)
-class Symm:
+class Symm(_Term):
     """Inverse of a path term."""
 
-    inner: "PathExpr"
+    __slots__ = ("inner",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((2, self.inner._hash)))
-        object.__setattr__(self, "_size", 1 + self.inner._size)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return other is self or (
-            isinstance(other, Symm)
-            and self._hash == other._hash
-            and self.inner == other.inner
-        )
+    def __init__(self, inner: "PathExpr") -> None:
+        _set_inner(self, inner)
+        _set_hash(self, hash((2, inner._hash)))
+        _set_size(self, 1 + inner._size)
 
 
-@dataclass(frozen=True, eq=False)
-class Trans:
+class Trans(_Term):
     """Composition: first, then second. Requires tgt(first) == src(second)."""
 
-    first: "PathExpr"
-    second: "PathExpr"
+    __slots__ = ("first", "second")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash", hash((3, self.first._hash, self.second._hash))
-        )
-        object.__setattr__(self, "_size", 1 + self.first._size + self.second._size)
+    def __init__(self, first: "PathExpr", second: "PathExpr") -> None:
+        _set_first(self, first)
+        _set_second(self, second)
+        _set_hash(self, hash((3, first._hash, second._hash)))
+        _set_size(self, 1 + first._size + second._size)
 
-    def __hash__(self) -> int:
-        return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        return other is self or (
-            isinstance(other, Trans)
-            and self._hash == other._hash
-            and self.first == other.first
-            and self.second == other.second
-        )
-
+# the slot descriptors' setters: the constructors' way past `__setattr__`
+_set_hash = _Term._hash.__set__
+_set_size = _Term._size.__set__
+_set_point = Refl.point.__set__
+_set_name = Gen.name.__set__
+_set_inner = Symm.inner.__set__
+_set_first = Trans.first.__set__
+_set_second = Trans.second.__set__
 
 PathExpr = Refl | Gen | Symm | Trans
 
@@ -166,7 +180,7 @@ def endpoints(space: "SpacePresentation", p: PathExpr) -> tuple[str, str]:
 
 def size(p: PathExpr) -> int:
     """Node count of the term tree."""
-    if isinstance(p, (Refl, Gen, Symm, Trans)):
+    if isinstance(p, _Term):
         return p._size
     raise TypeError(f"not a path term: {p!r}")
 

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathrw.cli import run
 from pathrw.rewrite import normalize, term_of_word
@@ -370,6 +371,47 @@ class TestErrorExits:
         )
         assert done.returncode == 2
         assert "the limit is 1,000,000" in done.stderr
+
+
+class TestDeepInputs:
+    # each of these once died with a RecursionError (exit 1)
+    def test_oracle_compares_deep_inputs(self):
+        assert run(
+            ["equal", "--oracle", "--space", "circle", "a^3000", "a^3000"]
+        ) == (0, "equal (searched 0 states)")
+
+    def test_decode_renders_a_deep_loop(self):
+        code, text = run(["decode", "--space", "circle", "5000"])
+        assert code == 0
+        assert text == " * ".join(["a"] * 5000)
+
+    @pytest.mark.parametrize("expr", [
+        "~" * 1500 + "a",
+        "(" * 3000 + "a" + ")" * 3000,
+    ])
+    def test_normalize_reads_deep_nesting(self, expr):
+        assert run(["normalize", "--space", "circle", expr]) == (0, "a")
+
+
+# the grammar's own alphabet, as tokens, so drawn texts get past the
+# tokenizer into the parser and the commands behind it
+_TOKENS = ["a", "b", "~", "*", "^", "(", ")", "-", " ", "refl", *"0123456789"]
+_TEXTS = st.lists(st.sampled_from(_TOKENS), max_size=40).map(
+    lambda tokens: "".join(tokens)[:40]
+)
+
+
+class TestNoTraceback:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(space=st.sampled_from(["circle", "torus"]), left=_TEXTS, right=_TEXTS)
+    def test_any_text_exits_0_1_or_2(self, space, left, right):
+        for argv in (
+            ["normalize", "--space", space, left],
+            ["equal", "--space", space, left, right],
+            ["decode", "--space", space, left],
+        ):
+            code, _ = run(argv)
+            assert code in (0, 1, 2), argv
 
 
 class TestOutputsReplay:

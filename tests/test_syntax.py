@@ -108,6 +108,43 @@ class TestParsing:
         assert parse_path(TORUS, "a*b") == parse_path(TORUS, "  a  *  b  ")
 
 
+class TestDeepNesting:
+    # ten times the default recursion limit; each level is one loop turn
+    DEPTH = 10_000
+
+    def test_nested_inverses(self):
+        want = Gen("a")
+        for _ in range(self.DEPTH):
+            want = Symm(want)
+        assert parse_path(CIRCLE, "~" * self.DEPTH + "a") == want
+
+    def test_nested_parentheses(self):
+        n = self.DEPTH
+        assert parse_path(CIRCLE, "(" * n + "a" + ")" * n) == Gen("a")
+        # every level holds a left operand and a `~` until its `)`
+        want = Gen("a")
+        for _ in range(n):
+            want = Trans(Gen("a"), Symm(want))
+        assert parse_path(CIRCLE, "a * ~(" * n + "a" + ")" * n) == want
+
+    def test_deep_render_parse_round_trip(self):
+        # nested on both legs and under inverses, so the text nests
+        # parentheses as deep as the term
+        term = Gen("a")
+        i = 0
+        while term._size < 100_000:
+            if i % 3 == 0:
+                term = Trans(Gen("b"), term)
+            elif i % 3 == 1:
+                term = Symm(term)
+            else:
+                term = Trans(term, Gen("a"))
+            i += 1
+        text = render_path(TORUS, term)
+        assert text.count("(") > 30_000
+        assert parse_path(TORUS, text) == term
+
+
 class TestRendering:
     def test_simple_forms(self):
         assert render_path(CIRCLE, Gen("a")) == "a"

@@ -36,6 +36,41 @@ class TestStructure:
         with pytest.raises(AttributeError):
             Gen("a").name = "b"
 
+    @pytest.mark.parametrize("term", [
+        Refl("pt"), Gen("a"), Symm(Gen("a")), Trans(Gen("a"), Gen("a")),
+    ])
+    def test_no_field_can_be_assigned_or_deleted(self, term):
+        for field in (*type(term).__slots__, "_hash", "_size", "other"):
+            with pytest.raises(AttributeError):
+                setattr(term, field, Gen("b"))
+            with pytest.raises(AttributeError):
+                delattr(term, field)
+        assert not hasattr(term, "__dict__")
+
+    def test_repr_names_the_fields(self):
+        assert repr(Trans(Symm(Gen("a")), Refl("pt"))) == (
+            "Trans(first=Symm(inner=Gen(name='a')), second=Refl(point='pt'))"
+        )
+
+    def test_deep_terms_compare_without_recursion(self):
+        def left_nested(first_leaf, last_leaf):
+            t = first_leaf
+            for _ in range(50_000 - 1):
+                t = Trans(t, Gen("a"))
+            return Trans(t, last_leaf)
+
+        # 10^5 nodes each, built separately so no subtree is shared
+        assert left_nested(Gen("a"), Gen("a")) == left_nested(Gen("a"), Gen("a"))
+        assert left_nested(Gen("a"), Gen("a")) != left_nested(Gen("a"), Gen("b"))
+        # hash(-1) == hash(-2) in CPython, so terms differing only in -1
+        # against -2 agree on every hash and only the walk tells them apart
+        assert hash(Refl(-1)) == hash(Refl(-2))
+        assert left_nested(Refl(-1), Gen("a")) != left_nested(Refl(-2), Gen("a"))
+        for x, y in ((Refl(-1), Refl(-2)), (Gen(-1), Gen(-2))):
+            assert x != y and Symm(x) != Symm(y)
+            assert Trans(x, Gen("a")) != Trans(y, Gen("a"))
+            assert Trans(Gen("a"), x) != Trans(Gen("a"), y)
+
     def test_size_counts_nodes(self):
         assert size(Refl("pt")) == 1
         assert size(Gen("a")) == 1
