@@ -34,6 +34,7 @@ from pathrw.rewrite import (
     ASSOC_LEFT,
     ASSOC_RIGHT,
     SYMM_REFL,
+    SYMM_REFL_INTRO,
     SYMM_SYMM,
     SYMM_SYMM_INTRO,
     SYMM_TRANS_CANCEL,
@@ -83,6 +84,48 @@ def _small_terms(space):
 
 def step(rule, at=(), payload=None):
     return RewriteStep(rule, at, payload)
+
+
+# each intro rule with the reduction that undoes it
+_UNDOES = {
+    TRANS_REFL_LEFT_INTRO: TRANS_REFL_LEFT,
+    TRANS_REFL_RIGHT_INTRO: TRANS_REFL_RIGHT,
+    SYMM_TRANS_CANCEL_INTRO: SYMM_TRANS_CANCEL,
+    TRANS_SYMM_CANCEL_INTRO: TRANS_SYMM_CANCEL,
+    SYMM_REFL_INTRO: SYMM_REFL,
+    SYMM_SYMM_INTRO: SYMM_SYMM,
+    SYMM_TRANS_CONGR_INTRO: SYMM_TRANS_CONGR,
+}
+_PAYLOAD_INTROS = (SYMM_TRANS_CANCEL_INTRO, TRANS_SYMM_CANCEL_INTRO)
+
+
+def _positions(t):
+    """Every position of t, in preorder."""
+    out, todo = [], [((), t)]
+    while todo:
+        pos, sub = todo.pop()
+        out.append(pos)
+        if isinstance(sub, Trans):
+            todo += [(pos + (1,), sub.second), (pos + (0,), sub.first)]
+        elif isinstance(sub, Symm):
+            todo.append((pos + (0,), sub.inner))
+    return out
+
+
+def _intro_steps(space, t):
+    """Every intro rule at every position of t; the cancellation-pair
+    intros once per payload of at most 2 nodes at each endpoint pair."""
+    payloads = [
+        q
+        for src in space.points
+        for tgt in space.points
+        for n in (1, 2)
+        for q in enumerate_terms(space, n, src, tgt)
+    ]
+    for pos in _positions(t):
+        for rule in _UNDOES:
+            for q in payloads if rule in _PAYLOAD_INTROS else [None]:
+                yield RewriteStep(rule, pos, q)
 
 
 class TestSingleRules:
@@ -177,6 +220,20 @@ class TestIntroRules:
         ]:
             grown = apply_step(CIRCLE, t, step(intro))
             assert apply_step(CIRCLE, grown, step(elim)) == t
+        # every intro that applies, at any position of a small term, is
+        # undone by its reduction at the same position
+        applied = 0
+        for space in SMALL_TERM_SPACES:
+            for t in _small_terms(space):
+                for s in _intro_steps(space, t):
+                    try:
+                        grown = apply_step(space, t, s)
+                    except StepNotEnabledError:
+                        continue
+                    applied += 1
+                    back = apply_step(space, grown, step(_UNDOES[s.rule], s.at))
+                    assert back == t, (space.name, render_path(space, t), s)
+        assert applied == 79511
 
     def test_unit_intro_uses_correct_endpoint(self):
         s = Gen("s")
@@ -218,6 +275,28 @@ class TestIntroRules:
     def test_congr_intro_needs_two_inverses(self):
         with pytest.raises(StepNotEnabledError):
             apply_step(TORUS, Trans(Symm(B), A), step(SYMM_TRANS_CONGR_INTRO))
+
+    def test_intros_of_small_terms_are_pinned(self):
+        # digest of every intro step over every small term, one line per
+        # step with the term it gives, as written while each intro's effect
+        # was spelled out in `apply_step` and again in the search
+        digest = hashlib.sha256()
+        count = 0
+        for space in SMALL_TERM_SPACES:
+            for t in _small_terms(space):
+                term = render_path(space, t)
+                for s in _intro_steps(space, t):
+                    try:
+                        got = render_path(space, apply_step(space, t, s))
+                    except StepNotEnabledError:
+                        got = "not enabled"
+                    line = f"{space.name}|{term}|{format_step(s, space)}|{got}\n"
+                    digest.update(line.encode())
+                    count += 1
+        assert count == 262241
+        assert digest.hexdigest() == (
+            "59c17e6fc33aa7e8f1189d8701b4d48f30818e1153603743fc322e5914711dc2"
+        )
 
 
 class TestRedexes:
