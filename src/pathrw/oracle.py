@@ -13,10 +13,11 @@ Each state is expanded in one pass over its nodes. A term's one-step
 rewrites are the steps at its root followed by each child's rewrites
 plugged back into it, so positions come in preorder; a subterm's rewrites
 and endpoints are computed once per search and reused by every state that
-contains it, and the reductions come from the shape-indexed table in
-`rewrite`. Neighbour order is part of the contract, since it fixes the
-search order and so every explored count: reductions first in `redexes`
-order, then the introductions at each position in preorder, with
+contains it. Every step's local effect, reduction or introduction, comes
+from the rule table in `rewrite`, built with the search's constructors.
+Neighbour order is part of the contract, since it fixes the search order
+and so every explored count: reductions first in `redexes` order, then the
+introductions at each position in preorder, in table order, with
 cancellation-pair payloads in `enumerate_terms` order. A search builds its
 terms through its own hash-consing table (Filliatre and Conchon, "Type-safe
 modular hash-consing", 2006), so equal terms are one object and visited-set
@@ -37,9 +38,14 @@ from typing import Iterator
 
 from .errors import EndpointMismatchError, UnreachableEndpointsError
 from .rewrite import (
+    SYMM_TRANS_CANCEL_INTRO,
+    TRANS_SYMM_CANCEL_INTRO,
     Word,
+    _INTRODUCTIONS_AT,
+    _RULES,
     _reduce_at,
     _relation_table,
+    _shape,
     apply_step,
     normalize,
     redexes,
@@ -50,6 +56,10 @@ from .terms import Gen, PathExpr, Refl, Symm, Trans, endpoints, size
 
 DEFAULT_MAX_STATES = 200_000
 DEFAULT_SIZE_MARGIN = 6
+
+# the two cancellation-pair introductions' effects, which wrap a payload
+_CANCEL_LEFT = _RULES[(Refl,), SYMM_TRANS_CANCEL_INTRO.kind][1]
+_CANCEL_RIGHT = _RULES[(Refl,), TRANS_SYMM_CANCEL_INTRO.kind][1]
 
 EQUAL = "EQUAL"
 NOT_EQUAL_WITHIN_BUDGET = "NOT_EQUAL_WITHIN_BUDGET"
@@ -377,32 +387,29 @@ class _Search:
     def reductions_here(self, t: PathExpr, room: int) -> list[PathExpr]:
         """The reductions at t's root, in `redexes` order."""
         return [
-            new for _, new in _reduce_at(t, self.ends(t)[0], self.relations, self)
+            new for _, new in _reduce_at(t, self.ends(t), self.relations, self)
             if new._size <= room
         ]
 
     def introductions_here(self, t: PathExpr, room: int) -> list[PathExpr]:
-        """The introductions at t's root: the two units and the
-        inverse-of-inverse, then congruence folding, or the inverted
-        constant and the cancellation pairs at a constant path."""
-        n = t._size
-        out = []
-        if n + 2 <= room:
-            src, tgt = self.ends(t)
-            out.append(self.trans(self.refl(src), t))
-            out.append(self.trans(t, self.refl(tgt)))
-            out.append(self.symm(self.symm(t)))
-        cls = type(t)
-        if cls is Trans:
-            if type(t.first) is Symm and type(t.second) is Symm and n - 1 <= room:
-                out.append(self.symm(self.trans(t.second.inner, t.first.inner)))
-        elif cls is Refl:
-            if n + 1 <= room:
-                out.append(self.symm(t))
-            out += self.cancel_pairs(t.point, (room - 2) // 2)
+        """The introductions at t's root, in the order of the table in
+        `rewrite`; at a constant path the cancellation pairs come last."""
+        ends = self.ends(t)
+        grow = room - t._size
+        out = [
+            effect(t, ends, self)
+            for adds, effect in _INTRODUCTIONS_AT[_shape(t)]
+            if adds <= grow
+        ]
+        if type(t) is Refl:
+            out += self.cancel_pairs(t, (room - 2) // 2)
         return out
 
-    def cancel_pairs(self, point: str, max_payload: int) -> list[PathExpr]:
+    def cancel_pairs(self, refl: Refl, max_payload: int) -> list[PathExpr]:
+        """Every cancellation pair with a payload of at most `max_payload`
+        nodes that can stand for the constant path `refl`: per payload size,
+        then per point, the ~q.q pairs before the q.~q ones."""
+        point = refl.point
         key = (point, max_payload)
         pairs = self._pairs.get(key)
         if pairs is None:
@@ -411,11 +418,9 @@ class _Search:
             for qn in range(1, max_payload + 1):
                 for other in space.points:
                     for q in enumerate_terms(space, qn, other, point):
-                        q = self.intern(q)
-                        pairs.append(self.trans(self.symm(q), q))
+                        pairs.append(_CANCEL_LEFT(refl, self.intern(q), self))
                     for q in enumerate_terms(space, qn, point, other):
-                        q = self.intern(q)
-                        pairs.append(self.trans(q, self.symm(q)))
+                        pairs.append(_CANCEL_RIGHT(refl, self.intern(q), self))
         return pairs
 
 

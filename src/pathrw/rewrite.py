@@ -16,10 +16,7 @@ The reduction rules, in the order `redexes` tries them at each position:
 
 Cancellation fires only on structurally equal operands. Positions address
 subterms by child index: 0 under an inverse node or the first leg of a
-composition, 1 the second leg. Each rule's local effect is written once, in
-a table indexed by the node's shape (its class and its children's classes);
-relation rules are looked up by the side they rewrite. `redexes`,
-`apply_step`, `trace` and the search oracle all read that table.
+composition, 1 the second leg.
 
 Every rule above that is not its own inverse also has an `*_intro`
 counterpart running right to left (unit introduction, cancellation-pair
@@ -28,6 +25,13 @@ congruence folding). Intro rules never appear in `redexes`; they exist so
 that any derivation in the symmetric closure of the rules, including the
 relation-driven rewriting in the builtins' spine rules, can be written as
 a plain forward step list and replayed with `apply_step`.
+
+Every groupoid rule, reduction or introduction, is one row of one table: the
+node shape it fits (the node's class and its children's classes), what it
+reads (the node's endpoints, a payload or nothing) and its local effect,
+written once against abstract constructors. `redexes`, `apply_step`,
+`trace` and the search oracle all read those rows; relation rules are
+looked up by the side they rewrite.
 
 `normalize` computes words directly: leaf fold, stack cancellation, then
 the canonical-word rule of the space's record in the builtin table (see
@@ -53,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from .errors import EndpointMismatchError, StepNotEnabledError
 from .spaces import _builtin_record
@@ -152,33 +156,28 @@ def format_step(step: RewriteStep, space: "SpacePresentation | None" = None) -> 
 # positions and local rewriting
 
 
-# The ancestors of a subterm, innermost first, as nested (parent, child index,
-# rest) triples ending in None; the child index is the position digit.
+# The ancestors of a subterm, innermost first, as nested (child index, rest)
+# pairs ending in None; the child index is the position digit.
 Chain = tuple | None
-
-
-def _preorder(p: PathExpr) -> Iterator[tuple[Chain, PathExpr]]:
-    """Every subterm of p with its ancestor chain, in preorder."""
-    stack: list[tuple[PathExpr, Chain]] = [(p, None)]
-    while stack:
-        node, chain = stack.pop()
-        yield chain, node
-        cls = type(node)
-        if cls is Trans:
-            stack.append((node.second, (node, 1, chain)))
-            stack.append((node.first, (node, 0, chain)))
-        elif cls is Symm:
-            stack.append((node.inner, (node, 0, chain)))
 
 
 def _walk(
     space: "SpacePresentation", p: PathExpr
-) -> list[tuple[Chain, PathExpr, str, str]]:
+) -> list[tuple[Chain, PathExpr, tuple[str, str]]]:
     """Every subterm of p in preorder, with its ancestor chain and endpoints.
 
     The endpoints are computed bottom-up in one pass, so the walk is linear
     in p. An ill-formed term raises what `endpoints` raises."""
-    subs = list(_preorder(p))
+    subs: list[tuple[Chain, PathExpr]] = []
+    stack: list[tuple[PathExpr, Chain]] = [(p, None)]
+    while stack:
+        node, chain = stack.pop()
+        subs.append((chain, node))
+        if type(node) is Trans:
+            stack.append((node.second, (1, chain)))
+            stack.append((node.first, (0, chain)))
+        elif type(node) is Symm:
+            stack.append((node.inner, (0, chain)))
     # In preorder a node's children follow it, so a reverse pass meets them
     # first: the first leg sits right after its parent, the second leg after
     # the first leg's whole subtree.
@@ -202,29 +201,15 @@ def _walk(
         else:
             src, tgt = endpoints(space, node)
         ends[i] = (src, tgt)
-    return [(chain, node, *ends[i]) for i, (chain, node) in enumerate(subs)]
+    return [(chain, node, ends[i]) for i, (chain, node) in enumerate(subs)]
 
 
 def _position(chain: Chain) -> Position:
     digits: list[int] = []
     while chain is not None:
-        _, idx, chain = chain
+        idx, chain = chain
         digits.append(idx)
     return tuple(reversed(digits))
-
-
-def _plug(chain: Chain, new: PathExpr) -> PathExpr:
-    """The whole term with the subterm at the end of `chain` replaced by
-    `new`."""
-    while chain is not None:
-        parent, idx, chain = chain
-        if type(parent) is Symm:
-            new = Symm(new)
-        elif idx:
-            new = Trans(parent.first, new)
-        else:
-            new = Trans(new, parent.second)
-    return new
 
 
 class _Plain:
@@ -235,69 +220,110 @@ class _Plain:
     trans = Trans
 
 
-# The reduction rules in `redexes` order, each with the shape it rewrites
-# (the node's class, then its children's classes, None for any) and its local
-# effect. An effect gets the node, the node's source point and the
-# constructors to build with, and returns None when the rule's equality side
-# condition fails.
+# Every groupoid rule is one row: the shape of node it rewrites (the node's
+# class, then its children's classes, None for any; None alone fits every
+# node), what its effect reads, and the effect. An effect gets the node, what
+# it reads and the constructors to build with, and returns the rewritten node,
+# or None when the rule's equality side condition fails. A rule reads the
+# node's endpoints (_ENDS), the step's payload (_PAYLOAD) or nothing (None).
+_ENDS = "ends"
+_PAYLOAD = "payload"
+
+# The reductions, in `redexes` order.
 _REDUCTIONS = (
-    (TRANS_REFL_LEFT, (Trans, Refl, None), lambda t, pt, mk: t.second),
-    (TRANS_REFL_RIGHT, (Trans, None, Refl), lambda t, pt, mk: t.first),
+    (TRANS_REFL_LEFT, (Trans, Refl, None), None, lambda t, _, mk: t.second),
+    (TRANS_REFL_RIGHT, (Trans, None, Refl), None, lambda t, _, mk: t.first),
     (
-        SYMM_TRANS_CANCEL, (Trans, Symm, None),
-        lambda t, pt, mk: mk.refl(pt) if t.first.inner == t.second else None,
+        SYMM_TRANS_CANCEL, (Trans, Symm, None), _ENDS,
+        lambda t, e, mk: mk.refl(e[0]) if t.first.inner == t.second else None,
     ),
     (
-        TRANS_SYMM_CANCEL, (Trans, None, Symm),
-        lambda t, pt, mk: mk.refl(pt) if t.second.inner == t.first else None,
+        TRANS_SYMM_CANCEL, (Trans, None, Symm), _ENDS,
+        lambda t, e, mk: mk.refl(e[0]) if t.second.inner == t.first else None,
     ),
-    (SYMM_REFL, (Symm, Refl), lambda t, pt, mk: t.inner),
-    (SYMM_SYMM, (Symm, Symm), lambda t, pt, mk: t.inner.inner),
+    (SYMM_REFL, (Symm, Refl), None, lambda t, _, mk: t.inner),
+    (SYMM_SYMM, (Symm, Symm), None, lambda t, _, mk: t.inner.inner),
     (
-        SYMM_TRANS_CONGR, (Symm, Trans),
-        lambda t, pt, mk: mk.trans(mk.symm(t.inner.second), mk.symm(t.inner.first)),
-    ),
-    (
-        ASSOC_LEFT, (Trans, Trans, None),
-        lambda t, pt, mk: mk.trans(t.first.first, mk.trans(t.first.second, t.second)),
+        SYMM_TRANS_CONGR, (Symm, Trans), None,
+        lambda t, _, mk: mk.trans(mk.symm(t.inner.second), mk.symm(t.inner.first)),
     ),
     (
-        ASSOC_RIGHT, (Trans, None, Trans),
-        lambda t, pt, mk: mk.trans(mk.trans(t.first, t.second.first), t.second.second),
+        ASSOC_LEFT, (Trans, Trans, None), None,
+        lambda t, _, mk: mk.trans(t.first.first, mk.trans(t.first.second, t.second)),
+    ),
+    (
+        ASSOC_RIGHT, (Trans, None, Trans), None,
+        lambda t, _, mk: mk.trans(mk.trans(t.first, t.second.first), t.second.second),
     ),
 )
 
-GROUPOID_REDUCTION_RULES = tuple(rule for rule, _, _ in _REDUCTIONS)
-# the rules whose effect reads the source point: they leave a constant path
-_CANCELLATIONS = (SYMM_TRANS_CANCEL.kind, TRANS_SYMM_CANCEL.kind)
-_RELATION_KINDS = ("relation_fwd", "relation_bwd")
+# The introductions, in the order the search tries them at a node, each with
+# the number of nodes it adds. A cancellation pair wraps its payload q, so it
+# adds 2|q| + 1 nodes: None here.
+_INTRODUCTIONS = (
+    (TRANS_REFL_LEFT_INTRO, None, _ENDS, 2, lambda t, e, mk: mk.trans(mk.refl(e[0]), t)),
+    (TRANS_REFL_RIGHT_INTRO, None, _ENDS, 2, lambda t, e, mk: mk.trans(t, mk.refl(e[1]))),
+    (SYMM_SYMM_INTRO, None, None, 2, lambda t, _, mk: mk.symm(mk.symm(t))),
+    (
+        SYMM_TRANS_CONGR_INTRO, (Trans, Symm, Symm), None, -1,
+        lambda t, _, mk: mk.symm(mk.trans(t.second.inner, t.first.inner)),
+    ),
+    (SYMM_REFL_INTRO, (Refl,), None, 1, lambda t, _, mk: mk.symm(t)),
+    (
+        SYMM_TRANS_CANCEL_INTRO, (Refl,), _PAYLOAD, None,
+        lambda t, q, mk: mk.trans(mk.symm(q), q),
+    ),
+    (
+        TRANS_SYMM_CANCEL_INTRO, (Refl,), _PAYLOAD, None,
+        lambda t, q, mk: mk.trans(q, mk.symm(q)),
+    ),
+)
 
 
-def _shape(t: PathExpr) -> tuple | None:
-    """A node's class and its children's classes; None for a leaf."""
+def _shape(t: PathExpr) -> tuple:
+    """A node's class and its children's classes."""
     cls = type(t)
     if cls is Trans:
         return (Trans, type(t.first), type(t.second))
     if cls is Symm:
         return (Symm, type(t.inner))
-    return None
+    return (cls,)
 
 
 _CLASSES = (Refl, Gen, Symm, Trans)
-_NONE: dict = {}
-
-# rule kind -> (rule, effect), for the reduction rules that fit each node
-# shape, in `redexes` order
-_BY_SHAPE = {
-    shape: {
-        rule.kind: (rule, effect)
-        for rule, need, effect in _REDUCTIONS
-        if len(need) == len(shape)
-        and all(n is None or n is k for n, k in zip(need, shape))
-    }
-    for shape in [(Symm, a) for a in _CLASSES]
+_SHAPES = (
+    [(Refl,), (Gen,)]
+    + [(Symm, a) for a in _CLASSES]
     + [(Trans, a, b) for a in _CLASSES for b in _CLASSES]
+)
+
+# (node shape, rule kind) -> (what the effect reads, effect), for every
+# groupoid rule that fits each shape
+_RULES = {
+    (shape, rule.kind): (reads, effect)
+    for shape in _SHAPES
+    for rule, need, reads, *_, effect in _REDUCTIONS + _INTRODUCTIONS
+    if need is None
+    or len(need) == len(shape) and all(n in (None, k) for n, k in zip(need, shape))
 }
+# every rule kind a step may name; `apply_step` rejects any other as unknown
+_KINDS = frozenset([kind for _, kind in _RULES] + ["relation_fwd", "relation_bwd"])
+
+# node shape -> (rule, effect) for the reductions that fit it, in `redexes`
+# order, and (nodes added, effect) for the introductions of a fixed size that
+# fit it, in table order
+_REDUCTIONS_AT = {
+    shape: [(r, fx) for r, _, _, fx in _REDUCTIONS if (shape, r.kind) in _RULES]
+    for shape in _SHAPES
+}
+_INTRODUCTIONS_AT = {
+    shape: [
+        (adds, fx) for r, _, _, adds, fx in _INTRODUCTIONS
+        if adds is not None and (shape, r.kind) in _RULES
+    ]
+    for shape in _SHAPES
+}
+
 
 # Relation rules keyed by the side they rewrite: for each term, the forward
 # rules whose lhs it is, then the backward rules whose rhs it is, each with
@@ -320,14 +346,14 @@ def _plain_relations(space: "SpacePresentation") -> dict:
 
 
 def _reduce_at(
-    t: PathExpr, pt: str, relations: dict, mk
+    t: PathExpr, ends: tuple[str, str], relations: dict, mk
 ) -> list[tuple[RuleId, PathExpr]]:
     """(rule, rewritten node) for every reduction rule enabled at the root
     of t, in `redexes` order: the groupoid rules that fit t's shape, then
-    forward relation rules, then backward ones. `pt` is t's source point."""
+    forward relation rules, then backward ones. `ends` are t's endpoints."""
     out = []
-    for rule, effect in _BY_SHAPE.get(_shape(t), _NONE).values():
-        new = effect(t, pt, mk)
+    for rule, effect in _REDUCTIONS_AT[_shape(t)]:
+        new = effect(t, ends, mk)
         if new is not None:
             out.append((rule, new))
     if relations:
@@ -335,82 +361,15 @@ def _reduce_at(
     return out
 
 
-def reductions(
-    space: "SpacePresentation", p: PathExpr
-) -> Iterator[tuple[RuleId, Position, PathExpr]]:
-    """Every enabled reduction step of p with the term it produces: positions
-    in preorder, rules in their declaration order at each position."""
-    relations = _plain_relations(space)
-    for chain, sub, src, _ in _walk(space, p):
-        for rule, new in _reduce_at(sub, src, relations, _Plain):
-            yield rule, _position(chain), _plug(chain, new)
-
-
 def redexes(space: "SpacePresentation", p: PathExpr) -> list[RewriteStep]:
     """All enabled reduction steps, outermost-leftmost position first and
     rules in their declaration order at each position."""
-    return [RewriteStep(rule, pos) for rule, pos, _ in reductions(space, p)]
-
-
-def _intro_result(
-    space: "SpacePresentation",
-    sub: PathExpr,
-    rule: RuleId,
-    payload: PathExpr | None,
-) -> PathExpr | None:
-    """Result of rewriting `sub` in place by an intro rule, or None if not
-    enabled."""
-    k = rule.kind
-    if k == "trans_refl_left_intro":
-        return Trans(Refl(endpoints(space, sub)[0]), sub)
-    elif k == "trans_refl_right_intro":
-        return Trans(sub, Refl(endpoints(space, sub)[1]))
-    elif k == "symm_refl_intro":
-        if isinstance(sub, Refl):
-            return Symm(sub)
-    elif k == "symm_symm_intro":
-        return Symm(Symm(sub))
-    elif k == "symm_trans_congr_intro":
-        if (
-            isinstance(sub, Trans)
-            and isinstance(sub.first, Symm)
-            and isinstance(sub.second, Symm)
-        ):
-            return Symm(Trans(sub.second.inner, sub.first.inner))
-    elif k == "symm_trans_cancel_intro":
-        if isinstance(sub, Refl) and payload is not None:
-            if endpoints(space, payload)[1] == sub.point:
-                return Trans(Symm(payload), payload)
-    elif k == "trans_symm_cancel_intro":
-        if isinstance(sub, Refl) and payload is not None:
-            if endpoints(space, payload)[0] == sub.point:
-                return Trans(payload, Symm(payload))
-    else:
-        raise StepNotEnabledError(f"unknown rule '{rule}'")
-    return None
-
-
-def _reduction_result(
-    space: "SpacePresentation", sub: PathExpr, rule: RuleId
-) -> PathExpr | None:
-    """Result of rewriting `sub` in place by one reduction rule, or None if
-    not enabled."""
-    k = rule.kind
-    if k in _RELATION_KINDS:
-        enabled = _plain_relations(space).get(sub, ())
-        return next((new for r, new in enabled if r == rule), None)
-    fit = _BY_SHAPE.get(_shape(sub), _NONE).get(k)
-    if fit is None:
-        return None
-    # only a cancellation reads the source point: its node is a composition,
-    # which starts where its first leg does
-    pt = endpoints(space, sub.first)[0] if k in _CANCELLATIONS else None
-    return fit[1](sub, pt, _Plain)
-
-
-_REDUCTION_KINDS = frozenset(
-    [rule.kind for rule in GROUPOID_REDUCTION_RULES] + list(_RELATION_KINDS)
-)
+    relations = _plain_relations(space)
+    return [
+        RewriteStep(rule, _position(chain))
+        for chain, sub, ends in _walk(space, p)
+        for rule, _ in _reduce_at(sub, ends, relations, _Plain)
+    ]
 
 
 def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> PathExpr:
@@ -428,10 +387,23 @@ def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> Pa
                 f"no subterm at position {format_position(step.at)}"
             )
     rule = step.rule
-    if rule.kind in _REDUCTION_KINDS:
-        new = _reduction_result(space, sub, rule)
+    fit = _RULES.get((_shape(sub), rule.kind))
+    if fit is not None:
+        reads, effect = fit
+        if reads is _ENDS:
+            new = effect(sub, endpoints(space, sub), _Plain)
+        elif reads is _PAYLOAD:
+            # the pair around the payload must run from the point to itself
+            new = None if step.payload is None else effect(sub, step.payload, _Plain)
+            if new is not None and endpoints(space, new) != (sub.point, sub.point):
+                new = None
+        else:
+            new = effect(sub, None, _Plain)
+    elif rule.kind in _KINDS:
+        enabled = _plain_relations(space).get(sub, ())
+        new = next((new for r, new in enabled if r == rule), None)
     else:
-        new = _intro_result(space, sub, rule, step.payload)
+        raise StepNotEnabledError(f"unknown rule '{rule}'")
     if new is None:
         raise StepNotEnabledError(
             f"rule {step.rule} is not enabled at {format_position(step.at)}"
@@ -615,12 +587,14 @@ class _Normalizer:
         node = term
         resume = 0  # the child to enter when `node` does not match
         while True:
-            fits = _BY_SHAPE.get(_shape(node), _NONE)
-            fit = next((fits[r.kind] for r in rules if r.kind in fits), None)
+            shape = _shape(node)
+            for rule in rules:
+                fit = _RULES.get((shape, rule.kind))
+                if fit is not None:
+                    break
             if fit is not None:
-                rule, effect = fit
                 self.steps.append(RewriteStep(rule, at + tuple(path)))
-                node = effect(node, None, _Plain)
+                node = fit[1](node, None, _Plain)
                 resume = 0
                 if parents:
                     # the rewritten node is new: scan it again after its

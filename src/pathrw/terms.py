@@ -129,7 +129,7 @@ _set_second = Trans.second.__set__
 PathExpr = Refl | Gen | Symm | Trans
 
 
-# markers on the work stack of `endpoints`
+# markers on the work stacks of `endpoints` and `map_path`
 _FLIP = object()
 _JOIN = object()
 
@@ -254,17 +254,32 @@ class SpaceMap:
 
 
 def map_path(m: SpaceMap, p: PathExpr) -> PathExpr:
-    """Push a term through a space map by structural replacement."""
-    if isinstance(p, Refl):
-        if p.point not in m.point_map:
-            raise UnknownPointError(f"'{p.point}' has no image under the map")
-        return Refl(m.point_map[p.point])
-    if isinstance(p, Gen):
-        if p.name not in m.gen_map:
-            raise UnknownGeneratorError(f"'{p.name}' has no image under the map")
-        return m.gen_map[p.name]
-    if isinstance(p, Symm):
-        return Symm(map_path(m, p.inner))
-    if isinstance(p, Trans):
-        return Trans(map_path(m, p.first), map_path(m, p.second))
-    raise TypeError(f"not a path term: {p!r}")
+    """Push a term through a space map by structural replacement.
+
+    Like `endpoints`, the walk keeps its own stack and meets the nodes left
+    to right, so the error raised is the first one in that order."""
+    images: list[PathExpr] = []
+    todo: list = [p]
+    while todo:
+        node = todo.pop()
+        cls = type(node)
+        if cls is Trans:
+            todo += (_JOIN, node.second, node.first)
+        elif cls is Gen:
+            if node.name not in m.gen_map:
+                raise UnknownGeneratorError(f"'{node.name}' has no image under the map")
+            images.append(m.gen_map[node.name])
+        elif cls is Symm:
+            todo += (_FLIP, node.inner)
+        elif node is _JOIN:
+            second = images.pop()
+            images[-1] = Trans(images[-1], second)
+        elif node is _FLIP:
+            images[-1] = Symm(images[-1])
+        elif cls is Refl:
+            if node.point not in m.point_map:
+                raise UnknownPointError(f"'{node.point}' has no image under the map")
+            images.append(Refl(m.point_map[node.point]))
+        else:
+            raise TypeError(f"not a path term: {node!r}")
+    return images[0]

@@ -392,6 +392,13 @@ class TestDeepInputs:
     def test_normalize_reads_deep_nesting(self, expr):
         assert run(["normalize", "--space", "circle", expr]) == (0, "a")
 
+    @pytest.mark.parametrize("space, expr", [
+        ("cylinder", "l0^3000"),
+        ("mobius", "a^3000"),
+    ])
+    def test_encode_retracts_a_deep_loop(self, space, expr):
+        assert run(["encode", "--space", space, expr]) == (0, "3000")
+
 
 # the grammar's own alphabet, as tokens, so drawn texts get past the
 # tokenizer into the parser and the commands behind it
@@ -403,11 +410,16 @@ _TEXTS = st.lists(st.sampled_from(_TOKENS), max_size=40).map(
 
 class TestNoTraceback:
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(space=st.sampled_from(["circle", "torus"]), left=_TEXTS, right=_TEXTS)
+    @given(
+        space=st.sampled_from(["circle", "torus", "mobius"]),
+        left=_TEXTS,
+        right=_TEXTS,
+    )
     def test_any_text_exits_0_1_or_2(self, space, left, right):
         for argv in (
             ["normalize", "--space", space, left],
             ["equal", "--space", space, left, right],
+            ["encode", "--space", space, left],
             ["decode", "--space", space, left],
         ):
             code, _ = run(argv)

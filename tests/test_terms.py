@@ -195,3 +195,30 @@ class TestSpaceMap:
             gen_map={"a": Gen("a"), "b": Refl("pt")},
         )
         assert map_path(m, Gen("b")) == Refl("pt")
+
+    def _cylinder_retraction(self):
+        return SpaceMap(
+            source=builtin("cylinder"),
+            target=builtin("circle"),
+            point_map={"b0": "pt", "b1": "pt"},
+            gen_map={"s": Refl("pt"), "l0": Gen("a"), "l1": Gen("a")},
+        )
+
+    def test_deep_terms_map_without_recursion(self):
+        m = self._cylinder_retraction()
+        circle = builtin("circle")
+        long = zpow(builtin("cylinder"), Gen("l0"), 50_000)
+        assert map_path(m, long) == zpow(circle, Gen("a"), 50_000)
+        nested, want = Gen("l1"), Gen("a")
+        for _ in range(20_000):
+            nested, want = Symm(nested), Symm(want)
+        assert map_path(m, nested) == want
+
+    def test_first_error_from_the_left(self):
+        m = self._cylinder_retraction()
+        with pytest.raises(UnknownGeneratorError, match="'zz' has no image"):
+            map_path(m, Trans(Symm(Gen("zz")), Refl("q")))
+        with pytest.raises(UnknownPointError, match="'q' has no image"):
+            map_path(m, Trans(Gen("l0"), Trans(Refl("q"), Gen("zz"))))
+        with pytest.raises(TypeError, match="not a path term"):
+            map_path(m, "l0")
