@@ -3,26 +3,28 @@
 These are the same kinds of properties the test suite pins down, packaged
 so they can run from the command line against any space, including ones
 loaded from files, with adjustable effort.
+
+A suite draws one sample from the generator it is given and returns the
+sample's terms with what broke, or None. One driver runs every suite: it
+owns the generator and the loop, and a failure names the seed, the sample
+index, what broke and each sample term in the grammar's text form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import UnreachableEndpointsError
 from .groupoid import class_of, comp, identity, inv, zpow_class
-from .oracle import (
-    Budget,
-    Lcg,
-    bfs_rw_eq,
-    local_confluence_probe,
-    random_term,
-)
+from .oracle import Budget, Lcg, bfs_rw_eq, local_confluence_probe, random_term
 from .pi1 import decode, encode, group_mul, homomorphism_check
-from .rewrite import apply_step, free_normalize, normalize, rw_eq, term_of_word, trace
+from .rewrite import (
+    apply_step, free_normalize, normal_forms_decide, normalize, rw_eq, term_of_word, trace,
+)
 from .spaces import SpacePresentation
+from .syntax import render_path
 from .terms import Symm, Trans, endpoints
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -46,173 +48,145 @@ def _pinned_term(space, n, rng, src=None, tgt=None):
     raise UnreachableEndpointsError(f"no term near size {n} from {src} to {tgt}")
 
 
-def _check_normalize_idempotent(
-    space: SpacePresentation, seed: int, samples: int, max_size: int
-) -> CheckResult:
-    rng = Lcg(seed)
-    for i in range(samples):
-        t = random_term(space, _sizes(rng, max_size), rng)
-        nf = normalize(space, t)
-        again = normalize(space, term_of_word(nf.word))
-        if again != nf:
-            return CheckResult(
-                "normalize-idempotent", False, f"sample {i} re-normalized differently"
-            )
-    return CheckResult("normalize-idempotent", True, f"{samples} samples")
+def _normalize_idempotent(space, rng, max_size):
+    t = random_term(space, _sizes(rng, max_size), rng)
+    nf = normalize(space, t)
+    if normalize(space, term_of_word(nf.word)) != nf:
+        return (t,), "re-normalized differently"
+    return (t,), None
 
 
-def _check_trace_replay(
-    space: SpacePresentation, seed: int, samples: int, max_size: int
-) -> CheckResult:
-    rng = Lcg(seed)
-    for i in range(samples):
-        t = random_term(space, _sizes(rng, max_size), rng)
-        nf, steps = trace(space, t)
-        if nf != normalize(space, t):
-            return CheckResult(
-                "trace-replay", False, f"sample {i}: trace and normalize disagree"
-            )
-        cur = t
-        for step in steps:
-            cur = apply_step(space, cur, step)
-        if free_normalize(space, cur).letters != nf.word.letters:
-            return CheckResult(
-                "trace-replay", False, f"sample {i}: replay missed the normal form"
-            )
-    return CheckResult("trace-replay", True, f"{samples} samples")
+def _inverse_involution(space, rng, max_size):
+    t = random_term(space, _sizes(rng, max_size), rng)
+    if normalize(space, Symm(Symm(t))) != normalize(space, t):
+        return (t,), "~~t normalized differently"
+    return (t,), None
 
 
-def _check_group_round_trip(
-    space: SpacePresentation, seed: int, samples: int, max_size: int
-) -> CheckResult:
+def _trace_replay(space, rng, max_size):
+    t = random_term(space, _sizes(rng, max_size), rng)
+    nf, steps = trace(space, t)
+    if nf != normalize(space, t):
+        return (t,), "trace and normalize disagree"
+    cur = t
+    for step in steps:
+        cur = apply_step(space, cur, step)
+    if free_normalize(space, cur).letters != nf.word.letters:
+        return (t,), "replay missed the normal form"
+    return (t,), None
+
+
+def _group_round_trip(space, rng, max_size):
     base = space.basepoint
-    rng = Lcg(seed)
-    for i in range(samples):
-        t = random_term(space, _sizes(rng, max_size), rng, base, base)
-        value = encode(space, t)
-        back = decode(space, value)
-        if back != class_of(space, t):
-            return CheckResult(
-                "group-round-trip", False, f"sample {i}: decode(encode) moved the class"
-            )
-        if encode(space, back.representative()) != value:
-            return CheckResult(
-                "group-round-trip", False, f"sample {i}: encode(decode) moved the value"
-            )
-    return CheckResult("group-round-trip", True, f"{samples} samples")
+    t = random_term(space, _sizes(rng, max_size), rng, base, base)
+    value = encode(space, t)
+    back = decode(space, value)
+    if back != class_of(space, t):
+        return (t,), "decode(encode) moved the class"
+    if encode(space, back.representative()) != value:
+        return (t,), "encode(decode) moved the value"
+    return (t,), None
 
 
-def _check_homomorphism(
-    space: SpacePresentation, seed: int, samples: int, max_size: int
-) -> CheckResult:
+def _homomorphism(space, rng, max_size):
     base = space.basepoint
-    rng = Lcg(seed)
-    for i in range(samples):
-        p = random_term(space, _sizes(rng, max_size), rng, base, base)
-        q = random_term(space, _sizes(rng, max_size), rng, base, base)
-        if not homomorphism_check(space, p, q):
-            return CheckResult(
-                "homomorphism", False, f"sample {i}: composition broke multiplication"
-            )
-        vp, vq = encode(space, p), encode(space, q)
-        via_classes = encode(
-            space, Trans(class_of(space, p).representative(),
-                         class_of(space, q).representative())
-        )
-        if via_classes != group_mul(vp, vq):
-            return CheckResult(
-                "homomorphism", False, f"sample {i}: class composition disagreed"
-            )
-    return CheckResult("homomorphism", True, f"{samples} samples")
+    p = random_term(space, _sizes(rng, max_size), rng, base, base)
+    q = random_term(space, _sizes(rng, max_size), rng, base, base)
+    if not homomorphism_check(space, p, q):
+        return (p, q), "composition broke multiplication"
+    via_classes = encode(
+        space, Trans(class_of(space, p).representative(),
+                     class_of(space, q).representative())
+    )
+    if via_classes != group_mul(encode(space, p), encode(space, q)):
+        return (p, q), "class composition disagreed"
+    return (p, q), None
 
 
-def _check_groupoid_laws(
-    space: SpacePresentation, seed: int, samples: int, max_size: int
-) -> CheckResult:
-    rng = Lcg(seed)
-    points = tuple(space.points)
-    for i in range(samples):
-        x = rng.choice(points)
-        t1 = random_term(space, _sizes(rng, max_size), rng, src=x)
-        y = endpoints(space, t1)[1]
-        t2 = random_term(space, _sizes(rng, max_size), rng, src=y)
-        z = endpoints(space, t2)[1]
-        t3 = random_term(space, _sizes(rng, max_size), rng, src=z)
-        c1, c2, c3 = (class_of(space, t) for t in (t1, t2, t3))
-        if comp(comp(c1, c2), c3) != comp(c1, comp(c2, c3)):
-            return CheckResult("groupoid-laws", False, f"sample {i}: associativity")
-        if comp(identity(space, x), c1) != c1 or comp(c1, identity(space, y)) != c1:
-            return CheckResult("groupoid-laws", False, f"sample {i}: identity")
-        if comp(c1, inv(c1)) != identity(space, x):
-            return CheckResult("groupoid-laws", False, f"sample {i}: right inverse")
-        if comp(inv(c1), c1) != identity(space, y):
-            return CheckResult("groupoid-laws", False, f"sample {i}: left inverse")
-        if x == y:
-            if zpow_class(c1, 3) != comp(c1, comp(c1, c1)):
-                return CheckResult("groupoid-laws", False, f"sample {i}: power law")
-            if zpow_class(c1, -1) != inv(c1):
-                return CheckResult("groupoid-laws", False, f"sample {i}: negative power")
-    return CheckResult("groupoid-laws", True, f"{samples} samples")
+def _groupoid_laws(space, rng, max_size):
+    x = rng.choice(tuple(space.points))
+    t1 = random_term(space, _sizes(rng, max_size), rng, src=x)
+    y = endpoints(space, t1)[1]
+    t2 = random_term(space, _sizes(rng, max_size), rng, src=y)
+    z = endpoints(space, t2)[1]
+    t3 = random_term(space, _sizes(rng, max_size), rng, src=z)
+    terms = (t1, t2, t3)
+    c1, c2, c3 = (class_of(space, t) for t in terms)
+    if comp(comp(c1, c2), c3) != comp(c1, comp(c2, c3)):
+        return terms, "associativity"
+    if comp(identity(space, x), c1) != c1 or comp(c1, identity(space, y)) != c1:
+        return terms, "identity"
+    if comp(c1, inv(c1)) != identity(space, x):
+        return terms, "right inverse"
+    if comp(inv(c1), c1) != identity(space, y):
+        return terms, "left inverse"
+    if x == y:
+        if zpow_class(c1, 3) != comp(c1, comp(c1, c1)):
+            return terms, "power law"
+        if zpow_class(c1, -1) != inv(c1):
+            return terms, "negative power"
+    return terms, None
 
 
-def _check_oracle_agreement(
-    space: SpacePresentation,
-    seed: int,
-    samples: int,
-    max_size: int,
-    budget: Budget,
-) -> CheckResult:
-    rng = Lcg(seed)
-    # Normal forms in a file-loaded space ignore its relations, so there the
-    # search may prove equal pairs the fast path cannot; only the fast path's
-    # positive answers are binding.
-    complete = space.group_tag is not None or not space.relations
+def _local_confluence(space, rng, max_size):
+    t = random_term(space, _sizes(rng, max_size), rng)
+    if not local_confluence_probe(space, t):
+        return (t,), "diverging one-step reducts"
+    return (t,), None
+
+
+def _oracle_agreement(space, rng, max_size, budget):
     small = max(3, min(max_size, 6))
+    p = random_term(space, _sizes(rng, small), rng)
+    src, tgt = endpoints(space, p)
+    q = _pinned_term(space, 1 + rng.randint(small), rng, src, tgt)
+    fast = rw_eq(space, p, q)
+    verdict = bfs_rw_eq(space, p, q, budget)
+    if not verdict.is_decided:
+        return (p, q), "undecided"
+    # Where normal forms ignore the space's relations, the search may prove
+    # equal pairs the fast path cannot; only the fast path's positive
+    # answers are binding there.
+    if verdict.is_equal != fast and (fast or normal_forms_decide(space)):
+        return (p, q), f"normalize said {fast}, search said {verdict.kind}"
+    return (p, q), None
+
+
+def _drive(space, seed, offset, name, suite, samples, max_size) -> CheckResult:
+    """Run one suite on a generator seeded with seed + offset; the first
+    broken sample fails it. The oracle suite may leave samples undecided and
+    reports how many it decided."""
+    rng = Lcg(seed + offset)
     decided = 0
     for i in range(samples):
-        n = _sizes(rng, small)
-        p = random_term(space, n, rng)
-        src, tgt = endpoints(space, p)
-        q = _pinned_term(space, 1 + rng.randint(small), rng, src, tgt)
-        fast = rw_eq(space, p, q)
-        verdict = bfs_rw_eq(space, p, q, budget)
-        if not verdict.is_decided:
+        terms, broke = suite(space, rng, max_size)
+        if broke == "undecided":
             continue
         decided += 1
-        disagrees = (verdict.is_equal != fast) if complete else (fast and not verdict.is_equal)
-        if disagrees:
+        if broke is not None:
+            shown = " | ".join(render_path(space, t) for t in terms)
             return CheckResult(
-                "oracle-agreement",
-                False,
-                f"sample {i}: normalize said {fast}, search said {verdict.kind}",
+                name, False, f"--seed {seed}, sample {i}: {broke}: {shown}"
             )
     if decided == 0:
-        return CheckResult("oracle-agreement", False, f"0/{samples} decided")
-    return CheckResult("oracle-agreement", True, f"{decided}/{samples} decided, all agree")
+        return CheckResult(name, False, f"0/{samples} decided")
+    if name == "oracle-agreement":
+        return CheckResult(name, True, f"{decided}/{samples} decided, all agree")
+    return CheckResult(name, True, f"{samples} samples")
 
 
-def _check_local_confluence(
-    space: SpacePresentation, seed: int, samples: int, max_size: int
-) -> CheckResult:
-    rng = Lcg(seed)
-    for i in range(samples):
-        t = random_term(space, _sizes(rng, max_size), rng)
-        if not local_confluence_probe(space, t):
-            return CheckResult(
-                "local-confluence", False, f"sample {i}: diverging one-step reducts"
-            )
-    return CheckResult("local-confluence", True, f"{samples} samples")
-
-
-def _check_inverse_involution(
-    space: SpacePresentation, seed: int, samples: int, max_size: int
-) -> CheckResult:
-    rng = Lcg(seed)
-    for i in range(samples):
-        t = random_term(space, _sizes(rng, max_size), rng)
-        if normalize(space, Symm(Symm(t))) != normalize(space, t):
-            return CheckResult("inverse-involution", False, f"sample {i}")
-    return CheckResult("inverse-involution", True, f"{samples} samples")
+# name, seed offset and suite, in report order
+_SUITES = (
+    ("normalize-idempotent", 1, _normalize_idempotent),
+    ("inverse-involution", 2, _inverse_involution),
+    ("trace-replay", 3, _trace_replay),
+    ("group-round-trip", 7, _group_round_trip),
+    ("homomorphism", 8, _homomorphism),
+    ("groupoid-laws", 4, _groupoid_laws),
+    ("local-confluence", 5, _local_confluence),
+)
+# encode and decode need a group tag
+_GROUP_SUITES = {"group-round-trip", "homomorphism"}
 
 
 def run_checks(
@@ -230,16 +204,13 @@ def run_checks(
     if budget is None:
         budget = Budget(max_states=20_000)
     results = [
-        _check_normalize_idempotent(space, seed + 1, samples, max_size),
-        _check_inverse_involution(space, seed + 2, samples, max_size),
-        _check_trace_replay(space, seed + 3, samples, max_size),
-        _check_groupoid_laws(space, seed + 4, samples, max_size),
-        _check_local_confluence(space, seed + 5, samples, max_size),
-        _check_oracle_agreement(space, seed + 6, max(10, samples // 5), max_size, budget),
+        _drive(space, seed, offset, name, suite, samples, max_size)
+        for name, offset, suite in _SUITES
+        if space.group_tag is not None or name not in _GROUP_SUITES
     ]
-    if space.group_tag is not None:
-        results.insert(
-            3, _check_group_round_trip(space, seed + 7, samples, max_size)
-        )
-        results.insert(4, _check_homomorphism(space, seed + 8, samples, max_size))
+    results.append(
+        _drive(space, seed, 6, "oracle-agreement",
+               partial(_oracle_agreement, budget=budget),
+               max(10, samples // 5), max_size)
+    )
     return results

@@ -12,11 +12,14 @@ Subcommands:
 
 Every subcommand accepts --space NAME (builtin) or --space-file PATH (a
 presentation file; such spaces carry no group structure, so encode and
-decode refuse them). --json swaps the text output for a single JSON object
-with exactly the keys cmd, space, input, result, trace.
+decode refuse them, and where they declare relations, `equal` without
+--oracle answers `undecided` for paths whose free normal forms differ).
+--json swaps the text output for a single JSON object with exactly the keys
+cmd, space, input, result, trace; `run` writes it, from what each handler
+returns, in one place.
 
-Exit codes: 0 success; 1 a negative decision (paths differ, a check
-failed, the search was undecided); 2 bad input (parse errors, unknown
+Exit codes: 0 success; 1 a negative or undecided answer (paths differ, a
+check failed, equality undecided); 2 bad input (parse errors, unknown
 names, malformed values).
 """
 
@@ -30,7 +33,7 @@ from .checks import run_checks
 from .errors import PathError
 from .oracle import DEFAULT_MAX_STATES, Budget, bfs_rw_eq
 from .pi1 import encode, decode, parse_group_value, render_group_value
-from .rewrite import format_step, normalize, rw_eq, trace
+from .rewrite import format_step, normal_forms_decide, normalize, rw_eq, trace
 from .spaces import BUILTIN_NAMES, SpacePresentation, builtin, parse_space_file
 from .syntax import parse_path, render_path, render_word
 
@@ -91,70 +94,43 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_space(args: argparse.Namespace) -> SpacePresentation:
-    name = getattr(args, "space", None)
-    path = getattr(args, "space_file", None)
+    name, path = args.space, args.space_file
     if name and path:
         raise PathError("give --space or --space-file, not both")
     if path:
         return parse_space_file(path)
     if not name:
         raise PathError("a space is required: --space NAME or --space-file PATH")
-    if name not in BUILTIN_NAMES:
-        raise PathError(
-            f"unknown space '{name}'; builtins are {', '.join(BUILTIN_NAMES)}"
-        )
     return builtin(name)
 
 
-def _emit(args, cmd: str, space_name: str | None, input_, result, trace_):
-    if getattr(args, "json", False):
-        payload = {
-            "cmd": cmd,
-            "space": space_name,
-            "input": input_,
-            "result": result,
-            "trace": trace_,
-        }
-        return json.dumps(payload, indent=2)
-    return None
+# Each handler returns (exit code, input, result, trace, text): the first
+# four fill the --json object, the text is the plain output.
 
 
-def _run_normalize(args) -> tuple[int, str]:
-    space = _load_space(args)
+def _run_normalize(args, space):
     p = parse_path(space, args.expr)
     if args.emit_trace:
         nf, steps = trace(space, p)
         lines = [format_step(s, space) for s in steps]
     else:
-        nf = normalize(space, p)
-        steps = None
-        lines = []
+        nf, lines = normalize(space, p), None
     rendered = render_word(space, nf.word)
-    out = _emit(
-        args,
-        "normalize",
-        space.name,
-        args.expr,
-        {
-            "normal_form": rendered,
-            "letters": [[n, s] for n, s in nf.word.letters],
-            "src": nf.word.src,
-            "tgt": nf.word.tgt,
-        },
-        lines if steps is not None else None,
-    )
-    if out is not None:
-        return 0, out
-    text_lines = list(lines)
-    text_lines.append(rendered)
-    return 0, "\n".join(text_lines)
+    result = {
+        "normal_form": rendered,
+        "letters": [[n, s] for n, s in nf.word.letters],
+        "src": nf.word.src,
+        "tgt": nf.word.tgt,
+    }
+    return 0, args.expr, result, lines, "\n".join([*(lines or ()), rendered])
 
 
-def _run_equal(args) -> tuple[int, str]:
-    space = _load_space(args)
+_VERDICTS = {"EQUAL": "equal", "NOT_EQUAL_WITHIN_BUDGET": "not-equal"}
+
+
+def _run_equal(args, space):
     p = parse_path(space, args.expr1)
     q = parse_path(space, args.expr2)
-    trace_ = None
     # the search budget is checked with or without --oracle, so out-of-range
     # values are bad input either way
     budget = Budget(
@@ -165,66 +141,36 @@ def _run_equal(args) -> tuple[int, str]:
     )
     if args.oracle:
         verdict = bfs_rw_eq(space, p, q, budget)
-        if verdict.kind == "EQUAL":
-            result, code = "equal", 0
-        elif verdict.kind == "NOT_EQUAL_WITHIN_BUDGET":
-            result, code = "not-equal", 1
-        else:
-            result, code = "undecided", 1
+        result = _VERDICTS.get(verdict.kind, "undecided")
         detail = f"{result} (searched {verdict.explored} states)"
     else:
-        same = rw_eq(space, p, q)
-        result = "equal" if same else "not-equal"
-        code = 0 if same else 1
+        if rw_eq(space, p, q):
+            result = "equal"
+        else:
+            result = "not-equal" if normal_forms_decide(space) else "undecided"
         detail = result
-    out = _emit(args, "equal", space.name, [args.expr1, args.expr2], result, trace_)
-    if out is not None:
-        return code, out
-    return code, detail
+    code = 0 if result == "equal" else 1
+    return code, [args.expr1, args.expr2], result, None, detail
 
 
-def _run_encode(args) -> tuple[int, str]:
-    space = _load_space(args)
-    p = parse_path(space, args.expr)
-    value = encode(space, p)
+def _run_encode(args, space):
+    value = encode(space, parse_path(space, args.expr))
     rendered = render_group_value(value)
-    out = _emit(
-        args,
-        "encode",
-        space.name,
-        args.expr,
-        {"tag": value.tag.value, "value": rendered},
-        None,
-    )
-    if out is not None:
-        return 0, out
-    return 0, rendered
+    return 0, args.expr, {"tag": value.tag.value, "value": rendered}, None, rendered
 
 
-def _run_decode(args) -> tuple[int, str]:
-    space = _load_space(args)
+def _run_decode(args, space):
     if space.group_tag is None:
         raise PathError(
             f"space '{space.name}' carries no group tag; decode is undefined"
         )
-    value = parse_group_value(space.group_tag, args.value)
-    cls = decode(space, value)
+    cls = decode(space, parse_group_value(space.group_tag, args.value))
     rendered = render_path(space, cls.representative())
-    out = _emit(
-        args,
-        "decode",
-        space.name,
-        args.value,
-        {"path": rendered, "src": cls.src, "tgt": cls.tgt},
-        None,
-    )
-    if out is not None:
-        return 0, out
-    return 0, rendered
+    result = {"path": rendered, "src": cls.src, "tgt": cls.tgt}
+    return 0, args.value, result, None, rendered
 
 
-def _run_check(args) -> tuple[int, str]:
-    space = _load_space(args)
+def _run_check(args, space):
     budget = Budget(
         max_states=args.max_states, max_term_size=args.max_term_size
     )
@@ -236,60 +182,45 @@ def _run_check(args) -> tuple[int, str]:
         budget=budget,
     )
     ok = all(r.passed for r in results)
-    out = _emit(
-        args,
-        "check",
-        space.name,
-        {"seed": args.seed, "samples": args.samples, "size": args.size},
-        {
-            "passed": ok,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-        },
-        None,
-    )
-    if out is not None:
-        return (0 if ok else 1), out
+    result = {
+        "passed": ok,
+        "checks": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail}
+            for r in results
+        ],
+    }
     lines = [
         f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
     ]
-    lines.append(f"{'all checks passed' if ok else 'CHECKS FAILED'}")
-    return (0 if ok else 1), "\n".join(lines)
+    lines.append("all checks passed" if ok else "CHECKS FAILED")
+    input_ = {"seed": args.seed, "samples": args.samples, "size": args.size}
+    return (0 if ok else 1), input_, result, None, "\n".join(lines)
 
 
-def _run_spaces(args) -> tuple[int, str]:
+def _run_spaces(args, space):
     rows = []
+    lines = []
     for name in BUILTIN_NAMES:
         sp = builtin(name)
+        gens = [{"name": g.name, "src": g.src, "tgt": g.tgt} for g in sp.generators]
+        rels = [r.name for r in sp.relations]
+        group = sp.group_tag.value if sp.group_tag else None
         rows.append(
             {
                 "name": name,
                 "points": list(sp.points),
-                "generators": [
-                    {"name": g.name, "src": g.src, "tgt": g.tgt}
-                    for g in sp.generators
-                ],
-                "relations": [r.name for r in sp.relations],
+                "generators": gens,
+                "relations": rels,
                 "basepoint": sp.basepoint,
-                "group": sp.group_tag.value if sp.group_tag else None,
+                "group": group,
             }
         )
-    out = _emit(args, "spaces", None, None, rows, None)
-    if out is not None:
-        return 0, out
-    lines = []
-    for row in rows:
-        gens = ", ".join(
-            f"{g['name']}: {g['src']}->{g['tgt']}" for g in row["generators"]
-        )
-        rels = ", ".join(row["relations"]) or "none"
+        shown = ", ".join(f"{g['name']}: {g['src']}->{g['tgt']}" for g in gens)
         lines.append(
-            f"{row['name']:9s} points: {', '.join(row['points'])}; "
-            f"generators: {gens}; relations: {rels}; group: {row['group']}"
+            f"{name:9s} points: {', '.join(sp.points)}; generators: {shown}; "
+            f"relations: {', '.join(rels) or 'none'}; group: {group}"
         )
-    return 0, "\n".join(lines)
+    return 0, None, rows, None, "\n".join(lines)
 
 
 _HANDLERS = {
@@ -311,11 +242,20 @@ def run(argv: list[str]) -> tuple[int, str]:
         # argparse already printed usage to stderr
         return (2 if exc.code else 0), ""
     try:
-        return _HANDLERS[args.cmd](args)
-    except PathError as exc:
+        space = None if args.cmd == "spaces" else _load_space(args)
+        code, input_, result, trace_, text = _HANDLERS[args.cmd](args, space)
+    except (PathError, OSError, ValueError) as exc:
         return 2, f"error: {exc}"
-    except (OSError, ValueError) as exc:
-        return 2, f"error: {exc}"
+    if args.json:
+        payload = {
+            "cmd": args.cmd,
+            "space": None if space is None else space.name,
+            "input": input_,
+            "result": result,
+            "trace": trace_,
+        }
+        text = json.dumps(payload, indent=2)
+    return code, text
 
 
 def main() -> int:

@@ -486,12 +486,18 @@ def normalize(space: "SpacePresentation", p: PathExpr) -> NormalForm:
     return NormalForm(_canonical_word(space, free_normalize(space, p)))
 
 
+def normal_forms_decide(space: "SpacePresentation") -> bool:
+    """Whether distinct normal forms mean distinct paths: true for the
+    builtins and for spaces without relations. Other spaces normalize
+    freely, ignoring their relations."""
+    return space.group_tag is not None or not space.relations
+
+
 def rw_eq(space: "SpacePresentation", p: PathExpr, q: PathExpr) -> bool:
     """Decide equality in the rewrite quotient by comparing normal forms.
 
-    Complete for the builtin spaces. A space without a group tag normalizes
-    freely, so relations it declares are not consulted here; use the search
-    oracle when those matter."""
+    A True is always right; a False is right where `normal_forms_decide`
+    holds. Use the search oracle when the relations matter."""
     if endpoints(space, p) != endpoints(space, q):
         raise EndpointMismatchError(
             "rw_eq compares paths with identical endpoints"

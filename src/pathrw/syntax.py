@@ -7,9 +7,9 @@ Grammar (loosest to tightest):
     postfix := primary ("^" integer)*        integer power of a loop
     primary := "refl" | "refl(" point ")" | generator | "(" expr ")"
 
-Bare `refl` is only accepted in single-point spaces. The rp2 generator is
-written `alpha` (ASCII) on input; renderers print it as the single letter
-form, which the parser also accepts.
+Bare `refl` is only accepted in single-point spaces. A builtin may print a
+generator under a display name (the rp2 generator `alpha` prints as `α`);
+the parser accepts both names.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ if TYPE_CHECKING:
 # word of n letters is a term of 2n - 1 nodes or more.
 MAX_TERM_NODES = 1_000_000
 
-_GREEK_ALPHA = "α"
 _SYMBOLS = {"*", "~", "^", "(", ")"}
 
 
@@ -174,11 +173,11 @@ class _Parser:
         raise ParseError(f"unexpected token '{value}'")
 
     def _resolve_generator(self, name: str) -> str:
-        gmap = self.space.generator_map
-        if name in gmap:
+        if name in self.space.generator_map:
             return name
-        if name == _GREEK_ALPHA and "alpha" in gmap:
-            return "alpha"
+        for gen, shown in _display(self.space).items():
+            if shown == name:
+                return gen
         raise ParseError(
             f"'{name}' is not a generator of '{self.space.name}'"
         )

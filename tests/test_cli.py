@@ -32,11 +32,33 @@ base p
 """
 
 
+TORUS_FILE = """\
+point pt
+gen a : pt -> pt
+gen b : pt -> pt
+rel comm : a * b = b * a
+"""
+
+
 @pytest.fixture
 def strip_path(tmp_path):
     f = tmp_path / "strip.space"
     f.write_text(STRIP_FILE)
     return str(f)
+
+
+@pytest.fixture
+def torus_path(tmp_path):
+    f = tmp_path / "torus.space"
+    f.write_text(TORUS_FILE)
+    return str(f)
+
+
+def _failing_detail(text, name):
+    """The detail of the named suite's FAIL line."""
+    prefix = f"FAIL {name}: "
+    (line,) = [ln for ln in text.splitlines() if ln.startswith(prefix)]
+    return line[len(prefix):]
 
 
 class TestNormalize:
@@ -243,6 +265,46 @@ class TestCheck:
         assert "FAIL oracle-agreement: 0/10 decided" in text.splitlines()
 
 
+    def test_failure_names_seed_sample_and_term(self, monkeypatch):
+        seen = []
+
+        def probe(space, t):
+            seen.append(t)
+            return len(seen) != 3
+
+        monkeypatch.setattr("pathrw.checks.local_confluence_probe", probe)
+        code, text = run(
+            ["check", "--space", "torus", "--seed", "7", "--samples", "5", "--size", "6"]
+        )
+        assert code == 1
+        detail = _failing_detail(text, "local-confluence")
+        head, shown = detail.rsplit(": ", 1)
+        assert head == "--seed 7, sample 2: diverging one-step reducts"
+        assert parse_path(builtin("torus"), shown) == seen[2]
+
+    def test_failure_renders_every_sample_term(self, monkeypatch):
+        seen = []
+
+        def check(space, p, q):
+            seen.append((p, q))
+            return len(seen) != 2
+
+        monkeypatch.setattr("pathrw.checks.homomorphism_check", check)
+        code, text = run(
+            [
+                "check", "--space", "klein", "--json", "--seed", "3",
+                "--samples", "4", "--size", "5",
+            ]
+        )
+        assert code == 1
+        (failed,) = [c for c in json.loads(text)["result"]["checks"] if not c["passed"]]
+        assert failed["name"] == "homomorphism"
+        head, shown = failed["detail"].rsplit(": ", 1)
+        assert head == "--seed 3, sample 1: composition broke multiplication"
+        klein = builtin("klein")
+        assert tuple(parse_path(klein, t) for t in shown.split(" | ")) == seen[1]
+
+
 class TestSpaces:
     def test_lists_every_builtin(self):
         code, text = run(["spaces"])
@@ -293,6 +355,37 @@ class TestSpaceFiles:
         names = [c["name"] for c in obj["result"]["checks"]]
         assert "group-round-trip" not in names
         assert len(names) == 6
+
+    def test_check_passes_on_a_loaded_torus(self, torus_path):
+        # the relation step a * b -> b * a changes the free normal form,
+        # which is no confluence counterexample
+        code, text = run(["check", "--space-file", torus_path])
+        assert code == 0, text
+
+    def test_differing_normal_forms_are_undecided_with_relations(self, torus_path):
+        assert run(["equal", "--space-file", torus_path, "a * b", "b * a"]) == (
+            1, "undecided",
+        )
+        code, text = run(
+            ["equal", "--space-file", torus_path, "--json", "a * b", "b * a"]
+        )
+        assert code == 1
+        assert json.loads(text)["result"] == "undecided"
+        code, text = run(
+            ["equal", "--space-file", torus_path, "--oracle", "a * b", "b * a"]
+        )
+        assert (code, text) == (0, "equal (searched 1 states)")
+        # equal normal forms still decide
+        assert run(
+            ["equal", "--space-file", torus_path, "a * ~a * b", "b"]
+        ) == (0, "equal")
+
+    def test_without_relations_normal_forms_decide(self, tmp_path):
+        f = tmp_path / "free.space"
+        f.write_text("point pt\ngen a : pt -> pt\ngen b : pt -> pt\n")
+        assert run(["equal", "--space-file", str(f), "a * b", "b * a"]) == (
+            1, "not-equal",
+        )
 
     def test_encode_refuses_untagged_spaces(self, strip_path):
         code, text = run(["encode", "--space-file", strip_path, "u"])

@@ -11,6 +11,7 @@ from pathrw import (
     builtin,
     free_normalize,
     parse_path,
+    parse_space_text,
     random_term,
     render_path,
     render_word,
@@ -81,6 +82,14 @@ class TestParsing:
     def test_rp2_ascii_and_greek_agree(self):
         assert parse_path(RP2, "alpha") == Gen("alpha")
         assert parse_path(RP2, "α") == Gen("alpha")
+
+    def test_display_names_belong_to_the_builtin(self):
+        # a loaded space's alpha has no display name, so α is not one of
+        # its generators
+        space = parse_space_text("point pt\ngen alpha : pt -> pt\n")
+        assert parse_path(space, "alpha") == Gen("alpha")
+        with pytest.raises(ParseError):
+            parse_path(space, "α")
 
     def test_unknown_generator(self):
         with pytest.raises(ParseError):
