@@ -21,8 +21,12 @@ introductions at each position in preorder, in table order, with
 cancellation-pair payloads in `enumerate_terms` order. A search builds its
 terms through its own hash-consing table (Filliatre and Conchon, "Type-safe
 modular hash-consing", 2006), so equal terms are one object and visited-set
-hits are identity hits; the table is dropped when the search returns, and
-term equality stays structural, so no answer depends on it.
+hits are identity hits. As there, the table needs no key objects: a node is
+filed under a hash that it or its child already stores, and a hit is
+confirmed by the identity of its children. The table is dropped when the
+search returns, and term equality stays structural, so no answer depends
+on it. A search stops, undecided, when its state budget runs out or once
+it has generated MAX_NEIGHBORS neighbours, which is what bounds its memory.
 
 Also here: a deterministic random term generator (a fixed 64-bit linear
 congruential generator, so seeds mean the same thing everywhere), exhaustive
@@ -57,6 +61,10 @@ from .terms import Gen, PathExpr, Refl, Symm, Trans, endpoints, size
 
 DEFAULT_MAX_STATES = 200_000
 DEFAULT_SIZE_MARGIN = 6
+# The most neighbours one search may generate. Memory grows with the terms
+# generated, not the states expanded, and one state can have thousands of
+# neighbours; this is about 8x the most any acceptance-gate search needs.
+MAX_NEIGHBORS = 1_000_000
 
 # the two cancellation-pair introductions' effects, which wrap a payload
 _CANCEL_LEFT = _RULES[(Refl,), SYMM_TRANS_CANCEL_INTRO.kind][1]
@@ -70,7 +78,8 @@ BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 @dataclass(frozen=True)
 class Budget:
     """Search limits. When max_term_size is None, bfs_rw_eq allows the
-    larger input plus a fixed margin."""
+    larger input plus a fixed margin. Whatever the budget, a search also
+    stops once it has generated MAX_NEIGHBORS neighbours."""
 
     max_states: int = DEFAULT_MAX_STATES
     max_term_size: int | None = None
@@ -273,24 +282,32 @@ def _random_term(
 class _Search:
     """The hash-consing table of one search, plus what the search reuses.
 
-    Terms built through it are keyed by their class and the identity of
-    their children, so equal terms built during one search are one object
-    and the search's set lookups hit on identity. The table lives only as
-    long as the search that made it. Equality and hashing stay structural,
-    so a term built outside the table still matches."""
+    No table makes key objects of its own. A composition built through it
+    is filed under the int its `_hash` slot holds, an inverse under the one
+    its inner term's slot holds, and a hit is confirmed by the identity of
+    the children; the rare term whose key another term already holds is
+    filed under itself. So equal terms built during one search are one
+    object and the search's set lookups hit on identity. Endpoints and
+    rewrite lists are keyed by the term itself, and endpoint pairs are
+    shared. The table lives only as long as the search that made it.
+    Equality and hashing stay structural, so a term built outside the table
+    still matches."""
 
     def __init__(self, space: SpacePresentation, cap: int):
         self.space = space
         self.cap = cap
+        self.generated = 0  # neighbours generated so far
         self._refls: dict[str, Refl] = {}
         self._gens: dict[str, Gen] = {}
-        self._symms: dict[int, Symm] = {}
-        self._transes: dict[tuple[int, int], Trans] = {}
+        # inner's hash -> Symm, own hash -> Trans; clashing nodes key themselves
+        self._symms: dict[int | Symm, Symm] = {}
+        self._transes: dict[int | Trans, Trans] = {}
         # (point, payload size cap) -> every cancellation pair introducible
         # at a constant path there, in enumeration order
         self._pairs: dict[tuple[str, int], list[PathExpr]] = {}
-        self._ends: dict[int, tuple[str, str]] = {}
-        # room -> id(subterm) -> its reductions, or its introductions
+        self._ends: dict[PathExpr, tuple[str, str]] = {}
+        self._end_pairs: dict[tuple[str, str], tuple[str, str]] = {}
+        # room -> subterm -> its reductions, or its introductions
         self._reductions_of: dict[int, dict] = {}
         self._introductions_of: dict[int, dict] = {}
         self.relations = _relation_table(space, self.intern)
@@ -302,16 +319,23 @@ class _Search:
         return t
 
     def symm(self, inner: PathExpr) -> Symm:
-        t = self._symms.get(id(inner))
+        t = self._symms.get(inner._hash)
         if t is None:
-            t = self._symms[id(inner)] = Symm(inner)
+            t = self._symms[inner._hash] = Symm(inner)
+        elif t.inner is not inner:
+            new = Symm(inner)
+            t = self._symms.setdefault(new, new)
         return t
 
     def trans(self, first: PathExpr, second: PathExpr) -> Trans:
-        key = (id(first), id(second))
-        t = self._transes.get(key)
+        # probe with the hash the node will hold, computed as `terms` does
+        t = self._transes.get(hash((3, first._hash, second._hash)))
         if t is None:
-            t = self._transes[key] = Trans(first, second)
+            t = Trans(first, second)
+            self._transes[t._hash] = t
+        elif t.first is not first or t.second is not second:
+            new = Trans(first, second)
+            t = self._transes.setdefault(new, new)
         return t
 
     def intern(self, t: PathExpr) -> PathExpr:
@@ -328,7 +352,7 @@ class _Search:
         return g
 
     def ends(self, t: PathExpr) -> tuple[str, str]:
-        e = self._ends.get(id(t))
+        e = self._ends.get(t)
         if e is None:
             cls = type(t)
             if cls is Trans:
@@ -341,17 +365,20 @@ class _Search:
             else:
                 g = self.space.generator_map[t.name]
                 e = (g.src, g.tgt)
-            self._ends[id(t)] = e
+            self._ends[t] = e = self._end_pairs.setdefault(e, e)
         return e
 
     def neighbors(self, t: PathExpr) -> Iterator[PathExpr]:
         """Every term one step from t within the size cap, in a fixed order
         that decides the search order: reductions in `redexes` order, then
         the introductions at each position in preorder."""
-        yield from self.rewrites(self.reductions_here, self._reductions_of, t, self.cap)
-        yield from self.rewrites(
-            self.introductions_here, self._introductions_of, t, self.cap
-        )
+        cap = self.cap
+        out = self.rewrites(self.reductions_here, self._reductions_of, t, cap)
+        self.generated += len(out)
+        yield from out
+        out = self.rewrites(self.introductions_here, self._introductions_of, t, cap)
+        self.generated += len(out)
+        yield from out
 
     # A term's one-step rewrites are built from its children's: the steps at
     # its root, then each child's rewrites plugged back into it, which is
@@ -380,9 +407,9 @@ class _Search:
         at_room = memo.get(room)
         if at_room is None:
             at_room = memo[room] = {}
-        out = at_room.get(id(t))
+        out = at_room.get(t)
         if out is None:
-            out = at_room[id(t)] = self.rewrites(here, memo, t, room)
+            out = at_room[t] = self.rewrites(here, memo, t, room)
         return out
 
     def reductions_here(self, t: PathExpr, room: int) -> list[PathExpr]:
@@ -435,7 +462,8 @@ def bfs_rw_eq(
     NOT_EQUAL_WITHIN_BUDGET means one side's entire size-capped class was
     enumerated without meeting the other; BUDGET_EXHAUSTED decides nothing.
     A cap below either input's size can cut that input off from its class,
-    so running out then is BUDGET_EXHAUSTED too.
+    so running out then is BUDGET_EXHAUSTED too, as is generating
+    MAX_NEIGHBORS neighbours before the state budget runs out.
 
     The search runs from both ends at once. Every step has an inverse step,
     so an edge usable in one direction is usable in the other and a meeting
@@ -460,7 +488,7 @@ def bfs_rw_eq(
     front_q: deque[PathExpr] = deque([q])
     explored = 0
     while front_p and front_q:
-        if explored >= budget.max_states:
+        if explored >= budget.max_states or search.generated >= MAX_NEIGHBORS:
             return OracleVerdict(BUDGET_EXHAUSTED, explored)
         # expand the thinner side
         if len(front_p) <= len(front_q):
@@ -486,7 +514,8 @@ def explore_class(
     """All terms reachable from p within the budget, plus whether the
     enumeration finished. A finished set is the entire equivalence class of
     p among terms within the size cap; a p larger than the cap never
-    finishes."""
+    finishes, and neither does a search that generates MAX_NEIGHBORS
+    neighbours."""
     endpoints(space, p)
     if budget is None:
         budget = Budget()
@@ -499,7 +528,7 @@ def explore_class(
     frontier: deque[PathExpr] = deque([p])
     explored = 0
     while frontier:
-        if explored >= budget.max_states:
+        if explored >= budget.max_states or search.generated >= MAX_NEIGHBORS:
             return seen, False
         t = frontier.popleft()
         explored += 1

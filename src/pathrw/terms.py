@@ -206,13 +206,21 @@ def zpow(space: "SpacePresentation", loop: PathExpr, n: int) -> PathExpr:
     return acc
 
 
+# states the search oracle may spend proving one relation preserved, where
+# the target's normal forms do not decide equality
+PRESERVATION_STATES = 2_000
+
+
 @dataclass(frozen=True)
 class SpaceMap:
     """A map of presentations: points to points, generators to target terms.
 
     Construction eagerly checks that generator images connect the mapped
     endpoints and that both sides of every source relation stay equal in the
-    target, so an ill-defined map never escapes into map_path.
+    target, so an ill-defined map never escapes into map_path. Where the
+    target's normal forms do not decide equality, a relation whose sides
+    the search oracle cannot join within PRESERVATION_STATES states leaves
+    the map undecided, which raises too.
     """
 
     source: "SpacePresentation"
@@ -240,16 +248,28 @@ class SpaceMap:
                     f"image of generator '{gen.name}' runs {src} -> {tgt}, "
                     f"expected {want[0]} -> {want[1]}"
                 )
-        # Relation preservation needs the rewrite engine; import here to keep
-        # the module graph acyclic.
-        from .rewrite import rw_eq
+        # Relation preservation needs the rewrite engine and the search
+        # oracle; import here to keep the module graph acyclic.
+        from .oracle import Budget, bfs_rw_eq
+        from .rewrite import normal_forms_decide, rw_eq
 
         for rel in self.source.relations:
             lhs = map_path(self, rel.lhs)
             rhs = map_path(self, rel.rhs)
-            if not rw_eq(self.target, lhs, rhs):
+            if rw_eq(self.target, lhs, rhs):
+                continue
+            if normal_forms_decide(self.target):
                 raise SpaceMapError(
                     f"relation '{rel.name}' is not preserved by the map"
+                )
+            # distinct normal forms prove nothing here; a derivation found by
+            # a short search does, and finding none leaves the map unproven
+            budget = Budget(max_states=PRESERVATION_STATES)
+            if not bfs_rw_eq(self.target, lhs, rhs, budget).is_equal:
+                raise SpaceMapError(
+                    f"preservation of relation '{rel.name}' is undecided: "
+                    f"no derivation in the target within {PRESERVATION_STATES} "
+                    "search states"
                 )
 
 

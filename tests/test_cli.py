@@ -466,6 +466,48 @@ class TestErrorExits:
         assert "the limit is 1,000,000" in done.stderr
 
 
+# run in a fresh interpreter: it limits its own address space, runs the
+# command and prints [exit code, output, peak RSS in KiB] as JSON
+_LIMITED_CHILD = """\
+import json, resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from pathrw.cli import run
+code, text = run(sys.argv[2:])
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([code, text, peak]))
+"""
+
+
+def run_limited(argv, max_bytes, timeout=120):
+    """`run(argv)` in a child process whose address space is capped at
+    `max_bytes`, so a runaway command fails alone instead of exhausting the
+    machine. Returns the exit code, the output text and the child's peak
+    resident set size in bytes."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CHILD, str(max_bytes), *argv],
+        capture_output=True, text=True, timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
+    code, text, peak_kib = json.loads(done.stdout)
+    return code, text, peak_kib * 1024
+
+
+class TestSearchMemory:
+    def test_long_powers_answer_undecided_within_the_work_bound(self):
+        # with the state budget alone this search ran 200,000 states and
+        # peaked at 2.5 GB before answering; the neighbour bound stops it
+        # long before that
+        limit = 500 << 20
+        code, text, peak = run_limited(
+            ["equal", "--oracle", "--space", "circle", "a^12", "a^13"], limit
+        )
+        assert code == 1 and text.startswith("undecided (searched ")
+        assert peak < limit
+
+
 class TestDeepInputs:
     # each of these once died with a RecursionError (exit 1)
     def test_oracle_compares_deep_inputs(self):

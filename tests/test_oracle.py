@@ -1,11 +1,12 @@
 """Tests for the search oracle, the enumerators, and the seeded RNG."""
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
 
-from pathrw import oracle
+from pathrw import oracle, terms
 from pathrw.errors import (
     EndpointMismatchError,
     UnknownGeneratorError,
@@ -534,6 +535,65 @@ class TestSearchTable:
         seen, complete = explore_class(TORUS, p, Budget(max_term_size=5))
         assert complete
         assert same in seen and Trans(Gen("b"), Gen("a")) in seen
+
+
+class TestSearchKeys:
+    def test_tables_key_nodes_by_the_hash_ints_they_hold(self):
+        search = oracle._Search(CIRCLE, 9)
+        a = search.intern(Gen("a"))
+        aa, inv_a = search.trans(a, a), search.symm(a)
+        assert search.trans(a, a) is aa and search.symm(a) is inv_a
+        # no key object of the tables' own: a Trans is filed under the int
+        # in its `_hash` slot, a Symm under the one in its inner's
+        [trans_key], [symm_key] = search._transes, search._symms
+        assert trans_key is aa._hash and symm_key is a._hash
+
+    def test_nodes_whose_hashes_clash_are_all_interned(self, monkeypatch):
+        search = oracle._Search(TORUS, 9)
+        ab = search.intern(parse_path(TORUS, "a * b"))
+        inv_a = search.intern(parse_path(TORUS, "~a"))
+
+        def clash(parts):
+            return {2: inv_a._hash, 3: ab._hash}.get(parts[0], hash(parts))
+
+        # from here on every Symm built has the hash of ~a and every Trans
+        # that of a * b, as if the hash function collided
+        monkeypatch.setattr(terms, "hash", clash, raising=False)
+        monkeypatch.setattr(oracle, "hash", clash, raising=False)
+        texts = ("a * b", "b * a", "a * a", "~a", "~(a * b)", "~(b * a)", "~(a * a)")
+        nodes = [search.intern(parse_path(TORUS, text)) for text in texts]
+        assert nodes == [parse_path(TORUS, text) for text in texts]
+        assert len({id(node) for node in nodes}) == len(texts)
+        assert nodes[0] is ab and nodes[3] is inv_a
+        for text, node in zip(texts, nodes):
+            assert search.intern(parse_path(TORUS, text)) is node
+        b, a = search.intern(Gen("b")), search.intern(Gen("a"))
+        assert search.trans(b, a) is nodes[1] and search.symm(nodes[1]) is nodes[5]
+
+
+class TestWorkBound:
+    def test_neighbour_bound_stops_searches_early(self, monkeypatch):
+        # unbounded, these are pinned above: NOT_EQUAL_WITHIN_BUDGET after
+        # 2935 states, and a finished class of 64 terms
+        monkeypatch.setattr(oracle, "MAX_NEIGHBORS", 100)
+        p, q = parse_path(CIRCLE, "a * a"), parse_path(CIRCLE, "~a * a")
+        v = bfs_rw_eq(CIRCLE, p, q, Budget(4_000))
+        assert v.kind == BUDGET_EXHAUSTED and 0 < v.explored < 2935
+        seen, finished = explore_class(CIRCLE, Refl("pt"), Budget(100_000, 6))
+        assert not finished and 0 < len(seen) < 64
+
+    def test_bounded_search_peak_memory(self):
+        # 17.8 MB measured; a key object per table entry pushes it past 25 MB
+        p = parse_path(CIRCLE, "a * (a * ~refl * a)")
+        q = parse_path(CIRCLE, "~(a * (a * refl))")
+        tracemalloc.start()
+        try:
+            v = bfs_rw_eq(CIRCLE, p, q, Budget(max_states=4_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v == OracleVerdict(BUDGET_EXHAUSTED, 4_000)
+        assert peak < 20_000_000
 
 
 class TestLocalConfluence:

@@ -14,6 +14,7 @@ from pathrw import (
     builtin,
     endpoints,
     map_path,
+    parse_space_text,
     size,
     zpow,
 )
@@ -195,6 +196,35 @@ class TestSpaceMap:
             gen_map={"a": Gen("a"), "b": Refl("pt")},
         )
         assert map_path(m, Gen("b")) == Refl("pt")
+
+    def _file_torus(self, relation):
+        return parse_space_text(
+            f"point pt\ngen a : pt -> pt\ngen b : pt -> pt\nrel r : {relation}\n",
+            name="filetorus",
+        )
+
+    def test_relation_kept_by_a_derivation_in_a_file_space(self):
+        # free normal forms tell a * b from b * a, but the target's own
+        # relation joins them in one search step
+        torus = builtin("torus")
+        m = SpaceMap(
+            source=torus,
+            target=self._file_torus("a * b = b * a"),
+            point_map={"pt": "pt"},
+            gen_map={"a": Gen("a"), "b": Gen("b")},
+        )
+        assert map_path(m, torus.relations[0].lhs) == Trans(Gen("a"), Gen("b"))
+
+    def test_unjoined_relation_in_a_file_space_is_undecided(self):
+        # a and b do not commute in <a, b | a^3>, so no search can join
+        # the two sides; the map is neither accepted nor called wrong
+        with pytest.raises(SpaceMapError, match="'torusComm' is undecided"):
+            SpaceMap(
+                source=builtin("torus"),
+                target=self._file_torus("a * a * a = refl(pt)"),
+                point_map={"pt": "pt"},
+                gen_map={"a": Gen("a"), "b": Gen("b")},
+            )
 
     def _cylinder_retraction(self):
         return SpaceMap(
