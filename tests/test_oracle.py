@@ -1,6 +1,7 @@
 """Tests for the search oracle, the enumerators, and the seeded RNG."""
 
 import gc
+import hashlib
 import tracemalloc
 import weakref
 
@@ -216,6 +217,29 @@ class TestRandomTerm:
         rng = Lcg(23)
         draws = {random_term(CIRCLE, 7, rng) for _ in range(12)}
         assert len(draws) > 1
+
+    def test_draws_are_pinned(self):
+        # digest of every draw over every builtin, sizes 1-40, four seeds and
+        # every way of pinning endpoints, one line per draw; it fixes both
+        # the draw order and which sizes fit which endpoints
+        digest = hashlib.sha256()
+        for space in ALL_SPACES:
+            pts = space.points
+            ends = [(None, None), *((p, None) for p in pts), *((None, p) for p in pts)]
+            ends += [(s, t) for s in pts for t in pts]
+            for n in range(1, 41):
+                for seed in (0, 1, 7, 42):
+                    for src, tgt in ends:
+                        try:
+                            t = random_term(space, n, Lcg(seed), src, tgt)
+                            got = render_path(space, t)
+                        except UnreachableEndpointsError:
+                            got = "unreachable"
+                        line = f"{space.name}|{n}|{seed}|{src}|{tgt}|{got}\n"
+                        digest.update(line.encode())
+        assert digest.hexdigest() == (
+            "2b2cac0cced26407050af3c7839551ed97b5d10b00b63400d1e9edabdde0f026"
+        )
 
 
 class TestBfsVerdicts:
