@@ -21,15 +21,16 @@ returns, in one place.
 Exit codes: 0 success; 1 a negative or undecided answer (paths differ, a
 check failed, equality undecided); 2 bad input (parse errors, unknown
 names, malformed values).
+
+Sources may be compiled at every start, so no module of the package
+imports `typing`, and this one loads argparse, json and the check suites
+only when a command uses them.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 
-from .checks import run_checks
 from .errors import PathError
 from .oracle import DEFAULT_MAX_STATES, Budget, bfs_rw_eq
 from .pi1 import encode, decode, parse_group_value, render_group_value
@@ -37,8 +38,14 @@ from .rewrite import format_step, normal_forms_decide, normalize, rw_eq, trace
 from .spaces import BUILTIN_NAMES, SpacePresentation, builtin, parse_space_file
 from .syntax import parse_path, render_path, render_word
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import argparse
+
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pathrw",
         description="normalize, compare, and count paths in presented spaces",
@@ -171,6 +178,8 @@ def _run_decode(args, space):
 
 
 def _run_check(args, space):
+    from .checks import run_checks
+
     budget = Budget(
         max_states=args.max_states, max_term_size=args.max_term_size
     )
@@ -247,6 +256,8 @@ def run(argv: list[str]) -> tuple[int, str]:
     except (PathError, OSError, ValueError) as exc:
         return 2, f"error: {exc}"
     if args.json:
+        import json
+
         payload = {
             "cmd": args.cmd,
             "space": None if space is None else space.name,

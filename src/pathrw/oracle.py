@@ -36,9 +36,9 @@ loop and term enumerators, and a one-step confluence probe.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import EndpointMismatchError, UnreachableEndpointsError
 from .rewrite import (
@@ -151,19 +151,55 @@ def _leaf_options(space: SpacePresentation, src: str, tgt: str) -> tuple[PathExp
     return tuple(opts)
 
 
-@lru_cache(maxsize=None)
+_FEASIBLE: dict[SpacePresentation, list[frozenset[tuple[str, str]]]] = {}
+
+
+def _feasible_sizes(
+    space: SpacePresentation, n: int
+) -> list[frozenset[tuple[str, str]]]:
+    """For each size from 0 to at least n, the (src, tgt) pairs that some
+    term of exactly that many nodes joins, filled in size by size, so a
+    deep size needs no recursion. Once two sizes in a row give the same
+    pairs, holding every smaller size's and closed under inverse and
+    composition, every later size gives them too (`~~t` lifts a size's
+    pairs two sizes up, and no term joins a pair outside them), so later
+    rows repeat that one unbuilt."""
+    table = _FEASIBLE.setdefault(space, [frozenset()])
+    points = space.points
+    pairs = [(s, t) for s in points for t in points]
+    while len(table) <= n:
+        m = len(table)
+        last = table[-1]
+        if m > 2 and last is table[-2]:
+            table.append(last)
+            continue
+        if m == 1:
+            row = [(s, t) for s, t in pairs if _leaf_options(space, s, t)]
+        else:
+            row = [
+                (s, t)
+                for s, t in pairs
+                if (t, s) in table[m - 1]
+                or any(
+                    (s, mid) in table[k] and (mid, t) in table[m - 1 - k]
+                    for k in range(1, m - 1)
+                    for mid in points
+                )
+            ]
+        row = frozenset(row)
+        if (
+            row == last
+            and all(r <= row for r in table)
+            and all((t, s) in row for s, t in row)
+            and all((s, u) in row for s, a in row for b, u in row if a == b)
+        ):
+            row = last
+        table.append(row)
+    return table
+
+
 def _feasible(space: SpacePresentation, n: int, src: str, tgt: str) -> bool:
-    if n <= 0:
-        return False
-    if n == 1:
-        return bool(_leaf_options(space, src, tgt))
-    if _feasible(space, n - 1, tgt, src):
-        return True
-    for k in range(1, n - 1):
-        for mid in space.points:
-            if _feasible(space, k, src, mid) and _feasible(space, n - 1 - k, mid, tgt):
-                return True
-    return False
+    return n > 0 and (src, tgt) in _feasible_sizes(space, n)[n]
 
 
 @lru_cache(maxsize=None)
@@ -256,23 +292,40 @@ def random_term(
 def _random_term(
     space: SpacePresentation, rng: Lcg, n: int, src: str, tgt: str
 ) -> PathExpr:
-    if n == 1:
-        return rng.choice(_leaf_options(space, src, tgt))
-    splits = [
-        (k, mid)
-        for k in range(1, n - 1)
-        for mid in space.points
-        if _feasible(space, k, src, mid) and _feasible(space, n - 1 - k, mid, tgt)
-    ]
-    can_symm = _feasible(space, n - 1, tgt, src)
-    # Lean toward composition so generated terms branch instead of stacking
-    # inverse wrappers.
-    if splits and (not can_symm or rng.randint(4) != 0):
-        k, mid = rng.choice(splits)
-        left = _random_term(space, rng, k, src, mid)
-        right = _random_term(space, rng, n - 1 - k, mid, tgt)
-        return Trans(left, right)
-    return Symm(_random_term(space, rng, n - 1, tgt, src))
+    """Draw a node's shape, then its left subterm in full, then its right,
+    with an explicit stack of sizes still to draw and constructors still to
+    apply, so the size is not bounded by the recursion limit."""
+    table = _feasible_sizes(space, n)
+    todo: list = [(n, src, tgt)]
+    built: list[PathExpr] = []
+    while todo:
+        job = todo.pop()
+        if job is Trans:
+            right = built.pop()
+            built.append(Trans(built.pop(), right))
+            continue
+        if job is Symm:
+            built.append(Symm(built.pop()))
+            continue
+        n, src, tgt = job
+        if n == 1:
+            built.append(rng.choice(_leaf_options(space, src, tgt)))
+            continue
+        splits = [
+            (k, mid)
+            for k in range(1, n - 1)
+            for mid in space.points
+            if (src, mid) in table[k] and (mid, tgt) in table[n - 1 - k]
+        ]
+        can_symm = (tgt, src) in table[n - 1]
+        # Lean toward composition so generated terms branch instead of
+        # stacking inverse wrappers.
+        if splits and (not can_symm or rng.randint(4) != 0):
+            k, mid = rng.choice(splits)
+            todo += [Trans, (n - 1 - k, mid, tgt), (k, src, mid)]
+        else:
+            todo += [Symm, (n - 1, tgt, src)]
+    return built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +358,8 @@ class _Search:
         # (point, payload size cap) -> every cancellation pair introducible
         # at a constant path there, in enumeration order
         self._pairs: dict[tuple[str, int], list[PathExpr]] = {}
+        # (size, src, tgt) -> the table's copies of `enumerate_terms`' terms
+        self._payloads: dict[tuple[int, str, str], list[PathExpr]] = {}
         self._ends: dict[PathExpr, tuple[str, str]] = {}
         self._end_pairs: dict[tuple[str, str], tuple[str, str]] = {}
         # room -> subterm -> its reductions, or its introductions
@@ -442,14 +497,22 @@ class _Search:
         pairs = self._pairs.get(key)
         if pairs is None:
             pairs = self._pairs[key] = []
-            space = self.space
             for qn in range(1, max_payload + 1):
-                for other in space.points:
-                    for q in enumerate_terms(space, qn, other, point):
-                        pairs.append(_CANCEL_LEFT(refl, self.intern(q), self))
-                    for q in enumerate_terms(space, qn, point, other):
-                        pairs.append(_CANCEL_RIGHT(refl, self.intern(q), self))
+                for other in self.space.points:
+                    for q in self.payloads(qn, other, point):
+                        pairs.append(_CANCEL_LEFT(refl, q, self))
+                    for q in self.payloads(qn, point, other):
+                        pairs.append(_CANCEL_RIGHT(refl, q, self))
         return pairs
+
+    def payloads(self, n: int, src: str, tgt: str) -> list[PathExpr]:
+        """Every term of n nodes from src to tgt, interned once per search."""
+        key = (n, src, tgt)
+        out = self._payloads.get(key)
+        if out is None:
+            terms = enumerate_terms(self.space, n, src, tgt)
+            out = self._payloads[key] = [self.intern(q) for q in terms]
+        return out
 
 
 def bfs_rw_eq(

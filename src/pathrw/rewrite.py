@@ -55,16 +55,13 @@ whole term, which is never built.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
 
 from .errors import EndpointMismatchError, StepNotEnabledError
-from .spaces import _builtin_record
+from .spaces import Relation, SpacePresentation, _builtin_record
 from .terms import Gen, PathExpr, Refl, Symm, Trans, endpoints
-
-if TYPE_CHECKING:
-    from .spaces import Relation, SpacePresentation
 
 Position = tuple[int, ...]
 

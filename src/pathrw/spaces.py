@@ -15,13 +15,16 @@ of testing which space or tag they have.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping
 
 from . import terms
 from .errors import ParseError, UnknownSpaceError
 from .terms import Gen, PathExpr, Refl, Symm, Trans
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from pathlib import Path
 
 
 class GroupTag(enum.Enum):
@@ -383,5 +386,7 @@ def parse_space_text(text: str, name: str = "user-space") -> SpacePresentation:
 
 
 def parse_space_file(path: str | Path) -> SpacePresentation:
+    from pathlib import Path
+
     p = Path(path)
     return parse_space_text(p.read_text(), name=p.stem)

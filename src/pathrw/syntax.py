@@ -14,15 +14,12 @@ the parser accepts both names.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from collections.abc import Mapping
 
 from .errors import ParseError
-from .spaces import _builtin_record
+from .rewrite import Word
+from .spaces import SpacePresentation, _builtin_record
 from .terms import Gen, PathExpr, Refl, Symm, Trans, zpow
-
-if TYPE_CHECKING:
-    from .rewrite import Word
-    from .spaces import SpacePresentation
 
 # The most nodes a parsed term may have, checked before anything is built,
 # so a short text such as `a^100000000` is refused instead of allocated. A
@@ -45,9 +42,9 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
             tokens.append(("sym", ch))
             i += 1
             continue
-        if ch.isdigit() or (ch == "-" and text[i + 1 : i + 2].isdigit()):
+        if ch.isdecimal() or (ch == "-" and text[i + 1 : i + 2].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j]))
             i = j

@@ -8,8 +8,8 @@ engine's visited sets and cancellation checks rely on.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
 
 from .errors import (
     EndpointMismatchError,
@@ -19,6 +19,8 @@ from .errors import (
     UnknownPointError,
 )
 
+# spaces imports this module, so SpacePresentation is for type checkers only
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .spaces import SpacePresentation
 

@@ -534,6 +534,32 @@ class TestDeepInputs:
     def test_encode_retracts_a_deep_loop(self, space, expr):
         assert run(["encode", "--space", space, expr]) == (0, "3000")
 
+    def test_check_draws_deep_terms(self):
+        # drawing and sizing a term of 2,000 nodes once recursed per node
+        code, text = run(
+            ["check", "--space", "circle", "--samples", "1", "--size", "2000"]
+        )
+        assert code == 0 and text.endswith("all checks passed")
+
+
+class TestColdStart:
+    def test_import_loads_only_what_a_call_uses(self):
+        # -S keeps site-packages' start-up hooks, which may import typing,
+        # out of the fresh interpreter
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        probe = (
+            "import sys, pathrw, pathrw.cli\n"
+            "print(*[m for m in ('typing', 'argparse', 'json', 'pathrw.checks')"
+            " if m in sys.modules])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == []
+
 
 # the grammar's own alphabet, as tokens, so drawn texts get past the
 # tokenizer into the parser and the commands behind it

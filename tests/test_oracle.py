@@ -1,5 +1,6 @@
 """Tests for the search oracle, the enumerators, and the seeded RNG."""
 
+import functools
 import gc
 import hashlib
 import tracemalloc
@@ -217,6 +218,35 @@ class TestRandomTerm:
         rng = Lcg(23)
         draws = {random_term(CIRCLE, 7, rng) for _ in range(12)}
         assert len(draws) > 1
+
+    def test_feasibility_matches_its_recursive_definition(self):
+        @functools.lru_cache(maxsize=None)
+        def feasible(space, n, src, tgt):
+            if n == 1:
+                return src == tgt or any(
+                    g.src == src and g.tgt == tgt for g in space.generators
+                )
+            return feasible(space, n - 1, tgt, src) or any(
+                feasible(space, k, src, mid) and feasible(space, n - 1 - k, mid, tgt)
+                for k in range(1, n - 1)
+                for mid in space.points
+            )
+
+        apart = parse_space_text("point p\npoint q\npoint r\ngen a : p -> p\n")
+        chain = parse_space_text(
+            "point p\npoint q\npoint r\ngen a : p -> q\ngen b : r -> q\n"
+        )
+        for space in (*ALL_SPACES, apart, chain):
+            for n in range(1, 60):
+                for src in space.points:
+                    for tgt in space.points:
+                        assert oracle._feasible(space, n, src, tgt) == feasible(
+                            space, n, src, tgt
+                        ), (space.name, n, src, tgt)
+        # sizes far past the recursion limit answer at once
+        assert size(random_term(apart, 20_000, Lcg(1), "q", "q")) == 20_000
+        with pytest.raises(UnreachableEndpointsError):
+            random_term(apart, 20_000, Lcg(1), "p", "q")
 
     def test_draws_are_pinned(self):
         # digest of every draw over every builtin, sizes 1-40, four seeds and

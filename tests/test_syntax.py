@@ -99,6 +99,12 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_path(CIRCLE, "a a")
 
+    def test_superscript_digits_are_not_integers(self):
+        # str.isdigit accepts '²', which int() then rejects
+        for text in ("a^²", "a^1²", "a^²1"):
+            with pytest.raises(ParseError, match="unexpected character '²'"):
+                parse_path(CIRCLE, text)
+
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):
             parse_path(CIRCLE, "(a * a")
