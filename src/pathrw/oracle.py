@@ -12,21 +12,22 @@ inputs.
 Each state is expanded in one pass over its nodes. A term's one-step
 rewrites are the steps at its root followed by each child's rewrites
 plugged back into it, so positions come in preorder; a subterm's rewrites
-and endpoints are computed once per search and reused by every state that
-contains it. Every step's local effect, reduction or introduction, comes
-from the rule table in `rewrite`, built with the search's constructors.
+are computed once per search and reused by every state that contains it.
+The search restates each rule of the table in `rewrite` over its own node
+ids, and its tests hold the two statements to the same neighbour lists.
 Neighbour order is part of the contract, since it fixes the search order
 and so every explored count: reductions first in `redexes` order, then the
 introductions at each position in preorder, in table order, with
-cancellation-pair payloads in `enumerate_terms` order. A search builds its
-terms through its own hash-consing table (Filliatre and Conchon, "Type-safe
-modular hash-consing", 2006), so equal terms are one object and visited-set
-hits are identity hits. As there, the table needs no key objects: a node is
-filed under a hash that it or its child already stores, and a hit is
-confirmed by the identity of its children. The table is dropped when the
-search returns, and term equality stays structural, so no answer depends
-on it. A search stops, undecided, when its state budget runs out or once
-it has generated MAX_NEIGHBORS neighbours, which is what bounds its memory.
+cancellation-pair payloads in `enumerate_terms` order. A search numbers
+its terms as it builds them, a form of hash-consing (Filliatre and
+Conchon, "Type-safe modular hash-consing", 2006): a node is an int id into
+columns of kind, children, size, endpoints and search mark, filed under
+the exact ids of its children, so equal terms get one id, no structural
+hash is trusted, and a visited-set probe is one read of the mark column.
+The columns die with the search, which hands back plain terms only
+through `_Search.term`. A search stops, undecided, when its state budget
+runs out or once it has generated MAX_NEIGHBORS neighbours, which is what
+bounds its memory.
 
 Also here: a deterministic random term generator (a fixed 64-bit linear
 congruential generator, so seeds mean the same thing everywhere), exhaustive
@@ -42,14 +43,8 @@ from functools import lru_cache
 
 from .errors import EndpointMismatchError, UnreachableEndpointsError
 from .rewrite import (
-    SYMM_TRANS_CANCEL_INTRO,
-    TRANS_SYMM_CANCEL_INTRO,
     Word,
-    _INTRODUCTIONS_AT,
-    _RULES,
-    _reduce_at,
-    _relation_table,
-    _shape,
+    _plain_relations,
     apply_step,
     normal_forms_decide,
     normalize,
@@ -66,9 +61,8 @@ DEFAULT_SIZE_MARGIN = 6
 # neighbours; this is about 8x the most any acceptance-gate search needs.
 MAX_NEIGHBORS = 1_000_000
 
-# the two cancellation-pair introductions' effects, which wrap a payload
-_CANCEL_LEFT = _RULES[(Refl,), SYMM_TRANS_CANCEL_INTRO.kind][1]
-_CANCEL_RIGHT = _RULES[(Refl,), TRANS_SYMM_CANCEL_INTRO.kind][1]
+# the kinds of a search node
+_REFL, _GEN, _SYMM, _TRANS = range(4)
 
 EQUAL = "EQUAL"
 NOT_EQUAL_WITHIN_BUDGET = "NOT_EQUAL_WITHIN_BUDGET"
@@ -333,97 +327,90 @@ def _random_term(
 
 
 class _Search:
-    """The hash-consing table of one search, plus what the search reuses.
+    """The nodes of one search, plus what the search reuses.
 
-    No table makes key objects of its own. A composition built through it
-    is filed under the int its `_hash` slot holds, an inverse under the one
-    its inner term's slot holds, and a hit is confirmed by the identity of
-    the children; the rare term whose key another term already holds is
-    filed under itself. So equal terms built during one search are one
-    object and the search's set lookups hit on identity. Endpoints and
-    rewrite lists are keyed by the term itself, and endpoint pairs are
-    shared. The table lives only as long as the search that made it.
-    Equality and hashing stay structural, so a term built outside the table
-    still matches."""
+    Ids start at 1, so a table probe can read `get(key) or build(...)`. A
+    composition is filed under its two child ids packed into one int, exact
+    while ids stay below 2**32 (memory runs out long before), and an
+    inverse under its child's id."""
 
     def __init__(self, space: SpacePresentation, cap: int):
         self.space = space
         self.cap = cap
         self.generated = 0  # neighbours generated so far
-        self._refls: dict[str, Refl] = {}
-        self._gens: dict[str, Gen] = {}
-        # inner's hash -> Symm, own hash -> Trans; clashing nodes key themselves
-        self._symms: dict[int | Symm, Symm] = {}
-        self._transes: dict[int | Trans, Trans] = {}
-        # (point, payload size cap) -> every cancellation pair introducible
-        # at a constant path there, in enumeration order
-        self._pairs: dict[tuple[str, int], list[PathExpr]] = {}
-        # (size, src, tgt) -> the table's copies of `enumerate_terms`' terms
-        self._payloads: dict[tuple[int, str, str], list[PathExpr]] = {}
-        self._ends: dict[PathExpr, tuple[str, str]] = {}
-        self._end_pairs: dict[tuple[str, str], tuple[str, str]] = {}
+        # columns indexed by id, node 0 a placeholder; a mark is 0 until a
+        # side of the search reaches the node, then that side's number
+        self.kind, self.mark, self.size = bytearray(1), bytearray(1), [0]
+        self.first, self.second = [None], [None]  # child ids, or a leaf's name
+        self.src, self.tgt = [None], [None]
+        self._refls = {pt: self._add(_REFL, pt, None, 1, pt, pt) for pt in space.points}
+        self._gens = {
+            g.name: self._add(_GEN, g.name, None, 1, g.src, g.tgt)
+            for g in space.generators
+        }
+        self._symms: dict[int, int] = {}  # inner id -> id
+        self._transes: dict[int, int] = {}  # first id << 32 | second id -> id
+        # (constant path, payload size cap) -> every cancellation pair
+        # introducible there, in enumeration order
+        self._pairs: dict[tuple[int, int], list[int]] = {}
+        # (size, src, tgt) -> the ids of `enumerate_terms`' terms
+        self._payloads: dict[tuple[int, str, str], list[int]] = {}
         # room -> subterm -> its reductions, or its introductions
         self._reductions_of: dict[int, dict] = {}
         self._introductions_of: dict[int, dict] = {}
-        self.relations = _relation_table(space, self.intern)
+        self.relations = {
+            self.intern(side): [self.intern(new) for _, new in rows]
+            for side, rows in _plain_relations(space).items()
+        }
 
-    def refl(self, point: str) -> Refl:
-        t = self._refls.get(point)
-        if t is None:
-            t = self._refls[point] = Refl(point)
-        return t
+    def _add(self, kind: int, first, second, n: int, src: str, tgt: str) -> int:
+        self.kind.append(kind)
+        self.first.append(first)
+        self.second.append(second)
+        self.size.append(n)
+        self.src.append(src)
+        self.tgt.append(tgt)
+        self.mark.append(0)
+        return len(self.mark) - 1
 
-    def symm(self, inner: PathExpr) -> Symm:
-        t = self._symms.get(inner._hash)
-        if t is None:
-            t = self._symms[inner._hash] = Symm(inner)
-        elif t.inner is not inner:
-            new = Symm(inner)
-            t = self._symms.setdefault(new, new)
-        return t
+    def symm(self, inner: int) -> int:
+        i = self._symms.get(inner)
+        if i is None:
+            i = self._symms[inner] = self._add(
+                _SYMM, inner, None, self.size[inner] + 1,
+                self.tgt[inner], self.src[inner],
+            )
+        return i
 
-    def trans(self, first: PathExpr, second: PathExpr) -> Trans:
-        # probe with the hash the node will hold, computed as `terms` does
-        t = self._transes.get(hash((3, first._hash, second._hash)))
-        if t is None:
-            t = Trans(first, second)
-            self._transes[t._hash] = t
-        elif t.first is not first or t.second is not second:
-            new = Trans(first, second)
-            t = self._transes.setdefault(new, new)
-        return t
+    def trans(self, first: int, second: int) -> int:
+        key = first << 32 | second
+        i = self._transes.get(key)
+        if i is None:
+            i = self._transes[key] = self._add(
+                _TRANS, first, second, self.size[first] + self.size[second] + 1,
+                self.src[first], self.tgt[second],
+            )
+        return i
 
-    def intern(self, t: PathExpr) -> PathExpr:
-        """The table's copy of a term built elsewhere."""
-        if isinstance(t, Trans):
+    def intern(self, t: PathExpr) -> int:
+        """The id of a plain term."""
+        cls = type(t)
+        if cls is Trans:
             return self.trans(self.intern(t.first), self.intern(t.second))
-        if isinstance(t, Symm):
+        if cls is Symm:
             return self.symm(self.intern(t.inner))
-        if isinstance(t, Refl):
-            return self.refl(t.point)
-        g = self._gens.get(t.name)
-        if g is None:
-            g = self._gens[t.name] = Gen(t.name)
-        return g
+        return self._refls[t.point] if cls is Refl else self._gens[t.name]
 
-    def ends(self, t: PathExpr) -> tuple[str, str]:
-        e = self._ends.get(t)
-        if e is None:
-            cls = type(t)
-            if cls is Trans:
-                e = (self.ends(t.first)[0], self.ends(t.second)[1])
-            elif cls is Symm:
-                tgt, src = self.ends(t.inner)
-                e = (src, tgt)
-            elif cls is Refl:
-                e = (t.point, t.point)
-            else:
-                g = self.space.generator_map[t.name]
-                e = (g.src, g.tgt)
-            self._ends[t] = e = self._end_pairs.setdefault(e, e)
-        return e
+    def term(self, i: int) -> PathExpr:
+        """The plain term of an id."""
+        kind, first = self.kind[i], self.first[i]
+        if kind == _TRANS:
+            return Trans(self.term(first), self.term(self.second[i]))
+        if kind == _SYMM:
+            return Symm(self.term(first))
+        return Refl(first) if kind == _REFL else Gen(first)
 
-    def neighbors(self, t: PathExpr) -> Iterator[PathExpr]:
+    def neighbors(self, t: int) -> Iterator[int]:
         """Every term one step from t within the size cap, in a fixed order
         that decides the search order: reductions in `redexes` order, then
         the introductions at each position in preorder."""
@@ -440,25 +427,29 @@ class _Search:
     # positions in preorder. `room` is the most nodes the rewritten term may
     # have, so a child's room is its parent's less the parent's other nodes.
     # A subterm recurs across many states, so its rewrites are kept for the
-    # rest of the search; a state's own list is used once and is not.
+    # rest of the search; a state's own list is used once and is not. A
+    # plugged node is looked up inline, and built only when it is new.
 
-    def rewrites(self, here, memo: dict, t: PathExpr, room: int) -> list[PathExpr]:
+    def rewrites(self, here, memo: dict, t: int, room: int) -> list[int]:
         """Every term one `here` step from t, at any position, with at most
         `room` nodes."""
         out = here(t, room)
-        cls = type(t)
-        if cls is Trans:
-            first, second, n, trans = t.first, t.second, t._size, self.trans
-            inside = self._inside(here, memo, first, room - n + first._size)
-            out += [trans(x, second) for x in inside]
-            inside = self._inside(here, memo, second, room - n + second._size)
-            out += [trans(first, x) for x in inside]
-        elif cls is Symm:
-            symm = self.symm
-            out += [symm(x) for x in self._inside(here, memo, t.inner, room - 1)]
+        kind = self.kind[t]
+        if kind == _TRANS:
+            first, second, size = self.first[t], self.second[t], self.size
+            get, trans, n = self._transes.get, self.trans, size[t]
+            inside = self._inside(here, memo, first, room - n + size[first])
+            out += [get(x << 32 | second) or trans(x, second) for x in inside]
+            inside = self._inside(here, memo, second, room - n + size[second])
+            high = first << 32
+            out += [get(high | x) or trans(first, x) for x in inside]
+        elif kind == _SYMM:
+            get, symm = self._symms.get, self.symm
+            inside = self._inside(here, memo, self.first[t], room - 1)
+            out += [get(x) or symm(x) for x in inside]
         return out
 
-    def _inside(self, here, memo: dict, t: PathExpr, room: int) -> list[PathExpr]:
+    def _inside(self, here, memo: dict, t: int, room: int) -> list[int]:
         at_room = memo.get(room)
         if at_room is None:
             at_room = memo[room] = {}
@@ -467,46 +458,79 @@ class _Search:
             out = at_room[t] = self.rewrites(here, memo, t, room)
         return out
 
-    def reductions_here(self, t: PathExpr, room: int) -> list[PathExpr]:
-        """The reductions at t's root, in `redexes` order."""
-        return [
-            new for _, new in _reduce_at(t, self.ends(t), self.relations, self)
-            if new._size <= room
-        ]
+    # The rules below restate the rows of `rewrite`'s rule table over ids,
+    # in table order; `TestNeighborOrder` holds them equal to `apply_step`.
 
-    def introductions_here(self, t: PathExpr, room: int) -> list[PathExpr]:
-        """The introductions at t's root, in the order of the table in
-        `rewrite`; at a constant path the cancellation pairs come last."""
-        ends = self.ends(t)
-        grow = room - t._size
-        out = [
-            effect(t, ends, self)
-            for adds, effect in _INTRODUCTIONS_AT[_shape(t)]
-            if adds <= grow
-        ]
-        if type(t) is Refl:
+    def reductions_here(self, t: int, room: int) -> list[int]:
+        """The reductions at t's root, in `redexes` order."""
+        kind, first, second, trans = self.kind, self.first, self.second, self.trans
+        out = []
+        if kind[t] == _TRANS:
+            a, b = first[t], second[t]
+            if kind[a] == _REFL:  # trans_refl_left
+                out.append(b)
+            if kind[b] == _REFL:  # trans_refl_right
+                out.append(a)
+            # symm_trans_cancel and trans_symm_cancel, which never both fit
+            if kind[a] == _SYMM and first[a] == b or kind[b] == _SYMM and first[b] == a:
+                out.append(self._refls[self.src[t]])
+            if kind[a] == _TRANS:  # assoc_left
+                out.append(trans(first[a], trans(second[a], b)))
+            if kind[b] == _TRANS:  # assoc_right
+                out.append(trans(trans(a, first[b]), second[b]))
+        elif kind[t] == _SYMM:
+            a = first[t]
+            if kind[a] == _REFL:  # symm_refl
+                out.append(a)
+            elif kind[a] == _SYMM:  # symm_symm
+                out.append(first[a])
+            elif kind[a] == _TRANS:  # symm_trans_congr
+                out.append(trans(self.symm(second[a]), self.symm(first[a])))
+        out += self.relations.get(t, ())
+        size = self.size
+        return [new for new in out if size[new] <= room]
+
+    def introductions_here(self, t: int, room: int) -> list[int]:
+        """The introductions at t's root, in table order; at a constant path
+        the cancellation pairs come last."""
+        kind, first, trans, symm = self.kind, self.first, self.trans, self.symm
+        grow = room - self.size[t]
+        out = []
+        if grow >= 2:  # trans_refl_left, trans_refl_right, symm_symm
+            out += [
+                trans(self._refls[self.src[t]], t),
+                trans(t, self._refls[self.tgt[t]]),
+                symm(symm(t)),
+            ]
+        if kind[t] == _TRANS and grow >= -1:  # symm_trans_congr
+            a, b = first[t], self.second[t]
+            if kind[a] == _SYMM and kind[b] == _SYMM:
+                out.append(symm(trans(first[b], first[a])))
+        elif kind[t] == _REFL:
+            if grow >= 1:  # symm_refl
+                out.append(symm(t))
             out += self.cancel_pairs(t, (room - 2) // 2)
         return out
 
-    def cancel_pairs(self, refl: Refl, max_payload: int) -> list[PathExpr]:
+    def cancel_pairs(self, refl: int, max_payload: int) -> list[int]:
         """Every cancellation pair with a payload of at most `max_payload`
         nodes that can stand for the constant path `refl`: per payload size,
         then per point, the ~q.q pairs before the q.~q ones."""
-        point = refl.point
-        key = (point, max_payload)
+        key = (refl, max_payload)
         pairs = self._pairs.get(key)
         if pairs is None:
+            point, trans, symm = self.first[refl], self.trans, self.symm
             pairs = self._pairs[key] = []
             for qn in range(1, max_payload + 1):
                 for other in self.space.points:
                     for q in self.payloads(qn, other, point):
-                        pairs.append(_CANCEL_LEFT(refl, q, self))
+                        pairs.append(trans(symm(q), q))
                     for q in self.payloads(qn, point, other):
-                        pairs.append(_CANCEL_RIGHT(refl, q, self))
+                        pairs.append(trans(q, symm(q)))
         return pairs
 
-    def payloads(self, n: int, src: str, tgt: str) -> list[PathExpr]:
-        """Every term of n nodes from src to tgt, interned once per search."""
+    def payloads(self, n: int, src: str, tgt: str) -> list[int]:
+        """The ids of every term of n nodes from src to tgt."""
         key = (n, src, tgt)
         out = self._payloads.get(key)
         if out is None:
@@ -544,27 +568,28 @@ def bfs_rw_eq(
     if p == q:
         return OracleVerdict(EQUAL, 0)
     search = _Search(space, cap)
+    mark = search.mark
     p, q = search.intern(p), search.intern(q)
-    seen_p: set[PathExpr] = {p}
-    seen_q: set[PathExpr] = {q}
-    front_p: deque[PathExpr] = deque([p])
-    front_q: deque[PathExpr] = deque([q])
+    mark[p], mark[q] = 1, 2
+    front_p: deque[int] = deque([p])
+    front_q: deque[int] = deque([q])
     explored = 0
     while front_p and front_q:
         if explored >= budget.max_states or search.generated >= MAX_NEIGHBORS:
             return OracleVerdict(BUDGET_EXHAUSTED, explored)
         # expand the thinner side
         if len(front_p) <= len(front_q):
-            frontier, seen, other = front_p, seen_p, seen_q
+            frontier, side = front_p, 1
         else:
-            frontier, seen, other = front_q, seen_q, seen_p
+            frontier, side = front_q, 2
         t = frontier.popleft()
         explored += 1
         for nb in search.neighbors(t):
-            if nb in other:
-                return OracleVerdict(EQUAL, explored)
-            if nb not in seen:
-                seen.add(nb)
+            seen = mark[nb]
+            if seen != side:
+                if seen:
+                    return OracleVerdict(EQUAL, explored)
+                mark[nb] = side
                 frontier.append(nb)
     if cap < largest:
         return OracleVerdict(BUDGET_EXHAUSTED, explored)
@@ -586,20 +611,22 @@ def explore_class(
     if cap is None:
         cap = size(p) + DEFAULT_SIZE_MARGIN
     search = _Search(space, cap)
-    p = search.intern(p)
-    seen = {p}
-    frontier: deque[PathExpr] = deque([p])
+    mark, start = search.mark, search.intern(p)
+    mark[start] = 1
+    frontier: deque[int] = deque([start])
     explored = 0
+    finished = size(p) <= cap
     while frontier:
         if explored >= budget.max_states or search.generated >= MAX_NEIGHBORS:
-            return seen, False
+            finished = False
+            break
         t = frontier.popleft()
         explored += 1
         for nb in search.neighbors(t):
-            if nb not in seen:
-                seen.add(nb)
+            if not mark[nb]:
+                mark[nb] = 1
                 frontier.append(nb)
-    return seen, size(p) <= cap
+    return {search.term(i) for i, seen in enumerate(mark) if seen}, finished
 
 
 def local_confluence_probe(space: SpacePresentation, p: PathExpr) -> bool:

@@ -28,10 +28,10 @@ a plain forward step list and replayed with `apply_step`.
 
 Every groupoid rule, reduction or introduction, is one row of one table: the
 node shape it fits (the node's class and its children's classes), what it
-reads (the node's endpoints, a payload or nothing) and its local effect,
-written once against abstract constructors. `redexes`, `apply_step`,
-`trace` and the search oracle all read those rows; relation rules are
-looked up by the side they rewrite.
+reads (the node's endpoints, a payload or nothing) and its local effect.
+`redexes`, `apply_step` and `trace` read those rows; relation rules are
+looked up by the side they rewrite. The search oracle restates the rows
+over its own node ids, and its tests hold the two statements equal.
 
 `normalize` computes words directly: leaf fold, stack cancellation, then
 the canonical-word rule of the space's record in the builtin table (see
@@ -209,71 +209,55 @@ def _position(chain: Chain) -> Position:
     return tuple(reversed(digits))
 
 
-class _Plain:
-    """The plain term constructors, for local effects outside a search."""
-
-    refl = Refl
-    symm = Symm
-    trans = Trans
-
-
 # Every groupoid rule is one row: the shape of node it rewrites (the node's
 # class, then its children's classes, None for any; None alone fits every
-# node), what its effect reads, and the effect. An effect gets the node, what
-# it reads and the constructors to build with, and returns the rewritten node,
-# or None when the rule's equality side condition fails. A rule reads the
-# node's endpoints (_ENDS), the step's payload (_PAYLOAD) or nothing (None).
+# node), what its effect reads, and the effect. An effect gets the node and
+# what it reads, and returns the rewritten node, or None when the rule's
+# equality side condition fails. A rule reads the node's endpoints (_ENDS),
+# the step's payload (_PAYLOAD) or nothing (None).
 _ENDS = "ends"
 _PAYLOAD = "payload"
 
 # The reductions, in `redexes` order.
 _REDUCTIONS = (
-    (TRANS_REFL_LEFT, (Trans, Refl, None), None, lambda t, _, mk: t.second),
-    (TRANS_REFL_RIGHT, (Trans, None, Refl), None, lambda t, _, mk: t.first),
+    (TRANS_REFL_LEFT, (Trans, Refl, None), None, lambda t, _: t.second),
+    (TRANS_REFL_RIGHT, (Trans, None, Refl), None, lambda t, _: t.first),
     (
         SYMM_TRANS_CANCEL, (Trans, Symm, None), _ENDS,
-        lambda t, e, mk: mk.refl(e[0]) if t.first.inner == t.second else None,
+        lambda t, e: Refl(e[0]) if t.first.inner == t.second else None,
     ),
     (
         TRANS_SYMM_CANCEL, (Trans, None, Symm), _ENDS,
-        lambda t, e, mk: mk.refl(e[0]) if t.second.inner == t.first else None,
+        lambda t, e: Refl(e[0]) if t.second.inner == t.first else None,
     ),
-    (SYMM_REFL, (Symm, Refl), None, lambda t, _, mk: t.inner),
-    (SYMM_SYMM, (Symm, Symm), None, lambda t, _, mk: t.inner.inner),
+    (SYMM_REFL, (Symm, Refl), None, lambda t, _: t.inner),
+    (SYMM_SYMM, (Symm, Symm), None, lambda t, _: t.inner.inner),
     (
         SYMM_TRANS_CONGR, (Symm, Trans), None,
-        lambda t, _, mk: mk.trans(mk.symm(t.inner.second), mk.symm(t.inner.first)),
+        lambda t, _: Trans(Symm(t.inner.second), Symm(t.inner.first)),
     ),
     (
         ASSOC_LEFT, (Trans, Trans, None), None,
-        lambda t, _, mk: mk.trans(t.first.first, mk.trans(t.first.second, t.second)),
+        lambda t, _: Trans(t.first.first, Trans(t.first.second, t.second)),
     ),
     (
         ASSOC_RIGHT, (Trans, None, Trans), None,
-        lambda t, _, mk: mk.trans(mk.trans(t.first, t.second.first), t.second.second),
+        lambda t, _: Trans(Trans(t.first, t.second.first), t.second.second),
     ),
 )
 
-# The introductions, in the order the search tries them at a node, each with
-# the number of nodes it adds. A cancellation pair wraps its payload q, so it
-# adds 2|q| + 1 nodes: None here.
+# The introductions, in the order the search tries them at a node.
 _INTRODUCTIONS = (
-    (TRANS_REFL_LEFT_INTRO, None, _ENDS, 2, lambda t, e, mk: mk.trans(mk.refl(e[0]), t)),
-    (TRANS_REFL_RIGHT_INTRO, None, _ENDS, 2, lambda t, e, mk: mk.trans(t, mk.refl(e[1]))),
-    (SYMM_SYMM_INTRO, None, None, 2, lambda t, _, mk: mk.symm(mk.symm(t))),
+    (TRANS_REFL_LEFT_INTRO, None, _ENDS, lambda t, e: Trans(Refl(e[0]), t)),
+    (TRANS_REFL_RIGHT_INTRO, None, _ENDS, lambda t, e: Trans(t, Refl(e[1]))),
+    (SYMM_SYMM_INTRO, None, None, lambda t, _: Symm(Symm(t))),
     (
-        SYMM_TRANS_CONGR_INTRO, (Trans, Symm, Symm), None, -1,
-        lambda t, _, mk: mk.symm(mk.trans(t.second.inner, t.first.inner)),
+        SYMM_TRANS_CONGR_INTRO, (Trans, Symm, Symm), None,
+        lambda t, _: Symm(Trans(t.second.inner, t.first.inner)),
     ),
-    (SYMM_REFL_INTRO, (Refl,), None, 1, lambda t, _, mk: mk.symm(t)),
-    (
-        SYMM_TRANS_CANCEL_INTRO, (Refl,), _PAYLOAD, None,
-        lambda t, q, mk: mk.trans(mk.symm(q), q),
-    ),
-    (
-        TRANS_SYMM_CANCEL_INTRO, (Refl,), _PAYLOAD, None,
-        lambda t, q, mk: mk.trans(q, mk.symm(q)),
-    ),
+    (SYMM_REFL_INTRO, (Refl,), None, lambda t, _: Symm(t)),
+    (SYMM_TRANS_CANCEL_INTRO, (Refl,), _PAYLOAD, lambda t, q: Trans(Symm(q), q)),
+    (TRANS_SYMM_CANCEL_INTRO, (Refl,), _PAYLOAD, lambda t, q: Trans(q, Symm(q))),
 )
 
 
@@ -299,7 +283,7 @@ _SHAPES = (
 _RULES = {
     (shape, rule.kind): (reads, effect)
     for shape in _SHAPES
-    for rule, need, reads, *_, effect in _REDUCTIONS + _INTRODUCTIONS
+    for rule, need, reads, effect in _REDUCTIONS + _INTRODUCTIONS
     if need is None
     or len(need) == len(shape) and all(n in (None, k) for n, k in zip(need, shape))
 }
@@ -307,17 +291,9 @@ _RULES = {
 _KINDS = frozenset([kind for _, kind in _RULES] + ["relation_fwd", "relation_bwd"])
 
 # node shape -> (rule, effect) for the reductions that fit it, in `redexes`
-# order, and (nodes added, effect) for the introductions of a fixed size that
-# fit it, in table order
+# order
 _REDUCTIONS_AT = {
     shape: [(r, fx) for r, _, _, fx in _REDUCTIONS if (shape, r.kind) in _RULES]
-    for shape in _SHAPES
-}
-_INTRODUCTIONS_AT = {
-    shape: [
-        (adds, fx) for r, _, _, adds, fx in _INTRODUCTIONS
-        if adds is not None and (shape, r.kind) in _RULES
-    ]
     for shape in _SHAPES
 }
 
@@ -325,32 +301,28 @@ _INTRODUCTIONS_AT = {
 # Relation rules keyed by the side they rewrite: for each term, the forward
 # rules whose lhs it is, then the backward rules whose rhs it is, each with
 # the term it rewrites to, in declaration order.
-def _relation_table(space: "SpacePresentation", intern=lambda t: t) -> dict:
+@lru_cache(maxsize=128)
+def _plain_relations(space: "SpacePresentation") -> dict:
     by_name = {rel.name: rel for rel in space.relations}
     table: dict = {}
     for rel in space.relations:
         r = by_name[rel.name]
-        table.setdefault(intern(r.lhs), []).append((relation_fwd(rel.name), intern(r.rhs)))
+        table.setdefault(r.lhs, []).append((relation_fwd(rel.name), r.rhs))
     for rel in space.relations:
         r = by_name[rel.name]
-        table.setdefault(intern(r.rhs), []).append((relation_bwd(rel.name), intern(r.lhs)))
+        table.setdefault(r.rhs, []).append((relation_bwd(rel.name), r.lhs))
     return table
 
 
-@lru_cache(maxsize=128)
-def _plain_relations(space: "SpacePresentation") -> dict:
-    return _relation_table(space)
-
-
 def _reduce_at(
-    t: PathExpr, ends: tuple[str, str], relations: dict, mk
+    t: PathExpr, ends: tuple[str, str], relations: dict
 ) -> list[tuple[RuleId, PathExpr]]:
     """(rule, rewritten node) for every reduction rule enabled at the root
     of t, in `redexes` order: the groupoid rules that fit t's shape, then
     forward relation rules, then backward ones. `ends` are t's endpoints."""
     out = []
     for rule, effect in _REDUCTIONS_AT[_shape(t)]:
-        new = effect(t, ends, mk)
+        new = effect(t, ends)
         if new is not None:
             out.append((rule, new))
     if relations:
@@ -365,7 +337,7 @@ def redexes(space: "SpacePresentation", p: PathExpr) -> list[RewriteStep]:
     return [
         RewriteStep(rule, _position(chain))
         for chain, sub, ends in _walk(space, p)
-        for rule, _ in _reduce_at(sub, ends, relations, _Plain)
+        for rule, _ in _reduce_at(sub, ends, relations)
     ]
 
 
@@ -388,14 +360,14 @@ def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> Pa
     if fit is not None:
         reads, effect = fit
         if reads is _ENDS:
-            new = effect(sub, endpoints(space, sub), _Plain)
+            new = effect(sub, endpoints(space, sub))
         elif reads is _PAYLOAD:
             # the pair around the payload must run from the point to itself
-            new = None if step.payload is None else effect(sub, step.payload, _Plain)
+            new = None if step.payload is None else effect(sub, step.payload)
             if new is not None and endpoints(space, new) != (sub.point, sub.point):
                 new = None
         else:
-            new = effect(sub, None, _Plain)
+            new = effect(sub, None)
     elif rule.kind in _KINDS:
         enabled = _plain_relations(space).get(sub, ())
         new = next((new for r, new in enabled if r == rule), None)
@@ -597,7 +569,7 @@ class _Normalizer:
                     break
             if fit is not None:
                 self.steps.append(RewriteStep(rule, at + tuple(path)))
-                node = fit[1](node, None, _Plain)
+                node = fit[1](node, None)
                 resume = 0
                 if parents:
                     # the rewritten node is new: scan it again after its

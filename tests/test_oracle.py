@@ -543,41 +543,55 @@ def _reference_neighbors(space, t, cap):
 class TestNeighborOrder:
     def test_neighbors_match_the_reference_order(self):
         # one search per space and cap, so subterm rewrites are reused
-        # across the terms as they are in a real search
+        # across the terms as they are in a real search. Random terms run at
+        # fixed caps; every term of up to 6 nodes runs at its own size and 2
+        # and 4 above it, so each rule the search states over its node ids
+        # meets every node shape, with and without room to grow.
         rng = Lcg(53)
         for space in ALL_SPACES:
             terms = [random_term(space, 1 + rng.randint(9), rng) for _ in range(25)]
-            for cap in (6, 9, 12):
-                search = oracle._Search(space, cap)
-                for t in terms:
-                    got = list(search.neighbors(search.intern(t)))
-                    assert got == _reference_neighbors(space, t, cap), (
-                        space.name, render_path(space, t), cap
-                    )
+            cases = [(t, cap) for cap in (6, 9, 12) for t in terms]
+            small = [
+                t
+                for n in range(1, 7)
+                for src in space.points
+                for tgt in space.points
+                for t in enumerate_terms(space, n, src, tgt)
+            ]
+            cases += [(t, size(t) + extra) for extra in (0, 2, 4) for t in small]
+            searches = {}
+            for t, cap in cases:
+                if cap not in searches:
+                    searches[cap] = oracle._Search(space, cap)
+                search = searches[cap]
+                got = [search.term(i) for i in search.neighbors(search.intern(t))]
+                assert got == _reference_neighbors(space, t, cap), (
+                    space.name, render_path(space, t), cap
+                )
 
 
 class TestSearchTable:
-    def test_terms_built_in_a_search_die_with_it(self, monkeypatch):
-        built = []
+    def test_a_search_dies_when_the_call_returns(self, monkeypatch):
+        searches = []
         neighbors = oracle._Search.neighbors
 
         def spy(search, t):
-            for nb in neighbors(search, t):
-                built.append(weakref.ref(nb))
-                yield nb
+            searches.append(weakref.ref(search))
+            return neighbors(search, t)
 
         monkeypatch.setattr(oracle._Search, "neighbors", spy)
         p, q = parse_path(TORUS, "a * b"), parse_path(TORUS, "b * b")
         assert bfs_rw_eq(TORUS, p, q, Budget(max_states=50)).kind == BUDGET_EXHAUSTED
-        assert built
+        assert searches
         gc.collect()
-        assert [r for r in built if r() is not None] == []
+        assert [r for r in searches if r() is not None] == []
 
-    def test_equal_terms_built_in_one_search_are_one_object(self):
+    def test_equal_terms_built_in_one_search_get_one_id(self):
         search = oracle._Search(TORUS, 9)
         t = search.intern(parse_path(TORUS, "a * b * ~a"))
-        assert search.intern(parse_path(TORUS, "a * b * ~a")) is t
-        assert search.trans(t.first, search.symm(search.intern(Gen("a")))) is t
+        assert search.intern(parse_path(TORUS, "a * b * ~a")) == t
+        assert search.trans(search.first[t], search.symm(search.intern(Gen("a")))) == t
+        assert search.term(t) == parse_path(TORUS, "a * b * ~a")
 
     def test_terms_built_outside_match_structurally(self):
         p = parse_path(TORUS, "a * b")
@@ -592,37 +606,41 @@ class TestSearchTable:
 
 
 class TestSearchKeys:
-    def test_tables_key_nodes_by_the_hash_ints_they_hold(self):
+    def test_tables_key_nodes_by_their_exact_child_ids(self):
         search = oracle._Search(CIRCLE, 9)
         a = search.intern(Gen("a"))
         aa, inv_a = search.trans(a, a), search.symm(a)
-        assert search.trans(a, a) is aa and search.symm(a) is inv_a
-        # no key object of the tables' own: a Trans is filed under the int
-        # in its `_hash` slot, a Symm under the one in its inner's
-        [trans_key], [symm_key] = search._transes, search._symms
-        assert trans_key is aa._hash and symm_key is a._hash
+        assert search.trans(a, a) == aa and search.symm(a) == inv_a
+        # a composition is filed under the pair of its child ids packed in
+        # one int, an inverse under its child's id; no hash is involved
+        assert search._transes == {a << 32 | a: aa}
+        assert search._symms == {a: inv_a}
 
     def test_nodes_whose_hashes_clash_are_all_interned(self, monkeypatch):
         search = oracle._Search(TORUS, 9)
         ab = search.intern(parse_path(TORUS, "a * b"))
         inv_a = search.intern(parse_path(TORUS, "~a"))
+        hashes = {2: hash(parse_path(TORUS, "~a")), 3: hash(parse_path(TORUS, "a * b"))}
 
         def clash(parts):
-            return {2: inv_a._hash, 3: ab._hash}.get(parts[0], hash(parts))
+            return hashes.get(parts[0], hash(parts))
 
         # from here on every Symm built has the hash of ~a and every Trans
-        # that of a * b, as if the hash function collided
+        # that of a * b, as if the hash function collided; the search keys
+        # nodes by child ids, so it must still tell all seven apart
         monkeypatch.setattr(terms, "hash", clash, raising=False)
         monkeypatch.setattr(oracle, "hash", clash, raising=False)
         texts = ("a * b", "b * a", "a * a", "~a", "~(a * b)", "~(b * a)", "~(a * a)")
-        nodes = [search.intern(parse_path(TORUS, text)) for text in texts]
-        assert nodes == [parse_path(TORUS, text) for text in texts]
-        assert len({id(node) for node in nodes}) == len(texts)
-        assert nodes[0] is ab and nodes[3] is inv_a
-        for text, node in zip(texts, nodes):
-            assert search.intern(parse_path(TORUS, text)) is node
+        ids = [search.intern(parse_path(TORUS, text)) for text in texts]
+        assert [search.term(i) for i in ids] == [
+            parse_path(TORUS, text) for text in texts
+        ]
+        assert len(set(ids)) == len(texts)
+        assert ids[0] == ab and ids[3] == inv_a
+        for text, i in zip(texts, ids):
+            assert search.intern(parse_path(TORUS, text)) == i
         b, a = search.intern(Gen("b")), search.intern(Gen("a"))
-        assert search.trans(b, a) is nodes[1] and search.symm(nodes[1]) is nodes[5]
+        assert search.trans(b, a) == ids[1] and search.symm(ids[1]) == ids[5]
 
 
 class TestWorkBound:
@@ -637,7 +655,7 @@ class TestWorkBound:
         assert not finished and 0 < len(seen) < 64
 
     def test_bounded_search_peak_memory(self):
-        # 17.8 MB measured; a key object per table entry pushes it past 25 MB
+        # 12.6 MB measured; the bound leaves about 20 % headroom
         p = parse_path(CIRCLE, "a * (a * ~refl * a)")
         q = parse_path(CIRCLE, "~(a * (a * refl))")
         tracemalloc.start()
@@ -647,7 +665,7 @@ class TestWorkBound:
         finally:
             tracemalloc.stop()
         assert v == OracleVerdict(BUDGET_EXHAUSTED, 4_000)
-        assert peak < 20_000_000
+        assert peak < 15_000_000
 
 
 class TestLocalConfluence:
