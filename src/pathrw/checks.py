@@ -12,7 +12,6 @@ index, what broke and each sample term in the grammar's text form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import UnreachableEndpointsError
@@ -24,13 +23,14 @@ from .rewrite import (
 )
 from .spaces import SpacePresentation
 from .syntax import render_path
-from .terms import Symm, Trans, endpoints
+from .terms import Symm, Trans, _Record, endpoints
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+
+class CheckResult(_Record):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        self._fill(name, passed, detail)
 
 
 def _sizes(rng: Lcg, max_size: int) -> int:

@@ -23,8 +23,9 @@ check failed, equality undecided); 2 bad input (parse errors, unknown
 names, malformed values).
 
 Sources may be compiled at every start, so no module of the package
-imports `typing`, and this one loads argparse, json and the check suites
-only when a command uses them.
+imports `typing`, the records are plain slotted classes that load nothing
+such as `inspect`, `ast`, `dis` or `tokenize`, and this one loads argparse,
+json and the check suites only when a command uses them.
 """
 
 from __future__ import annotations

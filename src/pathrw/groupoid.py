@@ -8,25 +8,24 @@ inverting, and powering classes always stays canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import EndpointMismatchError, SpaceMismatchError, UnknownPointError
 from .rewrite import NormalForm, normalize, term_of_word
 from .spaces import SpacePresentation
-from .terms import PathExpr, Refl, Symm, Trans, zpow
+from .terms import PathExpr, Refl, Symm, Trans, _Record, zpow
 
 
-@dataclass(frozen=True)
-class PathClass:
+class PathClass(_Record):
     """An equivalence class of paths, identified by space name and normal
     form. The presentation rides along for further operations but stays out
-    of equality and hashing."""
+    of equality, hashing and the repr."""
 
-    space: SpacePresentation = field(compare=False, repr=False)
-    space_name: str
-    nf: NormalForm
-    src: str
-    tgt: str
+    _fields = ("space_name", "nf", "src", "tgt")
+    __slots__ = ("space", *_fields)
+
+    def __init__(
+        self, space: SpacePresentation, space_name: str, nf: NormalForm, src: str, tgt: str
+    ) -> None:
+        self._fill(space, space_name, nf, src, tgt)
 
     def representative(self) -> PathExpr:
         return term_of_word(self.nf.word)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EndpointMismatchError, UnreachableEndpointsError
@@ -52,7 +51,7 @@ from .rewrite import (
     term_of_word,
 )
 from .spaces import SpacePresentation
-from .terms import Gen, PathExpr, Refl, Symm, Trans, endpoints, size
+from .terms import Gen, PathExpr, Refl, Symm, Trans, _Record, endpoints, size
 
 DEFAULT_MAX_STATES = 200_000
 DEFAULT_SIZE_MARGIN = 6
@@ -69,28 +68,28 @@ NOT_EQUAL_WITHIN_BUDGET = "NOT_EQUAL_WITHIN_BUDGET"
 BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(_Record):
     """Search limits. When max_term_size is None, bfs_rw_eq allows the
     larger input plus a fixed margin. Whatever the budget, a search also
     stops once it has generated MAX_NEIGHBORS neighbours."""
 
-    max_states: int = DEFAULT_MAX_STATES
-    max_term_size: int | None = None
+    __slots__ = _fields = ("max_states", "max_term_size")
 
-    def __post_init__(self) -> None:
-        if self.max_states < 0:
-            raise ValueError(f"max_states must be at least 0, got {self.max_states}")
-        if self.max_term_size is not None and self.max_term_size < 1:
-            raise ValueError(
-                f"max_term_size must be at least 1, got {self.max_term_size}"
-            )
+    def __init__(
+        self, max_states: int = DEFAULT_MAX_STATES, max_term_size: int | None = None
+    ) -> None:
+        if max_states < 0:
+            raise ValueError(f"max_states must be at least 0, got {max_states}")
+        if max_term_size is not None and max_term_size < 1:
+            raise ValueError(f"max_term_size must be at least 1, got {max_term_size}")
+        self._fill(max_states, max_term_size)
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
-    kind: str
-    explored: int
+class OracleVerdict(_Record):
+    __slots__ = _fields = ("kind", "explored")
+
+    def __init__(self, kind: str, explored: int) -> None:
+        self._fill(kind, explored)
 
     @property
     def is_equal(self) -> bool:

@@ -14,7 +14,6 @@ integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -26,26 +25,24 @@ from .groupoid import PathClass, class_of
 from .rewrite import Word, normalize, term_of_word
 from .spaces import _SHAPES, GroupTag, SpacePresentation, _builtin_record, builtin
 from .syntax import MAX_TERM_NODES
-from .terms import PathExpr, SpaceMap, Trans, endpoints, map_path
+from .terms import PathExpr, SpaceMap, Trans, _Record, endpoints, map_path
 
 
-@dataclass(frozen=True)
-class GroupValue:
+class GroupValue(_Record):
     """An element of a tagged group. FreeZ and Z2 use `m` alone; the
     two-generator tags use the pair (m, n), first generator's exponent
     first."""
 
-    tag: GroupTag
-    m: int = 0
-    n: int = 0
+    __slots__ = _fields = ("tag", "m", "n")
 
-    def __post_init__(self) -> None:
-        shape = _SHAPES[self.tag]
-        if shape.arity == 1 and self.n != 0:
-            raise ValueError(f"{self.tag.value} values have a single component")
-        if shape.modulus is not None and not 0 <= self.m < shape.modulus:
+    def __init__(self, tag: GroupTag, m: int = 0, n: int = 0) -> None:
+        shape = _SHAPES[tag]
+        if shape.arity == 1 and n != 0:
+            raise ValueError(f"{tag.value} values have a single component")
+        if shape.modulus is not None and not 0 <= m < shape.modulus:
             residues = " or ".join(str(r) for r in range(shape.modulus))
-            raise ValueError(f"{self.tag.value} values are {residues}")
+            raise ValueError(f"{tag.value} values are {residues}")
+        self._fill(tag, m, n)
 
 
 @lru_cache(maxsize=None)

@@ -56,22 +56,22 @@ whole term, which is never built.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EndpointMismatchError, StepNotEnabledError
 from .spaces import Relation, SpacePresentation, _builtin_record
-from .terms import Gen, PathExpr, Refl, Symm, Trans, endpoints
+from .terms import Gen, PathExpr, Refl, Symm, Trans, _Record, endpoints
 
 Position = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RuleId:
+class RuleId(_Record):
     """A rewrite rule identifier; relation rules carry the relation name."""
 
-    kind: str
-    relation: str | None = None
+    __slots__ = _fields = ("kind", "relation")
+
+    def __init__(self, kind: str, relation: str | None = None) -> None:
+        self._fill(kind, relation)
 
     def __str__(self) -> str:
         if self.relation is None:
@@ -105,31 +105,40 @@ def relation_bwd(name: str) -> RuleId:
     return RuleId("relation_bwd", name)
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(_Record):
     """One rule application at one position, with a payload where the rule
     needs an instantiating term (cancellation introduction only)."""
 
-    rule: RuleId
-    at: Position = ()
-    payload: PathExpr | None = None
+    __slots__ = _fields = ("rule", "at", "payload")
+
+    def __init__(
+        self, rule: RuleId, at: Position = (), payload: PathExpr | None = None
+    ) -> None:
+        _step_rule(self, rule)
+        _step_at(self, at)
+        _step_payload(self, payload)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """A freely reduced signed-letter sequence with explicit endpoints,
     so empty words at different points stay distinct."""
 
-    letters: tuple[tuple[str, int], ...]
-    src: str
-    tgt: str
+    __slots__ = _fields = ("letters", "src", "tgt")
+
+    def __init__(self, letters: tuple[tuple[str, int], ...], src: str, tgt: str) -> None:
+        self._fill(letters, src, tgt)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(_Record):
     """A word in the canonical shape the space's strategy produces."""
 
-    word: Word
+    __slots__ = _fields = ("word",)
+
+    def __init__(self, word: Word) -> None:
+        self._fill(word)
+
+
+_step_rule, _step_at, _step_payload = RewriteStep._setters
 
 
 def format_position(pos: Position) -> str:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 from . import terms
 from .errors import ParseError, UnknownSpaceError
-from .terms import Gen, PathExpr, Refl, Symm, Trans
+from .terms import Gen, PathExpr, Refl, Symm, Trans, _Record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -36,53 +35,45 @@ class GroupTag(enum.Enum):
     Z2 = "Z2"
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(_Record):
     """A named generator path from src to tgt."""
 
-    name: str
-    src: str
-    tgt: str
+    __slots__ = _fields = ("name", "src", "tgt")
+
+    def __init__(self, name: str, src: str, tgt: str) -> None:
+        self._fill(name, src, tgt)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Record):
     """A named two-sided identification of path terms.
 
     Stored directed: rewriting lhs -> rhs is the direction the normalizer
     prefers, but the engine may apply either direction.
     """
 
-    name: str
-    lhs: PathExpr
-    rhs: PathExpr
+    __slots__ = _fields = ("name", "lhs", "rhs")
+
+    def __init__(self, name: str, lhs: PathExpr, rhs: PathExpr) -> None:
+        self._fill(name, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class SpacePresentation:
-    name: str
-    points: tuple[str, ...]
-    generators: tuple[Generator, ...]
-    relations: tuple[Relation, ...]
-    basepoint: str
-    group_tag: GroupTag | None = None
-    point_set: frozenset[str] = field(init=False, compare=False, repr=False)
-    generator_map: dict = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+class SpacePresentation(_Record):
+    """Points, generators, relations and a basepoint. The point set, the
+    generators by name and the hash are derived once, and stay out of
+    equality and the repr."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "point_set", frozenset(self.points))
-        object.__setattr__(
-            self, "generator_map", {g.name: g for g in self.generators}
-        )
+    _fields = ("name", "points", "generators", "relations", "basepoint", "group_tag")
+    __slots__ = (*_fields, "point_set", "generator_map", "_hash")
+
+    def __init__(
+        self, name: str, points: tuple[str, ...], generators: tuple[Generator, ...],
+        relations: tuple[Relation, ...], basepoint: str, group_tag: GroupTag | None = None,
+    ) -> None:
+        values = (name, points, generators, relations, basepoint, group_tag)
+        gens = {g.name: g for g in generators}
         # Spaces key the memoized tables of the rewrite engine and the
         # enumerators, so the structural hash is computed once, here.
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.name, self.points, self.generators, self.relations,
-                  self.basepoint, self.group_tag)),
-        )
+        self._fill(*values, frozenset(points), gens, hash(values))
 
     def __hash__(self) -> int:
         return self._hash
@@ -91,8 +82,7 @@ class SpacePresentation:
 _Letters = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class _GroupShape:
+class _GroupShape(_Record):
     """A tagged group written as pairs (m, n), multiplied by
 
         (m1, n1) * (m2, n2) = (m1 + m2, flip(m2) * n1 + n2)
@@ -100,9 +90,12 @@ class _GroupShape:
     where flip(m) is -1 for odd m in a twisted group and 1 otherwise. Arity
     1 keeps n at 0; a modulus reduces m."""
 
-    arity: int
-    modulus: int | None = None
-    twisted: bool = False
+    __slots__ = _fields = ("arity", "modulus", "twisted")
+
+    def __init__(
+        self, arity: int, modulus: int | None = None, twisted: bool = False
+    ) -> None:
+        self._fill(arity, modulus, twisted)
 
     def flip(self, m: int) -> int:
         return -1 if self.twisted and m % 2 else 1
@@ -116,8 +109,7 @@ _SHAPES = {
 }
 
 
-@dataclass(frozen=True)
-class _Builtin:
+class _Builtin(_Record):
     """A builtin presentation and how to compute in it.
 
     `loops` are the generators a, b of the canonical loops a^m b^n. A space
@@ -128,12 +120,17 @@ class _Builtin:
     step templates, in `rewrite`) that `trace` applies after free
     cancellation, and `display` renames generators on output."""
 
-    space: SpacePresentation
-    loops: tuple[str, ...]
-    substitution: Mapping[str, _Letters] | None = None
-    retraction: Mapping[str, PathExpr] | None = None
-    trace_phase: str | None = None
-    display: Mapping[str, str] = field(default_factory=dict)
+    _fields = ("space", "loops", "substitution", "retraction", "trace_phase", "display")
+    __slots__ = _fields
+
+    def __init__(
+        self, space: SpacePresentation, loops: tuple[str, ...],
+        substitution: Mapping[str, _Letters] | None = None,
+        retraction: Mapping[str, PathExpr] | None = None,
+        trace_phase: str | None = None, display: Mapping[str, str] | None = None,
+    ) -> None:
+        self._fill(space, loops, substitution, retraction, trace_phase,
+                   {} if display is None else display)
 
     def fold(self, letters: _Letters) -> tuple[int, int]:
         """The group element (m, n) of a word over the loop generators."""
@@ -262,18 +259,38 @@ def _builtin_record(space: SpacePresentation) -> _Builtin | None:
     return _BUILTINS.get(space.name)
 
 
+def _one_name_token(name: str) -> bool:
+    """Whether the expression grammar reads `name` as exactly one name."""
+    from .syntax import _tokenize
+
+    try:
+        return _tokenize(name) == [("name", name)]
+    except ParseError:
+        return False
+
+
 def validate(space: SpacePresentation) -> list[str]:
-    """All well-formedness violations of a presentation; empty means valid."""
+    """All well-formedness violations of a presentation; empty means valid.
+
+    Every point and generator name must be one name token of the expression
+    grammar, and no generator may be called `refl`, so each can be written
+    in an input and printed output parses back."""
     out: list[str] = []
     seen_points: set[str] = set()
     for pt in space.points:
         if not pt:
             out.append("UnknownPoint: empty point name")
+        elif not _one_name_token(pt):
+            out.append(f"BadName: point '{pt}' is not one name token")
         elif pt in seen_points:
             out.append(f"DuplicateName: point '{pt}' declared twice")
         seen_points.add(pt)
     seen_names = set(seen_points)
     for g in space.generators:
+        if g.name == "refl":
+            out.append("BadName: generator 'refl' would read as the constant path")
+        elif not _one_name_token(g.name):
+            out.append(f"BadName: generator '{g.name}' is not one name token")
         if g.name in seen_names:
             out.append(f"DuplicateName: '{g.name}' declared more than once")
         seen_names.add(g.name)

@@ -9,7 +9,6 @@ engine's visited sets and cancellation checks rely on.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .errors import (
     EndpointMismatchError,
@@ -24,18 +23,61 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .spaces import SpacePresentation
 
-# Terms are built by the million (the oracle's hash sets, `apply_step`'s
-# rebuilt ancestors), so each of the four classes sets its slots directly:
-# no dataclass, no per-instance `__dict__`. A node stores its hash and node
-# count once, from its children's, and refuses assignment and deletion.
+# Records and terms are plain slotted classes: no per-instance `__dict__`,
+# and nothing generated at import. Each class writes its own `__init__`,
+# which sets the slots through the slot descriptors' setters, the one way
+# past `__setattr__`. Terms are built by the million (the oracle's hash
+# sets, `apply_step`'s rebuilt ancestors) and rewrite steps by the thousand,
+# so those call their setters one by one; the other records `_fill` theirs.
+
+
+class _Record:
+    """A frozen value: equality against the same class and a hash, both over
+    the compared fields `_fields` in order, a repr naming them, and no
+    assignment or deletion."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # the setters of the class's own slots, in `__slots__` order
+        cls._setters = [vars(cls)[f].__set__ for f in cls.__slots__]
+
+    def _fill(self, *values: object) -> None:
+        for setter, value in zip(self._setters, values, strict=True):
+            setter(self, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field '{name}'")
+
+
+# A term node stores its hash and node count once, from its children's.
 # Equality is written once, in `_Term`. It answers at once on identity
 # (shared or hash-consed subtrees compare in O(1)) or on a class or hash
 # mismatch, and otherwise walks both trees with an explicit stack.
 
 
-class _Term:
-    """What the four term classes share: the cached hash and node count,
-    structural equality and immutability."""
+class _Term(_Record):
+    """What the four term classes share: the cached hash and node count and
+    structural equality."""
 
     __slots__ = ("_hash", "_size", "__weakref__")
 
@@ -62,22 +104,11 @@ class _Term:
                 return False
         return True
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field '{name}' of a term")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field '{name}' of a term")
-
-    def __repr__(self) -> str:
-        cls = type(self)
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in cls.__slots__)
-        return f"{cls.__name__}({fields})"
-
 
 class Refl(_Term):
     """Constant path at a named point."""
 
-    __slots__ = ("point",)
+    __slots__ = _fields = ("point",)
 
     def __init__(self, point: str) -> None:
         _set_point(self, point)
@@ -88,7 +119,7 @@ class Refl(_Term):
 class Gen(_Term):
     """A generator path, referenced by name."""
 
-    __slots__ = ("name",)
+    __slots__ = _fields = ("name",)
 
     def __init__(self, name: str) -> None:
         _set_name(self, name)
@@ -99,7 +130,7 @@ class Gen(_Term):
 class Symm(_Term):
     """Inverse of a path term."""
 
-    __slots__ = ("inner",)
+    __slots__ = _fields = ("inner",)
 
     def __init__(self, inner: "PathExpr") -> None:
         _set_inner(self, inner)
@@ -110,7 +141,7 @@ class Symm(_Term):
 class Trans(_Term):
     """Composition: first, then second. Requires tgt(first) == src(second)."""
 
-    __slots__ = ("first", "second")
+    __slots__ = _fields = ("first", "second")
 
     def __init__(self, first: "PathExpr", second: "PathExpr") -> None:
         _set_first(self, first)
@@ -119,14 +150,9 @@ class Trans(_Term):
         _set_size(self, 1 + first._size + second._size)
 
 
-# the slot descriptors' setters: the constructors' way past `__setattr__`
-_set_hash = _Term._hash.__set__
-_set_size = _Term._size.__set__
-_set_point = Refl.point.__set__
-_set_name = Gen.name.__set__
-_set_inner = Symm.inner.__set__
-_set_first = Trans.first.__set__
-_set_second = Trans.second.__set__
+_set_hash, _set_size = _Term._setters[:2]
+(_set_point,), (_set_name,), (_set_inner,) = Refl._setters, Gen._setters, Symm._setters
+_set_first, _set_second = Trans._setters
 
 PathExpr = Refl | Gen | Symm | Trans
 
@@ -213,8 +239,7 @@ def zpow(space: "SpacePresentation", loop: PathExpr, n: int) -> PathExpr:
 PRESERVATION_STATES = 2_000
 
 
-@dataclass(frozen=True)
-class SpaceMap:
+class SpaceMap(_Record):
     """A map of presentations: points to points, generators to target terms.
 
     Construction eagerly checks that generator images connect the mapped
@@ -225,12 +250,13 @@ class SpaceMap:
     the map undecided, which raises too.
     """
 
-    source: "SpacePresentation"
-    target: "SpacePresentation"
-    point_map: Mapping[str, str]
-    gen_map: Mapping[str, PathExpr]
+    __slots__ = _fields = ("source", "target", "point_map", "gen_map")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, source: "SpacePresentation", target: "SpacePresentation",
+        point_map: Mapping[str, str], gen_map: Mapping[str, PathExpr],
+    ) -> None:
+        self._fill(source, target, point_map, gen_map)
         for pt in self.source.points:
             if pt not in self.point_map:
                 raise SpaceMapError(f"point '{pt}' has no image")

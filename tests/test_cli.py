@@ -387,6 +387,19 @@ class TestSpaceFiles:
             1, "not-equal",
         )
 
+    @pytest.mark.parametrize("text", [
+        "point pt\ngen : pt -> pt\n",
+        "point pt\ngen refl : pt -> pt\n",
+        "point pt\ngen a*b : pt -> pt\n",
+        "point p-t\ngen a : p-t -> p-t\n",
+    ])
+    def test_names_the_grammar_cannot_spell_exit_two(self, tmp_path, text):
+        f = tmp_path / "bad.space"
+        f.write_text(text)
+        code, out = run(["normalize", "--space-file", str(f), "refl"])
+        assert code == 2
+        assert "BadName" in out
+
     def test_encode_refuses_untagged_spaces(self, strip_path):
         code, text = run(["encode", "--space-file", strip_path, "u"])
         assert code == 2
@@ -543,14 +556,14 @@ class TestDeepInputs:
 
 
 class TestColdStart:
-    def test_import_loads_only_what_a_call_uses(self):
+    def _loaded(self, imports, modules):
+        """Which of `modules` a fresh interpreter holds after `imports`."""
         # -S keeps site-packages' start-up hooks, which may import typing,
         # out of the fresh interpreter
         src = str(Path(__file__).resolve().parent.parent / "src")
         probe = (
-            "import sys, pathrw, pathrw.cli\n"
-            "print(*[m for m in ('typing', 'argparse', 'json', 'pathrw.checks')"
-            " if m in sys.modules])"
+            f"import sys, {imports}\n"
+            f"print(*[m for m in {modules!r} if m in sys.modules])"
         )
         done = subprocess.run(
             [sys.executable, "-S", "-c", probe],
@@ -558,7 +571,14 @@ class TestColdStart:
             env=dict(os.environ, PYTHONPATH=src),
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == []
+        return done.stdout.split()
+
+    def test_import_loads_only_what_a_call_uses(self):
+        modules = ("typing", "argparse", "json", "pathrw.checks", "dataclasses", "inspect")
+        assert self._loaded("pathrw, pathrw.cli", modules) == []
+
+    def test_check_suites_load_no_dataclasses(self):
+        assert self._loaded("pathrw.checks", ("dataclasses", "inspect")) == []
 
 
 # the grammar's own alphabet, as tokens, so drawn texts get past the

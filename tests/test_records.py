@@ -406,3 +406,9 @@ class TestValidation:
             r"in the target within 2000 search states$",
         ):
             SpaceMap(TORUS, target, {"pt": "pt"}, {"a": Gen("a"), "b": Gen("b")})
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_records_are_slotted(name):
+    # no per-instance dict: a record holds its fields in slots alone
+    assert not hasattr(RECORDS[name][0](), "__dict__")

@@ -137,6 +137,39 @@ class TestValidate:
         assert validate(sp)
 
 
+class TestNamesTheGrammarCanSpell:
+    # names the expression grammar cannot read back: such a generator could
+    # appear in no relation and no input, and printed output would not parse
+    @pytest.mark.parametrize("text, problem", [
+        ("point pt\ngen : pt -> pt\n", "generator '' is not one name token"),
+        ("point pt\ngen refl : pt -> pt\n",
+         "generator 'refl' would read as the constant path"),
+        ("point pt\ngen a*b : pt -> pt\n", "generator 'a*b' is not one name token"),
+        ("point p-t\ngen a : p-t -> p-t\n", "point 'p-t' is not one name token"),
+    ])
+    def test_file_is_refused(self, text, problem):
+        with pytest.raises(ParseError, match="invalid space") as info:
+            parse_space_text(text)
+        assert f"BadName: {problem}" in str(info.value)
+
+    def test_every_name_is_reported(self):
+        sp = SpacePresentation(
+            "bad", ("p t", "ok", "9"), (Generator("a b", "ok", "ok"),), (), "ok"
+        )
+        assert validate(sp) == [
+            "BadName: point 'p t' is not one name token",
+            "BadName: point '9' is not one name token",
+            "BadName: generator 'a b' is not one name token",
+        ]
+
+    def test_grammar_names_still_load(self):
+        sp = parse_space_text("point refl\npoint _q1\ngen α : refl -> _q1\n")
+        assert validate(sp) == []
+        assert [g.name for g in sp.generators] == ["α"]
+        for name in BUILTIN_NAMES:
+            assert validate(builtin(name)) == []
+
+
 PRESENTATION = """\
 # a wedge of two loops
 point p
