@@ -17,6 +17,8 @@ from pathrw import (
     Word,
     apply_step,
     builtin,
+    class_of,
+    encode,
     endpoints,
     format_step,
     free_normalize,
@@ -763,3 +765,173 @@ def test_trace_step_lines(name, text, want):
     space = builtin(name)
     _, steps = trace(space, parse_path(space, text))
     assert [format_step(s, space) for s in steps] == want
+
+
+FILE_SPACE = parse_space_text(
+    "point p\npoint q\ngen f : p -> q\ngen g : q -> p\ngen h : p -> p\n", "pq"
+)
+S, L0, L1 = Gen("s"), Gen("l0"), Gen("l1")
+ZZ, YY = Gen("zz"), Gen("yy")
+# 3,000 letters nested left, then right, on the circle and the cylinder
+LEFT_CHAIN = term_of_word(Word((("a", 1),) * 3000, "pt", "pt"))
+RIGHT_CHAIN = Refl("b0")
+for _ in range(3000):
+    RIGHT_CHAIN = Trans(L0, RIGHT_CHAIN)
+
+# (space, ill-formed term, the error every entry point raises). Where a
+# term holds several faults, the error is the first one `endpoints` meets
+# in its post-order, left leg first; under an inverse the letters run in
+# the other order, so a walk in letter order meets another fault first.
+ILL_FORMED = [
+    (CIRCLE, Trans(A, ZZ), "UnknownGeneratorError: 'zz' is not a generator of 'circle'"),
+    (CIRCLE, Trans(Refl("q"), A), "UnknownPointError: 'q' is not a point of 'circle'"),
+    (
+        CYL, Trans(S, S),
+        "EndpointMismatchError: cannot compose: first ends at 'b1', second starts at 'b0'",
+    ),
+    (TORUS, Trans(YY, ZZ), "UnknownGeneratorError: 'yy' is not a generator of 'torus'"),
+    (KLEIN, Symm(Trans(YY, ZZ)), "UnknownGeneratorError: 'yy' is not a generator of 'klein'"),
+    (
+        CYL, Symm(Trans(Trans(S, S), ZZ)),
+        "EndpointMismatchError: cannot compose: first ends at 'b1', second starts at 'b0'",
+    ),
+    (
+        CYL, Symm(Trans(ZZ, Trans(S, S))),
+        "UnknownGeneratorError: 'zz' is not a generator of 'cylinder'",
+    ),
+    (
+        CYL, Symm(Trans(Trans(L0, L1), S)),
+        "EndpointMismatchError: cannot compose: first ends at 'b0', second starts at 'b1'",
+    ),
+    (
+        CYL, Trans(Symm(Trans(L0, Refl("b9"))), S),
+        "UnknownPointError: 'b9' is not a point of 'cylinder'",
+    ),
+    (
+        CYL, Trans(Symm(Trans(S, Refl("b9"))), Trans(L1, L1)),
+        "UnknownPointError: 'b9' is not a point of 'cylinder'",
+    ),
+    (
+        CYL, Trans(Trans(S, Symm(S)), Trans(S, Symm(L0))),
+        "EndpointMismatchError: cannot compose: first ends at 'b1', second starts at 'b0'",
+    ),
+    (
+        RP2, Symm(Symm(Trans(Gen("α"), Gen("alpha")))),
+        "UnknownGeneratorError: 'α' is not a generator of 'rp2'",
+    ),
+    (
+        FILE_SPACE, Trans(Gen("f"), Gen("f")),
+        "EndpointMismatchError: cannot compose: first ends at 'q', second starts at 'p'",
+    ),
+    (
+        FILE_SPACE, Symm(Trans(Trans(Gen("h"), Gen("g")), Refl("r"))),
+        "EndpointMismatchError: cannot compose: first ends at 'p', second starts at 'q'",
+    ),
+    (CIRCLE, Trans(LEFT_CHAIN, ZZ), "UnknownGeneratorError: 'zz' is not a generator of 'circle'"),
+    (
+        CIRCLE, Symm(Trans(Refl("q"), Trans(LEFT_CHAIN, ZZ))),
+        "UnknownPointError: 'q' is not a point of 'circle'",
+    ),
+    (
+        CYL, Trans(RIGHT_CHAIN, Trans(S, S)),
+        "EndpointMismatchError: cannot compose: first ends at 'b1', second starts at 'b0'",
+    ),
+    (
+        CYL, Symm(Trans(Trans(L0, L1), RIGHT_CHAIN)),
+        "EndpointMismatchError: cannot compose: first ends at 'b0', second starts at 'b1'",
+    ),
+    (
+        CYL, Trans(L0, Trans(RIGHT_CHAIN, Trans(Refl("b1"), ZZ))),
+        "UnknownGeneratorError: 'zz' is not a generator of 'cylinder'",
+    ),
+    (CIRCLE, "a", "TypeError: not a path term: 'a'"),
+]
+
+
+def _error(call):
+    try:
+        call()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+class TestIllFormedTerms:
+    """The error each entry point raises on an ill-formed term, pinned while
+    each of them walked the term with `endpoints` before normalizing."""
+
+    @pytest.mark.parametrize("case", range(len(ILL_FORMED)))
+    def test_every_entry_point_raises_the_endpoints_error(self, case):
+        space, p, want = ILL_FORMED[case]
+        good = Refl(space.basepoint)
+        calls = {
+            "endpoints": lambda: endpoints(space, p),
+            "free_normalize": lambda: free_normalize(space, p),
+            "normalize": lambda: normalize(space, p),
+            "rw_eq": lambda: rw_eq(space, p, good),
+            "rw_eq swapped": lambda: rw_eq(space, good, p),
+            "class_of": lambda: class_of(space, p),
+        }
+        if space.group_tag is not None:
+            calls["encode"] = lambda: encode(space, p)
+        assert {name: _error(call) for name, call in calls.items()} == {
+            name: want for name in calls
+        }
+
+    def test_chains_are_long(self):
+        assert (LEFT_CHAIN._size, RIGHT_CHAIN._size) == (5999, 6001)
+
+    def test_well_formed_terms_with_other_endpoints(self):
+        assert _error(lambda: rw_eq(CYL, S, L0)) == (
+            "EndpointMismatchError: rw_eq compares paths with identical endpoints"
+        )
+        assert _error(lambda: rw_eq(CYL, Trans(RIGHT_CHAIN, S), L1)) == (
+            "EndpointMismatchError: rw_eq compares paths with identical endpoints"
+        )
+        assert _error(lambda: encode(CYL, S)) == (
+            "NotABasepointLoopError: encode needs a loop at 'b0', got b0 -> b1"
+        )
+        assert _error(lambda: encode(CYL, Trans(Symm(S), RIGHT_CHAIN))) == (
+            "NotABasepointLoopError: encode needs a loop at 'b0', got b1 -> b0"
+        )
+        assert _error(lambda: encode(FILE_SPACE, Trans(Gen("f"), Gen("f")))) == (
+            "GroupTagMismatchError: space 'pq' carries no group tag; encode is undefined"
+        )
+
+
+def _reference_word(space, p):
+    """free_normalize written plainly: `endpoints`, then the letters by a
+    walk that pushes each inverse down to the leaves, then cancellation of
+    adjacent inverse pairs."""
+    src, tgt = endpoints(space, p)
+    letters = []
+    todo = [(p, 1)]
+    while todo:
+        node, sign = todo.pop()
+        if isinstance(node, Gen):
+            letters.append((node.name, sign))
+        elif isinstance(node, Symm):
+            todo.append((node.inner, -sign))
+        elif isinstance(node, Trans):
+            legs = [node.first, node.second] if sign < 0 else [node.second, node.first]
+            todo += [(leg, sign) for leg in legs]
+    reduced = []
+    for letter in letters:
+        if reduced and reduced[-1] == (letter[0], -letter[1]):
+            reduced.pop()
+        else:
+            reduced.append(letter)
+    return Word(tuple(reduced), src, tgt)
+
+
+class TestFreeNormalizeReference:
+    def test_matches_a_plain_reference_on_random_terms(self):
+        checked = 0
+        for space in ALL_SPACES + [FILE_SPACE]:
+            rng = Lcg(31)
+            for n in range(1, 61):
+                for _ in range(4):
+                    p = random_term(space, n, rng)
+                    assert free_normalize(space, p) == _reference_word(space, p)
+                    checked += 1
+        assert checked == 7 * 60 * 4

@@ -1,11 +1,16 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathrw import (
+    BUILTIN_NAMES,
+    Generator,
     Gen,
     Lcg,
     ParseError,
     Refl,
+    SpacePresentation,
     Symm,
     Trans,
     builtin,
@@ -15,6 +20,8 @@ from pathrw import (
     random_term,
     render_path,
     render_word,
+    size,
+    validate,
     zpow,
 )
 
@@ -204,3 +211,153 @@ class TestRendering:
             w = free_normalize(TORUS, term)
             back = parse_path(TORUS, render_word(TORUS, w))
             assert free_normalize(TORUS, back) == w
+
+
+# A space loaded from text, with two points and names holding digits and
+# underscores, next to the six builtins.
+_FILE_SPACE = parse_space_text(
+    "point p\npoint q_1\ngen f : p -> q_1\ngen g2 : q_1 -> p\ngen h_ : p -> p\n"
+    "rel r : f * g2 = h_\n",
+    "filespace",
+)
+_CORPUS_SPACES = [builtin(name) for name in BUILTIN_NAMES] + [_FILE_SPACE]
+
+_NAMES = [
+    "a", "b", "s", "l0", "l1", "alpha", "α", "f", "g2", "h_", "q_1", "p",
+    "pt", "b0", "b1", "_", "x9", "zz", "refl", "aα", "a²", "A",
+]
+_MISC = [
+    "~", "*", "^", "(", ")", "-", " ", "  ", "\t", "\u3000", "", "²", "!",
+    "refl(pt)", "refl(b0)", "refl(b1)", "refl(p)", "refl(zz)", "refl (q_1)",
+]
+_EXPONENTS = ["0", "1", "2", "3", "-1", "-2", "-3", "007", "-04", "12", "٣"]
+# powers at or just past the node limit for a word of one or two letters;
+# drawn rarely, as a power within the limit builds up to a million nodes
+_NEAR_LIMIT = [
+    "500000", "500001", "333334", "-333334", "250001", "999999", "1000000",
+    "1000001",
+]
+# the leaves of derived texts: each text draws from one space's names, or
+# from a mix of all of them
+_LEAF_POOLS = [
+    ["a", "a", "b", "alpha", "α", "refl", "refl(pt)"],
+    ["s", "l0", "l1", "refl(b0)", "refl(b1)"],
+    ["f", "g2", "h_", "refl(p)", "refl(q_1)"],
+    ["a", "b", "alpha", "s", "l0", "f", "h_", "zz", "refl", "refl(b0)", "refl(p)"],
+]
+_GAPS = ["", " ", " ", "\t", "\u3000"]
+
+
+def _exponent(rng):
+    if rng.randint(400) == 0:
+        return rng.choice(_NEAR_LIMIT)
+    return rng.choice(_EXPONENTS)
+
+
+def _soup(rng):
+    """A text of up to 12 pieces drawn from every piece list."""
+    pieces = []
+    for _ in range(1 + rng.randint(12)):
+        pool = rng.randint(4)
+        if pool == 0:
+            pieces.append(rng.choice(_NAMES))
+        elif pool == 1:
+            pieces.append(_exponent(rng))
+        else:
+            pieces.append(rng.choice(_MISC))
+    return "".join(pieces)
+
+
+def _expr(rng, leaves, depth=0):
+    """A text the grammar derives from the given leaves."""
+    roll = rng.randint(10)
+    gap = rng.choice(_GAPS)
+    if depth > 3 or roll < 4:
+        return rng.choice(leaves)
+    if roll < 6:
+        return _expr(rng, leaves, depth + 1) + gap + "*" + gap + _expr(rng, leaves, depth + 1)
+    if roll < 8:
+        return "~" + gap + _expr(rng, leaves, depth + 1)
+    if roll < 9:
+        return "(" + _expr(rng, leaves, depth + 1) + ")"
+    return _expr(rng, leaves, depth + 1) + "^" + gap + _exponent(rng)
+
+
+def _mutate(rng, text):
+    """Drop a character, insert a piece, or swap two neighbours."""
+    if not text:
+        return text
+    i = rng.randint(len(text))
+    roll = rng.randint(3)
+    if roll == 0:
+        return text[:i] + text[i + 1 :]
+    if roll == 1:
+        return text[:i] + rng.choice(_MISC + _NAMES) + text[i:]
+    j = min(i + 1, len(text) - 1)
+    return text[:i] + text[j] + text[i + 1 : j] + text[i] + text[j + 1 :]
+
+
+def _corpus(n):
+    rng = Lcg(1729)
+    texts = []
+    for i in range(n):
+        if i % 2:
+            texts.append(_soup(rng))
+        else:
+            text = _expr(rng, rng.choice(_LEAF_POOLS))
+            for _ in range(rng.randint(3)):
+                text = _mutate(rng, text)
+            texts.append(text)
+    return texts
+
+
+def _outcome(space, text):
+    """Whether the text parses, and the line that pins the outcome."""
+    try:
+        term = parse_path(space, text)
+    except Exception as exc:
+        return False, f"{type(exc).__name__}: {exc}"
+    return True, f"{render_path(space, term)}|{size(term)}"
+
+
+class TestPinnedParses:
+    """The parser's outcome on a seeded corpus: the rendered term and its
+    size, or the error class and message. Written against the
+    method-per-rule parser, so a rewrite of the parser must keep every
+    outcome."""
+
+    CORPUS = 50_000
+
+    def test_outcomes_are_pinned(self):
+        digest = hashlib.sha256()
+        accepted = 0
+        for text in _corpus(self.CORPUS):
+            for space in _CORPUS_SPACES:
+                ok, got = _outcome(space, text)
+                accepted += ok
+                digest.update(f"{space.name}|{text!r}|{got}\n".encode())
+        assert accepted == 15877
+        assert digest.hexdigest() == (
+            "9c9152c8d323af5ce4e4fe5941d355a3a7dd38855859b89c734daf4bf5684c8a"
+        )
+
+    def test_validate_decisions_are_pinned(self):
+        # validate reads a name through the tokenizer: whether each text and
+        # each of its pieces is one name token of the grammar
+        names = set()
+        for text in _corpus(self.CORPUS):
+            names.add(text)
+            names.update(text.split())
+        digest = hashlib.sha256()
+        bad = 0
+        for name in sorted(names):
+            space = SpacePresentation(
+                "v", ("pt",), (Generator(name, "pt", "pt"),), (), "pt"
+            )
+            found = [v for v in validate(space) if v.startswith("BadName")]
+            bad += bool(found)
+            digest.update(f"{name!r}|{';'.join(found)}\n".encode())
+        assert (len(names), bad) == (57814, 55783)
+        assert digest.hexdigest() == (
+            "497af98adc548a64378cf230923bf8ba4d29938afa46570ba1feef309a64e463"
+        )
