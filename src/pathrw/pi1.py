@@ -24,7 +24,7 @@ from .errors import (
 from .groupoid import PathClass, class_of
 from .rewrite import Word, normalize, term_of_word
 from .spaces import _SHAPES, GroupTag, SpacePresentation, _builtin_record, builtin
-from .syntax import MAX_TERM_NODES
+from .syntax import MAX_TERM_NODES, _int
 from .terms import PathExpr, SpaceMap, Trans, _Record, endpoints, map_path
 
 
@@ -68,8 +68,7 @@ def mobius_to_circle() -> SpaceMap:
     return _retraction("mobius")
 
 
-def _require_basepoint_loop(space: SpacePresentation, p: PathExpr) -> None:
-    src, tgt = endpoints(space, p)
+def _require_basepoint_loop(space: SpacePresentation, src: str, tgt: str) -> None:
     if src != space.basepoint or tgt != space.basepoint:
         raise NotABasepointLoopError(
             f"encode needs a loop at '{space.basepoint}', got {src} -> {tgt}"
@@ -83,12 +82,15 @@ def encode(space: SpacePresentation, p: PathExpr) -> GroupValue:
         raise GroupTagMismatchError(
             f"space '{space.name}' carries no group tag; encode is undefined"
         )
-    _require_basepoint_loop(space, p)
-    if rec.retraction is not None:
+    if rec.retraction is None:
+        word = normalize(space, p).word
+        _require_basepoint_loop(space, word.src, word.tgt)
+    else:
+        _require_basepoint_loop(space, *endpoints(space, p))
         retraction = _retraction(space.name)
-        p = map_path(retraction, p)
         rec = _builtin_record(retraction.target)
-    m, n = rec.fold(normalize(rec.space, p).word.letters)
+        word = normalize(rec.space, map_path(retraction, p)).word
+    m, n = rec.fold(word.letters)
     return GroupValue(space.group_tag, m, n)
 
 
@@ -159,12 +161,12 @@ def parse_group_value(tag: GroupTag, text: str) -> GroupValue:
                 f"{tag.value} values look like (m, n); got {text!r}"
             )
         try:
-            coords = [int(part) for part in parts]
+            coords = [_int(part.strip(), "value") for part in parts]
         except ValueError:
             raise ParseError(f"bad integer in {text!r}") from None
     else:
         try:
-            coords = [int(stripped)]
+            coords = [_int(stripped, "value")]
         except ValueError:
             raise ParseError(
                 f"{tag.value} values are integers; got {text!r}"

@@ -33,8 +33,8 @@ reads (the node's endpoints, a payload or nothing) and its local effect.
 looked up by the side they rewrite. The search oracle restates the rows
 over its own node ids, and its tests hold the two statements equal.
 
-`normalize` computes words directly: leaf fold, stack cancellation, then
-the canonical-word rule of the space's record in the builtin table (see
+`normalize` computes words directly: one walk yields the freely reduced
+letters with the endpoints, then comes the canonical-word rule of the space's record in the builtin table (see
 `spaces`). Most builtins fold the letters into their group element (m, n)
 and write a^m b^n; the cylinder substitutes its far loop and reduces again;
 a space without a record keeps its freely reduced word. `trace` performs
@@ -56,7 +56,7 @@ whole term, which is never built.
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import EndpointMismatchError, StepNotEnabledError
 from .spaces import Relation, SpacePresentation, _builtin_record
@@ -401,67 +401,74 @@ def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> Pa
 # words and direct normalization
 
 
-def _letters_of(
-    space: "SpacePresentation", p: PathExpr
-) -> tuple[list[tuple[str, int]], str, str]:
-    """The signed letters of a term in order, with its endpoints: one walk
-    from the root that carries the sign, as an inverse reverses its leg."""
-    src, tgt = endpoints(space, p)
+def free_normalize(space: "SpacePresentation", p: PathExpr) -> Word:
+    """The freely reduced word of a term: flatten, push inverses to the
+    letters, drop constant paths, cancel adjacent inverse pairs.
+
+    One walk from the root does it all. It carries the sign, as an inverse
+    reverses its leg, and the point reached: a term is well formed exactly
+    when each atom of its flattening (a letter or a constant path) starts
+    where the one before it ends."""
+    gens = space.generator_map
     letters: list[tuple[str, int]] = []
+    src = at = None
     todo: list[tuple[PathExpr, int]] = [(p, 1)]
     while todo:
         node, sign = todo.pop()
-        cls = type(node)
-        if cls is Gen:
-            letters.append((node.name, sign))
-        elif cls is Symm:
-            todo.append((node.inner, -sign))
-        elif cls is Trans:
-            if sign > 0:
-                todo += ((node.second, 1), (node.first, 1))
+        while True:  # down to the next atom, stacking the legs after it
+            cls = type(node)
+            if cls is Trans:
+                if sign > 0:
+                    todo.append((node.second, 1))
+                    node = node.first
+                else:
+                    todo.append((node.first, -1))
+                    node = node.second
+            elif cls is Symm:
+                node, sign = node.inner, -sign
             else:
-                todo += ((node.first, -1), (node.second, -1))
-    return letters, src, tgt
-
-
-def _reduce_letters(letters: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    stack: list[tuple[str, int]] = []
-    for name, sign in letters:
-        if stack and stack[-1][0] == name and stack[-1][1] == -sign:
-            stack.pop()
+                break
+        if cls is Gen and node.name in gens:
+            gen = gens[node.name]
+            start, end = (gen.src, gen.tgt) if sign > 0 else (gen.tgt, gen.src)
+            if letters and letters[-1] == (node.name, -sign):
+                letters.pop()
+            else:
+                letters.append((node.name, sign))
+        elif cls is Refl and node.point in space.point_set:
+            start = end = node.point
         else:
-            stack.append((name, sign))
-    return tuple(stack)
-
-
-def free_normalize(space: "SpacePresentation", p: PathExpr) -> Word:
-    """The freely reduced word of a term: flatten, push inverses to the
-    letters, drop constant paths, cancel adjacent inverse pairs."""
-    letters, src, tgt = _letters_of(space, p)
-    return Word(_reduce_letters(letters), src, tgt)
-
-
-def _canonical_word(space: "SpacePresentation", w: Word) -> Word:
-    rec = _builtin_record(space)
-    if rec is None:
-        return w
-    if rec.substitution is None:
-        return Word(rec.write(*rec.fold(w.letters)), w.src, w.tgt)
-    letters: list[tuple[str, int]] = []
-    for name, sign in w.letters:
-        image = rec.substitution.get(name)
-        if image is None:
-            letters.append((name, sign))
-        elif sign > 0:
-            letters.extend(image)
-        else:
-            letters.extend((n, -s) for n, s in reversed(image))
-    return Word(_reduce_letters(letters), w.src, w.tgt)
+            break
+        if start != at:
+            if at is not None:
+                break
+            src = start
+        at = end
+    else:
+        return Word(tuple(letters), src, at)
+    # ill-formed: raise the first fault in the order `endpoints` meets them
+    endpoints(space, p)
+    raise AssertionError("endpoints accepted an ill-formed term")
 
 
 def normalize(space: "SpacePresentation", p: PathExpr) -> NormalForm:
     """Canonical word of a term under the space's strategy. Idempotent."""
-    return NormalForm(_canonical_word(space, free_normalize(space, p)))
+    w = free_normalize(space, p)
+    rec = _builtin_record(space)
+    if rec is None:
+        return NormalForm(w)
+    if rec.substitution is None:
+        return NormalForm(Word(rec.write(*rec.fold(w.letters)), w.src, w.tgt))
+    # substitute each letter's image, or the letter itself, and reduce
+    letters: list[tuple[str, int]] = []
+    for name, sign in w.letters:
+        image = rec.substitution.get(name, ((name, 1),))
+        for n, s in image if sign > 0 else reversed(image):
+            if letters and letters[-1] == (n, -s * sign):
+                letters.pop()
+            else:
+                letters.append((n, s * sign))
+    return NormalForm(Word(tuple(letters), w.src, w.tgt))
 
 
 def normal_forms_decide(space: "SpacePresentation") -> bool:
@@ -476,24 +483,18 @@ def rw_eq(space: "SpacePresentation", p: PathExpr, q: PathExpr) -> bool:
 
     A True is always right; a False is right where `normal_forms_decide`
     holds. Use the search oracle when the relations matter."""
-    if endpoints(space, p) != endpoints(space, q):
-        raise EndpointMismatchError(
-            "rw_eq compares paths with identical endpoints"
-        )
-    return normalize(space, p) == normalize(space, q)
+    nf_p, nf_q = normalize(space, p), normalize(space, q)
+    if (nf_p.word.src, nf_p.word.tgt) != (nf_q.word.src, nf_q.word.tgt):
+        raise EndpointMismatchError("rw_eq compares paths with identical endpoints")
+    return nf_p == nf_q
 
 
 def term_of_word(word: Word) -> PathExpr:
     """Read a word back as a term: a left-nested composition of letters."""
     if not word.letters:
         return Refl(word.src)
-    lits: list[PathExpr] = [
-        Gen(name) if sign > 0 else Symm(Gen(name)) for name, sign in word.letters
-    ]
-    acc = lits[0]
-    for lit in lits[1:]:
-        acc = Trans(acc, lit)
-    return acc
+    lits = [Gen(name) if sign > 0 else Symm(Gen(name)) for name, sign in word.letters]
+    return reduce(Trans, lits)
 
 
 # ---------------------------------------------------------------------------

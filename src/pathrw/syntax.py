@@ -10,6 +10,12 @@ Grammar (loosest to tightest):
 Bare `refl` is only accepted in single-point spaces. A builtin may print a
 generator under a display name (the rp2 generator `alpha` prints as `α`);
 the parser accepts both names.
+
+The tokens are the five symbols, names (a letter or `_`, then letters,
+digits or `_`) and integers (decimal digits, after an optional `-`). The
+parser reads the token list by index in one loop and gives all uses of a
+generator one shared leaf; an integer is checked against the node limit
+by its digit count before int() reads it.
 """
 
 from __future__ import annotations
@@ -26,165 +32,168 @@ from .terms import Gen, PathExpr, Refl, Symm, Trans, zpow
 # word of n letters is a term of 2n - 1 nodes or more.
 MAX_TERM_NODES = 1_000_000
 
-_SYMBOLS = {"*", "~", "^", "(", ")"}
+# each symbol and its token
+_SYMBOLS = {sym: ("sym", sym) for sym in "*~^()"}
+# more significant digits than int() reads: far past the node limit, and
+# far below the fewest digits (640) Python may limit int() to
+_MAX_DIGITS = 100
+
+
+def _scan(piece: str, tokens: list[tuple[str, str]]) -> None:
+    """Append the names and integers a piece of text holds, character by
+    character. This defines those tokens."""
+    i, n = 0, len(piece)
+    while i < n:
+        ch = piece[i]
+        if ch.isdecimal() or (ch == "-" and piece[i + 1 : i + 2].isdecimal()):
+            kind, fits = "int", str.isdecimal
+        elif ch.isalpha() or ch == "_":
+            kind, fits = "name", lambda c: c.isalnum() or c == "_"
+        else:
+            raise ParseError(f"unexpected character '{ch}'")
+        j = i + 1
+        while j < n and fits(piece[j]):
+            j += 1
+        tokens.append((kind, piece[i:j]))
+        i = j
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
+    """The tokens of a text. With the symbols padded by spaces, no token
+    spans two of the pieces between whitespace. A piece that is wholly a
+    symbol, a name or an integer is that token; `_scan` reads any other."""
+    for sym in _SYMBOLS:
+        text = text.replace(sym, f" {sym} ")
     tokens: list[tuple[str, str]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(("sym", ch))
-            i += 1
-            continue
-        if ch.isdecimal() or (ch == "-" and text[i + 1 : i + 2].isdecimal()):
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("int", text[i:j]))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        raise ParseError(f"unexpected character '{ch}'")
+    for piece in text.split():
+        tok = _SYMBOLS.get(piece)
+        if tok is not None:
+            tokens.append(tok)
+        elif (piece[0].isalpha() or piece[0] == "_") and piece.replace("_", "a").isalnum():
+            tokens.append(("name", piece))
+        elif piece.isdecimal() or piece[0] == "-" and piece[1:].isdecimal():
+            tokens.append(("int", piece))
+        else:
+            _scan(piece, tokens)
     return tokens
 
 
-class _Parser:
-    def __init__(self, space: "SpacePresentation", text: str):
-        self.space = space
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str] | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def take(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str) -> None:
-        tok = self.take()
-        if tok[1] != value:
-            raise ParseError(f"expected '{value}', found '{tok[1]}'")
-
-    def check_size(self, nodes: int) -> None:
-        if nodes > MAX_TERM_NODES:
-            raise ParseError(
-                f"term too large: {nodes:,} nodes, the limit is {MAX_TERM_NODES:,}"
-            )
-
-    def parse(self) -> PathExpr:
-        """The whole text as one term, read by one loop at every nesting
-        level: a run of `~` is counted, and an open parenthesis pushes the
-        composition so far and the `~` count before it."""
-        # per open parenthesis: the left operand before it and its `~` count
-        pending: list[tuple[PathExpr | None, int]] = []
-        left: PathExpr | None = None
-        while True:
-            tildes = 0
-            while (tok := self.peek()) is not None and tok[1] == "~":
-                self.take()
-                tildes += 1
-            if tok is not None and tok[1] == "(":
-                self.take()
-                pending.append((left, tildes))
-                left = None
-                continue
-            term = self.primary()
-            while True:
-                term = self.postfix(term)
-                for _ in range(tildes):
-                    self.check_size(term._size + 1)
-                    term = Symm(term)
-                if left is not None:
-                    self.check_size(left._size + term._size + 1)
-                    term = Trans(left, term)
-                tok = self.peek()
-                if tok is not None and tok[1] == "*":
-                    self.take()
-                    left = term
-                    break
-                if not pending:
-                    if tok is not None:
-                        raise ParseError(f"unexpected token '{tok[1]}'")
-                    return term
-                # the parenthesised term is the primary of its outer level
-                self.expect(")")
-                left, tildes = pending.pop()
-
-    def postfix(self, term: PathExpr) -> PathExpr:
-        while True:
-            tok = self.peek()
-            if tok is None or tok[1] != "^":
-                return term
-            self.take()
-            kind, value = self.take()
-            if kind != "int":
-                raise ParseError(f"expected an integer exponent, found '{value}'")
-            k = int(value)
-            # zpow writes |k| copies (each inverted when k < 0) joined by
-            # |k| - 1 compositions
-            self.check_size(abs(k) * (term._size + (k < 0) + 1) - 1 if k else 1)
-            term = zpow(self.space, term, k)
-
-    def primary(self) -> PathExpr:
-        kind, value = self.take()
-        if kind == "name" and value == "refl":
-            tok = self.peek()
-            if tok is not None and tok[1] == "(":
-                self.take()
-                pkind, point = self.take()
-                if pkind != "name":
-                    raise ParseError(f"expected a point name, found '{point}'")
-                self.expect(")")
-                if point not in self.space.point_set:
-                    raise ParseError(
-                        f"'{point}' is not a point of '{self.space.name}'"
-                    )
-                return Refl(point)
-            if len(self.space.points) != 1:
-                raise ParseError(
-                    f"bare 'refl' is ambiguous in '{self.space.name}'; "
-                    "write refl(<point>)"
-                )
-            return Refl(self.space.points[0])
-        if kind == "name":
-            name = self._resolve_generator(value)
-            return Gen(name)
-        raise ParseError(f"unexpected token '{value}'")
-
-    def _resolve_generator(self, name: str) -> str:
-        if name in self.space.generator_map:
-            return name
-        for gen, shown in _display(self.space).items():
-            if shown == name:
-                return gen
+def _int(text: str, what: str) -> int:
+    """int(text), but a long signed run of digits loses its leading zeros
+    and is refused if still too long: int() never meets its digit limit."""
+    sign = text[:1] if text[:1] in ("+", "-") else ""
+    digits = text[len(sign):]
+    if len(text) <= _MAX_DIGITS or not digits.isdecimal():
+        return int(text)
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > _MAX_DIGITS:
         raise ParseError(
-            f"'{name}' is not a generator of '{self.space.name}'"
+            f"{what} too large: a number of {len(digits):,} digits, the limit "
+            f"is {MAX_TERM_NODES:,} nodes"
         )
+    return int(sign + digits)
+
+
+def _too_large(nodes: int) -> ParseError:
+    return ParseError(
+        f"term too large: {nodes:,} nodes, the limit is {MAX_TERM_NODES:,}"
+    )
+
+
+def _misfit(value: str | None, message: str) -> ParseError:
+    """The error for a token that does not fit, or for the end of the text."""
+    return ParseError("unexpected end of expression" if value is None else message)
 
 
 def parse_path(space: "SpacePresentation", text: str) -> PathExpr:
-    """Parse a path expression against a presentation."""
+    """Parse a path expression against a presentation. A run of `~` is
+    counted, and an open parenthesis pushes the composition so far and the
+    `~` count before it, so one loop reads every nesting level."""
     if not text.strip():
         raise ParseError("empty path expression")
-    return _Parser(space, text).parse()
+    tokens = _tokenize(text)
+    tokens.append((None, None))  # the end, so lookahead needs no bounds check
+    leaves: dict[str, PathExpr] = {}
+    # per open parenthesis: the left operand before it and its `~` count
+    pending: list[tuple[PathExpr | None, int]] = []
+    left: PathExpr | None = None
+    i = 0
+    while True:
+        tildes = 0
+        kind, value = tokens[i]
+        while value == "~":
+            tildes += 1
+            i += 1
+            kind, value = tokens[i]
+        if value == "(":
+            i += 1
+            pending.append((left, tildes))
+            left = None
+            continue
+        if kind != "name":
+            raise _misfit(value, f"unexpected token '{value}'")
+        i += 1
+        if value == "refl" and tokens[i][1] == "(":
+            kind, point = tokens[i + 1]
+            if kind != "name":
+                raise _misfit(point, f"expected a point name, found '{point}'")
+            close = tokens[i + 2][1]
+            if close != ")":
+                raise _misfit(close, f"expected ')', found '{close}'")
+            if point not in space.point_set:
+                raise ParseError(f"'{point}' is not a point of '{space.name}'")
+            term = Refl(point)
+            i += 3
+        elif value == "refl":
+            if len(space.points) != 1:
+                raise ParseError(
+                    f"bare 'refl' is ambiguous in '{space.name}'; write refl(<point>)"
+                )
+            term = Refl(space.points[0])
+        elif (term := leaves.get(value)) is None:
+            shown = {shown: gen for gen, shown in _display(space).items()}
+            name = value if value in space.generator_map else shown.get(value)
+            if name is None:
+                raise ParseError(f"'{value}' is not a generator of '{space.name}'")
+            term = leaves[value] = Gen(name)
+        value = tokens[i][1]
+        while True:
+            while value == "^":
+                kind, value = tokens[i + 1]
+                if kind != "int":
+                    raise _misfit(value, f"expected an integer exponent, found '{value}'")
+                i += 2
+                k = _int(value, "term")
+                # zpow writes |k| copies (each inverted when k < 0) joined by
+                # |k| - 1 compositions
+                nodes = abs(k) * (term._size + (k < 0) + 1) - 1 if k else 1
+                if nodes > MAX_TERM_NODES:
+                    raise _too_large(nodes)
+                term = zpow(space, term, k)
+                value = tokens[i][1]
+            if term._size + tildes > MAX_TERM_NODES:
+                raise _too_large(MAX_TERM_NODES + 1)  # at the first `~` past it
+            for _ in range(tildes):
+                term = Symm(term)
+            if left is not None:
+                nodes = left._size + term._size + 1
+                if nodes > MAX_TERM_NODES:
+                    raise _too_large(nodes)
+                term = Trans(left, term)
+            if value == "*":
+                i += 1
+                left = term
+                break
+            if not pending:
+                if value is not None:
+                    raise ParseError(f"unexpected token '{value}'")
+                return term
+            # the parenthesised term is the primary of its outer level
+            if value != ")":
+                raise _misfit(value, f"expected ')', found '{value}'")
+            left, tildes = pending.pop()
+            i += 1
+            value = tokens[i][1]
 
 
 def _display(space: "SpacePresentation") -> Mapping[str, str]:

@@ -9,6 +9,7 @@ engine's visited sets and cancellation checks rely on.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import reduce
 
 from .errors import (
     EndpointMismatchError,
@@ -227,11 +228,8 @@ def zpow(space: "SpacePresentation", loop: PathExpr, n: int) -> PathExpr:
     if n == 0:
         return Refl(src)
     if n < 0:
-        return zpow(space, Symm(loop), -n)
-    acc: PathExpr = loop
-    for _ in range(n - 1):
-        acc = Trans(acc, loop)
-    return acc
+        loop, n = Symm(loop), -n
+    return reduce(Trans, [loop] * n)
 
 
 # states the search oracle may spend proving one relation preserved, where

@@ -453,6 +453,19 @@ class TestErrorExits:
         code, _ = run(["no-such-command"])
         assert code == 2
 
+    def test_long_digit_runs_are_bad_input(self):
+        code, text = run(["decode", "--space", "circle", "9" * 5000])
+        assert (code, text) == (
+            2, "error: value too large: a number of 5,000 digits, the limit is "
+            "1,000,000 nodes",
+        )
+        code, text = run(["normalize", "--space", "circle", "a^" + "9" * 5000])
+        assert (code, text) == (
+            2, "error: term too large: a number of 5,000 digits, the limit is "
+            "1,000,000 nodes",
+        )
+        assert run(["decode", "--space", "circle", "0" * 4999 + "3"]) == (0, "a * a * a")
+
     def test_endpoint_mismatch_is_reported(self):
         code, text = run(["equal", "--space", "cylinder", "s", "l0"])
         assert code == 2
@@ -574,7 +587,9 @@ class TestColdStart:
         return done.stdout.split()
 
     def test_import_loads_only_what_a_call_uses(self):
-        modules = ("typing", "argparse", "json", "pathrw.checks", "dataclasses", "inspect")
+        modules = (
+            "typing", "argparse", "json", "pathrw.checks", "dataclasses", "inspect", "re",
+        )
         assert self._loaded("pathrw, pathrw.cli", modules) == []
 
     def test_check_suites_load_no_dataclasses(self):

@@ -249,3 +249,27 @@ class TestValueText:
         ]:
             with pytest.raises(ParseError, match="the limit is 1,000,000"):
                 parse_group_value(tag, text)
+
+    def test_long_digit_runs_are_read_by_their_length(self):
+        # past the 4,300 digits int() converts by default: leading zeros
+        # are dropped first, and a number still that long is refused
+        zeros = "0" * 4999
+        assert parse_group_value(GroupTag.FREE_Z, zeros + "3").m == 3
+        assert parse_group_value(GroupTag.FREE_Z, f" -{zeros}3 ").m == -3
+        assert parse_group_value(GroupTag.FREE_Z, "+" + zeros).m == 0
+        value = parse_group_value(GroupTag.ZXZ, f"({zeros}2, -{zeros}1)")
+        assert (value.m, value.n) == (2, -1)
+        for tag, text in [
+            (GroupTag.FREE_Z, "9" * 5000),
+            (GroupTag.FREE_Z, "-" + "9" * 5000),
+            (GroupTag.ZXZ, f"(1, {'9' * 5000})"),
+            (GroupTag.Z2, "1" * 101),
+        ]:
+            with pytest.raises(
+                ParseError, match=r"value too large: a number of [\d,]+ digits"
+            ):
+                parse_group_value(tag, text)
+        # other text still goes to int() as it is
+        assert parse_group_value(GroupTag.FREE_Z, "1_000").m == 1000
+        with pytest.raises(ParseError, match="values are integers"):
+            parse_group_value(GroupTag.FREE_Z, "+-3")

@@ -126,6 +126,22 @@ class TestParsing:
             with pytest.raises(ParseError, match="the limit is 1,000,000"):
                 parse_path(CIRCLE, text)
 
+    def test_long_exponents_are_read_by_their_length(self):
+        # past the 4,300 digits int() converts by default: leading zeros
+        # are dropped first, and an exponent still that long is refused
+        assert parse_path(CIRCLE, "a^" + "0" * 4999 + "3") == zpow(CIRCLE, Gen("a"), 3)
+        assert parse_path(CIRCLE, "a^-" + "0" * 4999 + "2") == parse_path(CIRCLE, "a^-2")
+        assert parse_path(CIRCLE, "a^" + "0" * 5000) == Refl("pt")
+        for text in ("a^" + "9" * 5000, "a^-" + "9" * 5000, "a^" + "1" * 101):
+            with pytest.raises(
+                ParseError, match=r"term too large: a number of [\d,]+ digits"
+            ):
+                parse_path(CIRCLE, text)
+        # up to 100 digits the exact node count is named
+        nodes = 2 * int("1" * 100) - 1
+        with pytest.raises(ParseError, match=f"term too large: {nodes:,} nodes"):
+            parse_path(CIRCLE, "a^" + "1" * 100)
+
     def test_whitespace_insensitive(self):
         assert parse_path(TORUS, "a*b") == parse_path(TORUS, "  a  *  b  ")
 
