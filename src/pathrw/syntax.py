@@ -14,8 +14,8 @@ the parser accepts both names.
 The tokens are the five symbols, names (a letter or `_`, then letters,
 digits or `_`) and integers (decimal digits, after an optional `-`). The
 parser reads the token list by index in one loop and gives all uses of a
-generator one shared leaf; an integer is checked against the node limit
-by its digit count before int() reads it.
+generator one shared leaf; a long integer loses its leading zeros and is
+then refused by its digit count if still too long for the node limit.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .terms import Gen, PathExpr, Refl, Symm, Trans, zpow
 # word of n letters is a term of 2n - 1 nodes or more.
 MAX_TERM_NODES = 1_000_000
 
-# each symbol and its token
 _SYMBOLS = {sym: ("sym", sym) for sym in "*~^()"}
 # more significant digits than int() reads: far past the node limit, and
 # far below the fewest digits (640) Python may limit int() to
