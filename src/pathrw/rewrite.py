@@ -33,8 +33,8 @@ reads (the node's endpoints, a payload or nothing) and its local effect.
 looked up by the side they rewrite. The search oracle restates the rows
 over its own node ids, and its tests hold the two statements equal.
 
-`normalize` computes words directly: one walk yields the freely reduced
-letters with the endpoints, then comes the canonical-word rule of the space's record in the builtin table (see
+`normalize` computes words directly: one walk yields the reduced letters
+and endpoints, then the canonical-word rule of the space's record (see
 `spaces`). Most builtins fold the letters into their group element (m, n)
 and write a^m b^n; the cylinder substitutes its far loop and reduces again;
 a space without a record keeps its freely reduced word. `trace` performs

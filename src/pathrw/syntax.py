@@ -84,7 +84,7 @@ def _int(text: str, what: str) -> int:
     digits = text[len(sign):]
     if len(text) <= _MAX_DIGITS or not digits.isdecimal():
         return int(text)
-    digits = digits.lstrip("0") or "0"
+    digits = digits[next((i for i, ch in enumerate(digits) if int(ch)), len(digits) - 1):]
     if len(digits) > _MAX_DIGITS:
         raise ParseError(
             f"{what} too large: a number of {len(digits):,} digits, the limit "

@@ -790,7 +790,10 @@ ILL_FORMED = [
         "EndpointMismatchError: cannot compose: first ends at 'b1', second starts at 'b0'",
     ),
     (TORUS, Trans(YY, ZZ), "UnknownGeneratorError: 'yy' is not a generator of 'torus'"),
-    (KLEIN, Symm(Trans(YY, ZZ)), "UnknownGeneratorError: 'yy' is not a generator of 'klein'"),
+    (
+        KLEIN, Symm(Trans(YY, ZZ)),
+        "UnknownGeneratorError: 'yy' is not a generator of 'klein'",
+    ),
     (
         CYL, Symm(Trans(Trans(S, S), ZZ)),
         "EndpointMismatchError: cannot compose: first ends at 'b1', second starts at 'b0'",
@@ -827,7 +830,10 @@ ILL_FORMED = [
         FILE_SPACE, Symm(Trans(Trans(Gen("h"), Gen("g")), Refl("r"))),
         "EndpointMismatchError: cannot compose: first ends at 'p', second starts at 'q'",
     ),
-    (CIRCLE, Trans(LEFT_CHAIN, ZZ), "UnknownGeneratorError: 'zz' is not a generator of 'circle'"),
+    (
+        CIRCLE, Trans(LEFT_CHAIN, ZZ),
+        "UnknownGeneratorError: 'zz' is not a generator of 'circle'",
+    ),
     (
         CIRCLE, Symm(Trans(Refl("q"), Trans(LEFT_CHAIN, ZZ))),
         "UnknownPointError: 'q' is not a point of 'circle'",

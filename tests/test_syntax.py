@@ -132,6 +132,8 @@ class TestParsing:
         assert parse_path(CIRCLE, "a^" + "0" * 4999 + "3") == zpow(CIRCLE, Gen("a"), 3)
         assert parse_path(CIRCLE, "a^-" + "0" * 4999 + "2") == parse_path(CIRCLE, "a^-2")
         assert parse_path(CIRCLE, "a^" + "0" * 5000) == Refl("pt")
+        # any decimal zero leads, as int() reads any decimal digit
+        assert parse_path(CIRCLE, "a^" + "٠" * 4999 + "٣") == zpow(CIRCLE, Gen("a"), 3)
         for text in ("a^" + "9" * 5000, "a^-" + "9" * 5000, "a^" + "1" * 101):
             with pytest.raises(
                 ParseError, match=r"term too large: a number of [\d,]+ digits"
@@ -291,7 +293,8 @@ def _expr(rng, leaves, depth=0):
     if depth > 3 or roll < 4:
         return rng.choice(leaves)
     if roll < 6:
-        return _expr(rng, leaves, depth + 1) + gap + "*" + gap + _expr(rng, leaves, depth + 1)
+        first, second = _expr(rng, leaves, depth + 1), _expr(rng, leaves, depth + 1)
+        return first + gap + "*" + gap + second
     if roll < 8:
         return "~" + gap + _expr(rng, leaves, depth + 1)
     if roll < 9:
