@@ -150,8 +150,8 @@ def parse_path(space: "SpacePresentation", text: str) -> PathExpr:
                 )
             term = Refl(space.points[0])
         elif (term := leaves.get(value)) is None:
-            shown = {shown: gen for gen, shown in _display(space).items()}
-            name = value if value in space.generator_map else shown.get(value)
+            by_display = {shown: gen for gen, shown in _display(space).items()}
+            name = value if value in space.generator_map else by_display.get(value)
             if name is None:
                 raise ParseError(f"'{value}' is not a generator of '{space.name}'")
             term = leaves[value] = Gen(name)
