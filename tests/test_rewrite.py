@@ -29,12 +29,14 @@ from pathrw import (
     relation_bwd,
     relation_fwd,
     rw_eq,
+    size,
     term_of_word,
     trace,
 )
 from pathrw.rewrite import (
     ASSOC_LEFT,
     ASSOC_RIGHT,
+    RuleId,
     SYMM_REFL,
     SYMM_REFL_INTRO,
     SYMM_SYMM,
@@ -209,6 +211,49 @@ class TestSingleRules:
         t = Trans(A, A)
         with pytest.raises(StepNotEnabledError):
             apply_step(CIRCLE, t, step(TRANS_REFL_LEFT))
+
+    @pytest.mark.parametrize("space, term, s, message", [
+        # no subterm: an index a node does not have, or any index under a leaf
+        (TORUS, Trans(A, B), step(ASSOC_LEFT, (2,)), "no subterm at position 2"),
+        (TORUS, Trans(Symm(A), B), step(SYMM_SYMM, (0, 1)), "no subterm at position 0.1"),
+        (TORUS, Trans(A, B), step(SYMM_SYMM, (1, 0)), "no subterm at position 1.0"),
+        (CIRCLE, A, step(SYMM_SYMM, (0, 1)), "no subterm at position 0.1"),
+        (CIRCLE, Refl("pt"), step(SYMM_REFL, (1,)), "no subterm at position 1"),
+        # the position is checked before the rule, then an unknown rule
+        (TORUS, A, step(RuleId("nope"), (0,)), "no subterm at position 0"),
+        (TORUS, Trans(A, B), step(RuleId("nope"), (1,)), "unknown rule 'nope'"),
+        # a rule whose shape does not fit
+        (CIRCLE, Trans(A, A), step(TRANS_REFL_LEFT), "rule trans_refl_left is not enabled at root"),
+        (TORUS, Trans(B, Symm(A)), step(SYMM_TRANS_CONGR, (1,)),
+         "rule symm_trans_congr is not enabled at 1"),
+        (TORUS, Trans(Symm(B), A), step(SYMM_TRANS_CONGR_INTRO),
+         "rule symm_trans_congr_intro is not enabled at root"),
+        # a cancellation of unequal operands
+        (TORUS, Trans(Symm(A), B), step(SYMM_TRANS_CANCEL),
+         "rule symm_trans_cancel is not enabled at root"),
+        (TORUS, Trans(B, Trans(A, Symm(B))), step(TRANS_SYMM_CANCEL, (1,)),
+         "rule trans_symm_cancel is not enabled at 1"),
+        # a cancellation intro without a payload, or whose pair does not
+        # close at the point
+        (CIRCLE, Refl("pt"), step(SYMM_TRANS_CANCEL_INTRO),
+         "rule symm_trans_cancel_intro is not enabled at root"),
+        (CYL, Refl("b0"), step(SYMM_TRANS_CANCEL_INTRO, (), Gen("s")),
+         "rule symm_trans_cancel_intro is not enabled at root"),
+        (CYL, Trans(Gen("s"), Refl("b1")), step(TRANS_SYMM_CANCEL_INTRO, (1,), Gen("s")),
+         "rule trans_symm_cancel_intro is not enabled at 1"),
+        # a relation rule absent at the node, or naming no relation
+        (TORUS, Trans(B, A), step(relation_fwd("torusComm")),
+         "rule relation_fwd(torusComm) is not enabled at root"),
+        (TORUS, Symm(Trans(A, B)), step(relation_bwd("torusComm"), (0,)),
+         "rule relation_bwd(torusComm) is not enabled at 0"),
+        (TORUS, Trans(A, B), step(relation_fwd("nope")),
+         "rule relation_fwd(nope) is not enabled at root"),
+    ])
+    def test_refusals_are_pinned(self, space, term, s, message):
+        with pytest.raises(StepNotEnabledError) as info:
+            apply_step(space, term, s)
+        assert type(info.value) is StepNotEnabledError
+        assert str(info.value) == message
 
 
 class TestIntroRules:
@@ -550,6 +595,41 @@ class TestTrace:
             cur = apply_step(space, cur, s)  # raises if a step is stale
         assert free_normalize(space, cur).letters == nf.word.letters
         assert endpoints(space, cur) == (nf.word.src, nf.word.tgt)
+
+    def test_replay_matches_a_constructor_rebuild(self):
+        # every step of the traces `test_traces_of_larger_terms_are_pinned`
+        # digests: apply_step's result must equal, hash and count like the
+        # rewritten subterm put back with the public constructors
+        rng = Lcg(23)
+        cases = [
+            (space, random_term(space, 10 + rng.randint(61), rng))
+            for space in SMALL_TERM_SPACES
+            for _ in range(30)
+        ]
+        for space, n in ((TORUS, 100), (TORUS, 200), (KLEIN, 100), (KLEIN, 150)):
+            letters = tuple((rng.choice("ab"), rng.choice((1, -1))) for _ in range(n))
+            cases.append((space, term_of_word(Word(letters, "pt", "pt"))))
+        count = 0
+        for space, t in cases:
+            cur = t
+            for s in trace(space, t)[1]:
+                subs = [cur]
+                for idx in s.at:
+                    node = subs[-1]
+                    subs.append(node.inner if isinstance(node, Symm) else
+                                node.second if idx else node.first)
+                want = apply_step(space, subs.pop(), RewriteStep(s.rule, (), s.payload))
+                for node, idx in zip(reversed(subs), reversed(s.at)):
+                    if isinstance(node, Symm):
+                        want = Symm(want)
+                    else:
+                        want = Trans(node.first, want) if idx else Trans(want, node.second)
+                cur = apply_step(space, cur, s)
+                assert cur == want
+                assert hash(cur) == hash(want)
+                assert size(cur) == size(want)
+                count += 1
+        assert count == 28154
 
     def test_trace_on_normal_term_is_empty(self):
         nf, steps = trace(CIRCLE, A)
