@@ -48,9 +48,12 @@ routes are independent and the tests hold them equal.
 `trace` never rebuilds the whole term. Its flattening phases rewrite by a
 preorder scan that resumes at the parent of each rewritten node. The spine
 is then kept as a list of literals: a spine rule applies its template with
-`apply_step` to the one- or two-letter node it matched, and its steps and
-the bracketing steps around them are recorded at their positions in the
-whole term, which is never built.
+`apply_step` to the one- or two-letter node it matched, once per call for
+each distinct node (its letters fix it; a repeat reuses the result), and
+its steps and the bracketing steps around them are recorded at their
+positions in the whole term, which is never built. `apply_step` and the
+scan rebuild a rewritten node's ancestors from a list, each composition
+with the hash and size `Trans` would give it, without its constructor.
 """
 
 from __future__ import annotations
@@ -61,22 +64,23 @@ from functools import lru_cache, reduce
 from .errors import EndpointMismatchError, StepNotEnabledError
 from .spaces import Relation, SpacePresentation, _builtin_record
 from .terms import Gen, PathExpr, Refl, Symm, Trans, _Record, endpoints
+from .terms import _set_first, _set_hash, _set_second, _set_size
 
 Position = tuple[int, ...]
 
 
 class RuleId(_Record):
-    """A rewrite rule identifier; relation rules carry the relation name."""
+    """A rewrite rule identifier; relation rules carry the relation name.
+    The text a step line shows is derived once and stays out of equality."""
 
-    __slots__ = _fields = ("kind", "relation")
+    _fields = ("kind", "relation")
+    __slots__ = (*_fields, "_text")
 
     def __init__(self, kind: str, relation: str | None = None) -> None:
-        self._fill(kind, relation)
+        self._fill(kind, relation, kind if relation is None else f"{kind}({relation})")
 
     def __str__(self) -> str:
-        if self.relation is None:
-            return self.kind
-        return f"{self.kind}({self.relation})"
+        return self._text
 
 
 TRANS_REFL_LEFT = RuleId("trans_refl_left")
@@ -141,6 +145,8 @@ class NormalForm(_Record):
 _step_rule, _step_at, _step_payload = RewriteStep._setters
 
 
+# a trace's steps sit at a few hundred positions, most met again by the next
+@lru_cache(maxsize=1024)
 def format_position(pos: Position) -> str:
     if not pos:
         return "root"
@@ -148,13 +154,11 @@ def format_position(pos: Position) -> str:
 
 
 def format_step(step: RewriteStep, space: "SpacePresentation | None" = None) -> str:
-    base = f"{step.rule} @ {format_position(step.at)}"
+    base = f"{step.rule._text} @ {format_position(step.at)}"
     if step.payload is None:
         return base
     if space is not None:
-        from .syntax import render_path
-
-        return f"{base} [{render_path(space, step.payload)}]"
+        return f"{base} [{syntax.render_path(space, step.payload)}]"
     return f"{base} [payload]"
 
 
@@ -386,14 +390,29 @@ def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> Pa
         raise StepNotEnabledError(
             f"rule {step.rule} is not enabled at {format_position(step.at)}"
         )
-    # rebuild the ancestors bottom-up around the rewritten subterm
-    for parent, idx in zip(reversed(ancestors), reversed(step.at)):
+    return _rebuild(ancestors, step.at, new)
+
+
+def _rebuild(ancestors: list[PathExpr], at: Position, new: PathExpr) -> PathExpr:
+    """The term with `ancestors` (root first) on the way down to position
+    `at` and `new` at `at`; the term itself if `new` is already there. A
+    rebuilt composition gets the hash and size `Trans.__init__` would give,
+    without the call: replay rebuilds millions."""
+    i = len(ancestors)
+    if i and new is _child(ancestors[-1], at[-1]):
+        return ancestors[0]
+    while i:
+        i -= 1
+        parent = ancestors[i]
         if type(parent) is Symm:
             new = Symm(new)
-        elif idx:
-            new = Trans(parent.first, new)
-        else:
-            new = Trans(new, parent.second)
+            continue
+        first, second = (parent.first, new) if at[i] else (new, parent.second)
+        new = object.__new__(Trans)
+        _set_first(new, first)
+        _set_second(new, second)
+        _set_hash(new, hash((3, first._hash, second._hash)))
+        _set_size(new, 1 + first._size + second._size)
     return new
 
 
@@ -536,15 +555,6 @@ def _child(t: PathExpr, idx: int) -> PathExpr:
     return t.second if idx else t.first
 
 
-def _rebuild(parent: PathExpr, idx: int, child: PathExpr) -> PathExpr:
-    """`parent` with its child at `idx` replaced by `child`."""
-    if child is _child(parent, idx):
-        return parent
-    if type(parent) is Symm:
-        return Symm(child)
-    return Trans(parent.first, child) if idx else Trans(child, parent.second)
-
-
 class _Normalizer:
     """Applies the normalization strategy while recording every step; the
     whole term is never rebuilt (see the module docstring)."""
@@ -552,6 +562,7 @@ class _Normalizer:
     def __init__(self, space: "SpacePresentation"):
         self.space = space
         self.steps: list[RewriteStep] = []
+        self.done: dict[tuple[int, tuple], PathExpr] = {}  # see _rewrite
 
     def run_rules(
         self, rules: tuple[RuleId, ...], term: PathExpr, at: Position = ()
@@ -585,7 +596,7 @@ class _Normalizer:
                     # the rewritten node is new: scan it again after its
                     # parent, but not its left sibling, which did not match
                     resume = path.pop()
-                    node = _rebuild(parents.pop(), resume, node)
+                    node = _rebuild([parents.pop()], (resume,), node)
                 continue
             if type(node) in (Trans, Symm):
                 parents.append(node)
@@ -598,7 +609,7 @@ class _Normalizer:
                 if not parents:
                     return node
                 idx = path.pop()
-                node = _rebuild(parents.pop(), idx, node)
+                node = _rebuild([parents.pop()], (idx,), node)
                 if idx == 0 and type(node) is Trans:
                     parents.append(node)
                     path.append(1)
@@ -606,14 +617,24 @@ class _Normalizer:
                     break
 
     def _rewrite(
-        self, node: PathExpr, at: Position, template: _Template
+        self, i: int, pattern: tuple, at: Position, template: _Template
     ) -> PathExpr:
-        """Apply a spine rule's template to the node it matched, which sits
-        at `at` in the whole term; apply_step checks every step."""
+        """Apply a spine rule's template to the node its pattern matched at
+        spine index i, recording the steps at `at`, the node's place in the
+        whole term. The letters fix the node, so apply_step, which checks
+        every step, runs each template once per pattern in a call, and a
+        repeat reuses its result; templates live as long as the call, so
+        their ids can key the results."""
         for rule, rel, payload in template:
             self.steps.append(RewriteStep(rule, at + rel, payload))
-            node = apply_step(self.space, node, RewriteStep(rule, rel, payload))
-        return node
+        key = (id(template), pattern)
+        new = self.done.get(key)
+        if new is None:
+            new = reduce(Trans, self.spine[i : i + len(pattern)])
+            for rule, rel, payload in template:
+                new = apply_step(self.space, new, RewriteStep(rule, rel, payload))
+            self.done[key] = new
+        return new
 
     def rewrite_first(self, tier: _Tier, start: int = 0) -> int | None:
         """Rewrite the leftmost spine match of a tier at or after `start`;
@@ -630,11 +651,12 @@ class _Normalizer:
         k = len(spine)
         for i in range(start, k):
             le = letters[i]
-            template = tier.get((le,))
+            pattern: tuple = (le,)
+            template = tier.get(pattern)
             if template is not None:
                 base: Position = (1,) * i
                 last = i == k - 1
-                new = self._rewrite(spine[i], base if last else base + (0,), template)
+                new = self._rewrite(i, pattern, base if last else base + (0,), template)
                 # re-flatten only the rewritten node: the rest of the spine
                 # holds no assoc_left redex, so a leaf can stand for it
                 legs = _legs(self.run_rules(
@@ -642,16 +664,17 @@ class _Normalizer:
                 ))
                 self._splice(i, i + 1, legs if last else legs[:-1])
                 return max(i - 1, 0)
-            template = tier.get((le, letters[i + 1])) if i < k - 1 else None
+            if i == k - 1:
+                break
+            pattern = (le, letters[i + 1])
+            template = tier.get(pattern)
             if template is None:
                 continue
             base = (1,) * i
             last = i == k - 2
             if not last:
                 self.steps.append(RewriteStep(ASSOC_RIGHT, base))
-            new = self._rewrite(
-                Trans(spine[i], spine[i + 1]), base if last else base + (0,), template
-            )
+            new = self._rewrite(i, pattern, base if last else base + (0,), template)
             if type(new) is Refl:
                 legs = []
                 if not last:
@@ -863,3 +886,7 @@ def trace(
         tiers += _TRACE_PHASES[rec.trace_phase](space)
     nz.rewrite_spine(p, tiers)
     return NormalForm(nz.word(src, tgt)), tuple(nz.steps)
+
+
+# format_step renders payloads with syntax, which imports this module
+from . import syntax  # noqa: E402
