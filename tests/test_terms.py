@@ -1,22 +1,42 @@
+from itertools import product
+
 import pytest
 
 from pathrw import (
     EndpointMismatchError,
     Gen,
+    Lcg,
     NotALoopError,
     Refl,
+    RewriteStep,
     SpaceMap,
     SpaceMapError,
     Symm,
     Trans,
     UnknownGeneratorError,
     UnknownPointError,
+    apply_step,
     builtin,
     endpoints,
+    explore_class,
     map_path,
+    parse_path,
     parse_space_text,
+    random_term,
+    relation_fwd,
     size,
+    trace,
     zpow,
+)
+from pathrw.oracle import Budget
+from pathrw.rewrite import ASSOC_RIGHT, TRANS_REFL_LEFT
+from pathrw.spaces import BUILTIN_NAMES
+
+BUILTINS = [builtin(n) for n in BUILTIN_NAMES]
+FILE_SPACE = parse_space_text(
+    "point p\npoint q\ngen f : p -> q\ngen g : q -> p\ngen h : p -> p\n"
+    "rel loop : f * g = h\n",
+    "pq",
 )
 
 
@@ -252,3 +272,179 @@ class TestSpaceMap:
             map_path(m, Trans(Gen("l0"), Trans(Refl("q"), Gen("zz"))))
         with pytest.raises(TypeError, match="not a path term"):
             map_path(m, "l0")
+
+
+def _reference_hash(t):
+    """The hash a term's constructors stored eagerly before hashes were
+    made lazy: a leaf hashes its tag and field, an inverse (2, its child's
+    hash), a composition (3, its children's hashes). Computed here from
+    the fields alone, with an explicit stack."""
+    done: dict[int, int] = {}
+    todo = [t]
+    while todo:
+        node = todo[-1]
+        if id(node) in done:
+            todo.pop()
+            continue
+        cls = type(node)
+        if cls is Refl:
+            done[id(node)] = hash((0, node.point))
+        elif cls is Gen:
+            done[id(node)] = hash((1, node.name))
+        else:
+            kids = (node.inner,) if cls is Symm else (node.first, node.second)
+            missing = [k for k in kids if id(k) not in done]
+            if missing:
+                todo += missing
+                continue
+            done[id(node)] = hash((2 if cls is Symm else 3, *[done[id(k)] for k in kids]))
+        todo.pop()
+    return done[id(t)]
+
+
+def _subterms(t):
+    todo, out = [t], []
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        if type(node) is Trans:
+            todo += (node.second, node.first)
+        elif type(node) is Symm:
+            todo.append(node.inner)
+    return out
+
+
+class TestHashReference:
+    # compared in one process: leaves hash strings, whose hashes change
+    # from one process to the next, so no digest of hash values is pinned
+
+    def test_random_terms(self):
+        checked = 0
+        for space in BUILTINS + [FILE_SPACE]:
+            rng = Lcg(53)
+            for n in range(1, 61):
+                for _ in range(2):
+                    t = random_term(space, n, rng)
+                    assert hash(t) == _reference_hash(t)
+                    # every subterm holds the hash it would have had alone
+                    for sub in _subterms(t):
+                        assert hash(sub) == _reference_hash(sub)
+                    checked += 1
+        assert checked == (len(BUILTINS) + 1) * 60 * 2
+
+    def test_replayed_terms(self):
+        # hash some intermediate terms and not others, so later steps
+        # rebuild over a mix of hashed and unhashed subterms
+        rng = Lcg(59)
+        replayed = 0
+        for space in BUILTINS + [FILE_SPACE]:
+            for _ in range(20):
+                cur = random_term(space, 8 + rng.randint(53), rng)
+                for i, step in enumerate(trace(space, cur)[1]):
+                    cur = apply_step(space, cur, step)
+                    if i % 3 == 0:
+                        assert hash(cur) == _reference_hash(cur)
+                    replayed += 1
+                assert hash(cur) == _reference_hash(cur)
+                for sub in _subterms(cur):
+                    assert hash(sub) == _reference_hash(sub)
+        assert replayed > 5_000, replayed
+
+    def test_explore_class_members(self):
+        checked = 0
+        for space, text in (
+            (builtin("circle"), "a * (~a * refl)"),
+            (builtin("torus"), "a * b"),
+            (builtin("cylinder"), "s * ~s"),
+            (FILE_SPACE, "f * g"),
+        ):
+            members, _ = explore_class(space, parse_path(space, text), Budget(300, 6))
+            for t in members:
+                assert hash(t) == _reference_hash(t)
+                checked += 1
+        assert checked > 100, checked
+
+
+def _left_chain(n, last=Gen("a")):
+    t = Gen("a")
+    for _ in range(n - 2):
+        t = Trans(t, Gen("a"))
+    return Trans(t, last)
+
+
+def _symm_chain(n, leaf=Gen("a")):
+    t = leaf
+    for _ in range(n):
+        t = Symm(t)
+    return t
+
+
+class TestDeepAndMixedHashes:
+    def test_deep_terms_hash_without_recursion(self):
+        chain = _left_chain(100_000)
+        assert size(chain) == 2 * 100_000 - 1
+        assert hash(chain) == _reference_hash(chain) == hash(_left_chain(100_000))
+        deep = _symm_chain(100_000)
+        assert hash(deep) == _reference_hash(deep) == hash(_symm_chain(100_000))
+        assert deep == _symm_chain(100_000)
+        assert deep != _symm_chain(100_000, Gen("b"))
+        assert deep != _symm_chain(99_999)
+
+    def test_equal_terms_agree_whether_or_not_hashed(self):
+        makers = (
+            lambda: _left_chain(2_000),
+            lambda: _symm_chain(2_000),
+            lambda: Trans(Symm(_left_chain(50)), Trans(Refl("pt"), Symm(Gen("b")))),
+        )
+        for make in makers:
+            for hash_a, hash_b, hash_part in product((False, True), repeat=3):
+                a, b = make(), make()
+                if hash_part:  # only a subterm of b has a hash
+                    hash(_subterms(b)[len(_subterms(b)) // 2])
+                if hash_a:
+                    hash(a)
+                if hash_b:
+                    hash(b)
+                assert a == b and b == a
+                assert not (a != b) and not (b != a)
+                assert hash(a) == hash(b)
+
+    def test_unequal_terms_with_a_long_shared_prefix(self):
+        pairs = (
+            lambda: (_left_chain(20_000), _left_chain(20_000, Gen("b"))),
+            lambda: (_symm_chain(20_000), _symm_chain(20_000, Refl("pt"))),
+            # the difference deep inside the first leg, not at the root
+            lambda: (
+                Trans(_left_chain(20_000), Gen("a")),
+                Trans(_left_chain(20_000, Symm(Gen("a"))), Gen("a")),
+            ),
+        )
+        for make in pairs:
+            for hash_a, hash_b in product((False, True), repeat=2):
+                a, b = make()
+                if hash_a:
+                    hash(a)
+                if hash_b:
+                    hash(b)
+                assert a != b and b != a
+                assert not (a == b) and not (b == a)
+
+    def test_rebuilt_terms_find_constructor_built_keys(self):
+        a, b, c = Gen("a"), Gen("b"), Gen("c")
+        table = {Trans(a, b): "ab", Trans(Trans(a, b), c): "ab.c"}
+        # rebuilt at the root by the rule's effect
+        t = apply_step(builtin("circle"), Trans(a, Trans(b, c)), RewriteStep(ASSOC_RIGHT, ()))
+        assert table[t] == "ab.c" and table[t.first] == "ab"
+        # the root rebuilt around a rewritten leg
+        torus = builtin("torus")
+        t = Trans(Trans(Refl("pt"), a), b)
+        t = apply_step(torus, t, RewriteStep(TRANS_REFL_LEFT, (0,)))
+        assert table[t] == "ab"
+        # a relation step looks its subterm up in a dict keyed by the
+        # relation's constructor-built side
+        t = apply_step(torus, t, RewriteStep(relation_fwd("torusComm"), ()))
+        assert t == Trans(b, a)
+        t = Trans(Refl("p"), Trans(Trans(Refl("p"), Gen("f")), Gen("g")))
+        t = apply_step(FILE_SPACE, t, RewriteStep(TRANS_REFL_LEFT, (1, 0)))
+        t = apply_step(FILE_SPACE, t, RewriteStep(relation_fwd("loop"), (1,)))
+        assert t == Trans(Refl("p"), Gen("h"))
