@@ -53,7 +53,7 @@ each distinct node (its letters fix it; a repeat reuses the result), and
 its steps and the bracketing steps around them are recorded at their
 positions in the whole term, which is never built. `apply_step` and the
 scan rebuild a rewritten node's ancestors from a list, each composition
-with the hash and size `Trans` would give it, without its constructor.
+with the slots `Trans` would set, without its constructor.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from functools import lru_cache, reduce
 from .errors import EndpointMismatchError, StepNotEnabledError
 from .spaces import Relation, SpacePresentation, _builtin_record
 from .terms import Gen, PathExpr, Refl, Symm, Trans, _Record, endpoints
-from .terms import _set_first, _set_hash, _set_second, _set_size
+from .terms import _set_first, _set_second, _set_size
 
 Position = tuple[int, ...]
 
@@ -396,8 +396,8 @@ def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> Pa
 def _rebuild(ancestors: list[PathExpr], at: Position, new: PathExpr) -> PathExpr:
     """The term with `ancestors` (root first) on the way down to position
     `at` and `new` at `at`; the term itself if `new` is already there. A
-    rebuilt composition gets the hash and size `Trans.__init__` would give,
-    without the call: replay rebuilds millions."""
+    rebuilt composition gets the slots `Trans.__init__` would set, without
+    the call: replay rebuilds millions."""
     i = len(ancestors)
     if i and new is _child(ancestors[-1], at[-1]):
         return ancestors[0]
@@ -411,7 +411,6 @@ def _rebuild(ancestors: list[PathExpr], at: Position, new: PathExpr) -> PathExpr
         new = object.__new__(Trans)
         _set_first(new, first)
         _set_second(new, second)
-        _set_hash(new, hash((3, first._hash, second._hash)))
         _set_size(new, 1 + first._size + second._size)
     return new
 

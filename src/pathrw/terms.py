@@ -70,19 +70,37 @@ class _Record:
         raise AttributeError(f"cannot delete field '{name}'")
 
 
-# A term node stores its hash and node count once, from its children's.
-# Equality is written once, in `_Term`. It answers at once on identity
-# (shared or hash-consed subtrees compare in O(1)) or on a class or hash
-# mismatch, and otherwise walks both trees with an explicit stack.
+# A term node stores its node count at construction, and a leaf its hash.
+# An inverse or a composition leaves its hash unset, as replay and `trace`
+# build millions of nodes whose hash nothing reads; `hash()` fills in every
+# missing hash below the node, children first, so each subterm of a hashed
+# node has one. Equality is written once, in `_Term`. It answers at once on
+# identity (shared or hash-consed subtrees compare in O(1)), on a class
+# mismatch or on a hash mismatch where both nodes have one, and otherwise
+# walks both trees with an explicit stack.
 
 
 class _Term(_Record):
-    """What the four term classes share: the cached hash and node count and
-    structural equality."""
+    """What the four term classes share: the hash (a composite's is filled
+    in on first use), the node count and structural equality."""
 
     __slots__ = ("_hash", "_size", "__weakref__")
 
     def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:  # list the nodes without a hash in preorder
+            todo, order = [self], []
+        while todo:
+            node = todo.pop()
+            order.append(node)
+            kids = (node.inner,) if type(node) is Symm else (node.first, node.second)
+            for child in kids:
+                if not hasattr(child, "_hash"):
+                    todo.append(child)
+        for node in reversed(order):  # children before their parents
+            _set_hash(node, hash((2, node.inner._hash)) if type(node) is Symm
+                      else hash((3, node.first._hash, node.second._hash)))
         return self._hash
 
     def __eq__(self, other: object) -> bool:
@@ -92,8 +110,13 @@ class _Term(_Record):
             if a is b:
                 continue
             cls = type(a)
-            if type(b) is not cls or a._hash != b._hash:
+            if type(b) is not cls:
                 return False
+            try:
+                if a._hash != b._hash:
+                    return False
+            except AttributeError:  # one of them has no hash yet
+                pass
             if cls is Trans:
                 todo += ((a.second, b.second), (a.first, b.first))
             elif cls is Symm:
@@ -135,7 +158,6 @@ class Symm(_Term):
 
     def __init__(self, inner: "PathExpr") -> None:
         _set_inner(self, inner)
-        _set_hash(self, hash((2, inner._hash)))
         _set_size(self, 1 + inner._size)
 
 
@@ -147,7 +169,6 @@ class Trans(_Term):
     def __init__(self, first: "PathExpr", second: "PathExpr") -> None:
         _set_first(self, first)
         _set_second(self, second)
-        _set_hash(self, hash((3, first._hash, second._hash)))
         _set_size(self, 1 + first._size + second._size)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -448,3 +449,16 @@ class TestDeepAndMixedHashes:
         t = apply_step(FILE_SPACE, t, RewriteStep(TRANS_REFL_LEFT, (1, 0)))
         t = apply_step(FILE_SPACE, t, RewriteStep(relation_fwd("loop"), (1,)))
         assert t == Trans(Refl("p"), Gen("h"))
+
+    def test_parsed_word_memory(self):
+        # 13.7 MB measured, 19.1 MB when every composite stored its hash at
+        # construction; the bound leaves about 20 % headroom
+        text = " * ".join(["a", "~a"] * 50_000)
+        tracemalloc.start()
+        try:
+            t = parse_path(builtin("circle"), text)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size(t) == 249_999
+        assert held < 16_500_000
