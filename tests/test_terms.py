@@ -401,7 +401,8 @@ class TestDeepAndMixedHashes:
             for hash_a, hash_b, hash_part in product((False, True), repeat=3):
                 a, b = make(), make()
                 if hash_part:  # only a subterm of b has a hash
-                    hash(_subterms(b)[len(_subterms(b)) // 2])
+                    subs = _subterms(b)
+                    hash(subs[len(subs) // 2])
                 if hash_a:
                     hash(a)
                 if hash_b:
@@ -450,6 +451,8 @@ class TestDeepAndMixedHashes:
         t = apply_step(FILE_SPACE, t, RewriteStep(relation_fwd("loop"), (1,)))
         assert t == Trans(Refl("p"), Gen("h"))
 
+
+class TestTermMemory:
     def test_parsed_word_memory(self):
         # 13.7 MB measured, 19.1 MB when every composite stored its hash at
         # construction; the bound leaves about 20 % headroom
