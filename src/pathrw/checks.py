@@ -21,7 +21,7 @@ from .pi1 import decode, encode, group_mul, homomorphism_check
 from .rewrite import (
     apply_step, free_normalize, normal_forms_decide, normalize, rw_eq, term_of_word, trace,
 )
-from .spaces import SpacePresentation
+from .spaces import SpacePresentation, _builtin_record
 from .syntax import render_path
 from .terms import Symm, Trans, _Record, endpoints
 
@@ -185,7 +185,7 @@ _SUITES = (
     ("groupoid-laws", 4, _groupoid_laws),
     ("local-confluence", 5, _local_confluence),
 )
-# encode and decode need a group tag
+# encode and decode need a builtin record
 _GROUP_SUITES = {"group-round-trip", "homomorphism"}
 
 
@@ -206,7 +206,7 @@ def run_checks(
     results = [
         _drive(space, seed, offset, name, suite, samples, max_size)
         for name, offset, suite in _SUITES
-        if space.group_tag is not None or name not in _GROUP_SUITES
+        if _builtin_record(space) is not None or name not in _GROUP_SUITES
     ]
     results.append(
         _drive(space, seed, 6, "oracle-agreement",

@@ -34,7 +34,7 @@ import sys
 
 from .errors import PathError
 from .oracle import DEFAULT_MAX_STATES, Budget, bfs_rw_eq
-from .pi1 import encode, decode, parse_group_value, render_group_value
+from .pi1 import _group_record, encode, decode, parse_group_value, render_group_value
 from .rewrite import format_step, normal_forms_decide, normalize, rw_eq, trace
 from .spaces import BUILTIN_NAMES, SpacePresentation, builtin, parse_space_file
 from .syntax import parse_path, render_path, render_word
@@ -168,10 +168,7 @@ def _run_encode(args, space):
 
 
 def _run_decode(args, space):
-    if space.group_tag is None:
-        raise PathError(
-            f"space '{space.name}' carries no group tag; decode is undefined"
-        )
+    _group_record(space, "decode")  # a value parses only against a group tag
     cls = decode(space, parse_group_value(space.group_tag, args.value))
     rendered = render_path(space, cls.representative())
     result = {"path": rendered, "src": cls.src, "tgt": cls.tgt}

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .groupoid import PathClass, class_of
 from .rewrite import Word, normalize, term_of_word
-from .spaces import _SHAPES, GroupTag, SpacePresentation, _builtin_record, builtin
+from .spaces import _SHAPES, GroupTag, SpacePresentation, _Builtin, _builtin_record, builtin
 from .syntax import MAX_TERM_NODES, _int
 from .terms import PathExpr, SpaceMap, Trans, _Record, endpoints, map_path
 
@@ -58,14 +58,15 @@ def _retraction(name: str) -> SpaceMap:
     )
 
 
-def cylinder_to_circle() -> SpaceMap:
-    """Retraction collapsing the cylinder onto its base circle."""
-    return _retraction("cylinder")
-
-
-def mobius_to_circle() -> SpaceMap:
-    """Deformation of the band onto its core circle."""
-    return _retraction("mobius")
+def _group_record(space: SpacePresentation, op: str) -> _Builtin:
+    """The builtin record `op` computes with; a space without one has no
+    group to compute in."""
+    rec = _builtin_record(space)
+    if rec is None:
+        why = ("carries no group tag" if space.group_tag is None
+               else "is not a builtin presentation")
+        raise GroupTagMismatchError(f"space '{space.name}' {why}; {op} is undefined")
+    return rec
 
 
 def _require_basepoint_loop(space: SpacePresentation, src: str, tgt: str) -> None:
@@ -77,11 +78,7 @@ def _require_basepoint_loop(space: SpacePresentation, src: str, tgt: str) -> Non
 
 def encode(space: SpacePresentation, p: PathExpr) -> GroupValue:
     """The group element of a basepoint loop."""
-    rec = _builtin_record(space)
-    if rec is None:
-        raise GroupTagMismatchError(
-            f"space '{space.name}' carries no group tag; encode is undefined"
-        )
+    rec = _group_record(space, "encode")
     if rec.retraction is None:
         word = normalize(space, p).word
         _require_basepoint_loop(space, word.src, word.tgt)
@@ -96,11 +93,7 @@ def encode(space: SpacePresentation, p: PathExpr) -> GroupValue:
 
 def decode(space: SpacePresentation, value: GroupValue) -> PathClass:
     """The loop class a group element names. Inverse to encode on classes."""
-    rec = _builtin_record(space)
-    if rec is None:
-        raise GroupTagMismatchError(
-            f"space '{space.name}' carries no group tag; decode is undefined"
-        )
+    rec = _group_record(space, "decode")
     if value.tag is not space.group_tag:
         raise GroupTagMismatchError(
             f"value tagged {value.tag.value} does not fit space '{space.name}' "

@@ -41,24 +41,25 @@ a space without a record keeps its freely reduced word. `trace` performs
 the same normalization as an explicit rule-by-rule derivation and records
 it: it flattens the term into a right-nested spine of letters, then
 rewrites the spine by tiers of spine rules. A tier maps a pattern of one
-letter or two adjacent letters to a step template; free cancellation is
-the first tier, and the relation tiers the record names follow. The two
-routes are independent and the tests hold them equal.
+letter or two adjacent letters to the steps that rewrite it; free
+cancellation is the first tier, and the relation tiers of the space's
+record follow. The two routes are independent and the tests hold them
+equal.
 
 `trace` never rebuilds the whole term. Its flattening phases rewrite by a
 preorder scan that resumes at the parent of each rewritten node. The spine
-is then kept as a list of literals: a spine rule applies its template with
-`apply_step` to the one- or two-letter node it matched, once per call for
-each distinct node (its letters fix it; a repeat reuses the result), and
-its steps and the bracketing steps around them are recorded at their
-positions in the whole term, which is never built. `apply_step` and the
-scan rebuild a rewritten node's ancestors from a list, each composition
-with the slots `Trans` would set, without its constructor.
+is then kept as a list of literals. A space's spine rules are compiled
+once: each rule's steps run through `apply_step` on its pattern's node
+(the letters fix the node), and the rule keeps the steps and the node they
+leave. A match records the steps and the bracketing steps around them at
+their positions in the whole term, which is never built, and splices the
+stored node into the spine. `apply_step` and the scan rebuild a rewritten
+node's ancestors from a list, each composition with the slots `Trans`
+would set, without its constructor.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from functools import lru_cache, reduce
 
 from .errors import EndpointMismatchError, StepNotEnabledError
@@ -493,7 +494,7 @@ def normal_forms_decide(space: "SpacePresentation") -> bool:
     """Whether distinct normal forms mean distinct paths: true for the
     builtins and for spaces without relations. Other spaces normalize
     freely, ignoring their relations."""
-    return space.group_tag is not None or not space.relations
+    return _builtin_record(space) is not None or not space.relations
 
 
 def rw_eq(space: "SpacePresentation", p: PathExpr, q: PathExpr) -> bool:
@@ -527,10 +528,52 @@ def _letter(lit: PathExpr) -> tuple[str, int] | None:
     return None
 
 
-_Template = list[tuple[RuleId, Position, PathExpr | None]]
-# A tier of spine rules: a pattern of one letter or two adjacent letters,
-# each a (generator name, sign) pair, mapped to the steps that rewrite it.
-_Tier = dict[tuple[tuple[str, int], ...], _Template]
+# A compiled tier of spine rules: a pattern of one letter or two adjacent
+# letters, each a (generator name, sign) pair, mapped to the steps that
+# rewrite its node and the node they leave.
+_Tier = dict[tuple[tuple[str, int], ...], tuple[tuple[RewriteStep, ...], PathExpr]]
+
+
+def _read_step(space: "SpacePresentation", line: str) -> RewriteStep:
+    """The step a line in `format_step`'s text with `space` names."""
+    text, _, rest = line.partition(" @ ")
+    pos, _, payload = rest.partition(" [")
+    kind, _, relation = text.partition("(")
+    return RewriteStep(
+        RuleId(kind, relation[:-1] or None),
+        () if pos == "root" else tuple(map(int, pos.split("."))),
+        syntax.parse_path(space, payload[:-1]) if payload else None,
+    )
+
+
+@lru_cache(maxsize=128)
+def _spine_rules(space: "SpacePresentation") -> tuple[_Tier, ...]:
+    """The tiers `trace` rewrites a spine by: free cancellation (~g g and
+    g ~g collapse to a constant path), then the tiers of the space's record.
+    Each rule's steps are applied to its pattern's node here, once, which
+    checks every step."""
+    cancel: dict = {}
+    for g in space.generators:
+        cancel[(g.name, -1), (g.name, 1)] = ("symm_trans_cancel @ root",)
+        cancel[(g.name, 1), (g.name, -1)] = ("trans_symm_cancel @ root",)
+    rec = _builtin_record(space)
+    tiers = []
+    for rules in (cancel, *(rec.spine_rules if rec is not None else ())):
+        tier: _Tier = {}
+        for letters, lines in rules.items():
+            if type(letters) is str:  # a record's pattern, such as "b ~a"
+                letters = tuple(
+                    (w[1:], -1) if w[0] == "~" else (w, 1) for w in letters.split()
+                )
+            steps = tuple(_read_step(space, line) for line in lines)
+            new = reduce(Trans, [
+                Gen(name) if sign > 0 else Symm(Gen(name)) for name, sign in letters
+            ])
+            for step in steps:
+                new = apply_step(space, new, step)
+            tier[letters] = (steps, new)
+        tiers.append(tier)
+    return tuple(tiers)
 
 
 # A leaf standing for the rest of the spine while a one-letter rewrite is
@@ -558,10 +601,8 @@ class _Normalizer:
     """Applies the normalization strategy while recording every step; the
     whole term is never rebuilt (see the module docstring)."""
 
-    def __init__(self, space: "SpacePresentation"):
-        self.space = space
+    def __init__(self) -> None:
         self.steps: list[RewriteStep] = []
-        self.done: dict[tuple[int, tuple], PathExpr] = {}  # see _rewrite
 
     def run_rules(
         self, rules: tuple[RuleId, ...], term: PathExpr, at: Position = ()
@@ -615,24 +656,13 @@ class _Normalizer:
                     node = node.second
                     break
 
-    def _rewrite(
-        self, i: int, pattern: tuple, at: Position, template: _Template
-    ) -> PathExpr:
-        """Apply a spine rule's template to the node its pattern matched at
-        spine index i, recording the steps at `at`, the node's place in the
-        whole term. The letters fix the node, so apply_step, which checks
-        every step, runs each template once per pattern in a call, and a
-        repeat reuses its result; templates live as long as the call, so
-        their ids can key the results."""
-        for rule, rel, payload in template:
-            self.steps.append(RewriteStep(rule, at + rel, payload))
-        key = (id(template), pattern)
-        new = self.done.get(key)
-        if new is None:
-            new = reduce(Trans, self.spine[i : i + len(pattern)])
-            for rule, rel, payload in template:
-                new = apply_step(self.space, new, RewriteStep(rule, rel, payload))
-            self.done[key] = new
+    def _rewrite(self, at: Position, rule: tuple) -> PathExpr:
+        """Record a compiled spine rule's steps at `at`, the matched node's
+        place in the whole term, and return the node they leave, which its
+        letters fix (see `_spine_rules`)."""
+        steps, new = rule
+        for step in steps:
+            self.steps.append(RewriteStep(step.rule, at + step.at, step.payload))
         return new
 
     def rewrite_first(self, tier: _Tier, start: int = 0) -> int | None:
@@ -650,12 +680,11 @@ class _Normalizer:
         k = len(spine)
         for i in range(start, k):
             le = letters[i]
-            pattern: tuple = (le,)
-            template = tier.get(pattern)
-            if template is not None:
+            rule = tier.get((le,))
+            if rule is not None:
                 base: Position = (1,) * i
                 last = i == k - 1
-                new = self._rewrite(i, pattern, base if last else base + (0,), template)
+                new = self._rewrite(base if last else base + (0,), rule)
                 # re-flatten only the rewritten node: the rest of the spine
                 # holds no assoc_left redex, so a leaf can stand for it
                 legs = _legs(self.run_rules(
@@ -665,15 +694,14 @@ class _Normalizer:
                 return max(i - 1, 0)
             if i == k - 1:
                 break
-            pattern = (le, letters[i + 1])
-            template = tier.get(pattern)
-            if template is None:
+            rule = tier.get((le, letters[i + 1]))
+            if rule is None:
                 continue
             base = (1,) * i
             last = i == k - 2
             if not last:
                 self.steps.append(RewriteStep(ASSOC_RIGHT, base))
-            new = self._rewrite(i, pattern, base if last else base + (0,), template)
+            new = self._rewrite(base if last else base + (0,), rule)
             if type(new) is Refl:
                 legs = []
                 if not last:
@@ -695,7 +723,7 @@ class _Normalizer:
         self.spine[i:j] = legs
         self.letters[i:j] = [_letter(lit) for lit in legs]
 
-    def rewrite_spine(self, term: PathExpr, tiers: list[_Tier]) -> None:
+    def rewrite_spine(self, term: PathExpr, tiers: tuple[_Tier, ...]) -> None:
         """Hold a flattened term as a spine, exhaust each tier in order, and
         repeat the passes until one adds no step. The rewrite count is
         budgeted; exceeding it is a bug."""
@@ -726,148 +754,6 @@ class _Normalizer:
         return Word(tuple(letters), src, tgt)
 
 
-def _cancel_tier(space: "SpacePresentation") -> _Tier:
-    """Free cancellation: ~g g and g ~g collapse to a constant path."""
-    tier: _Tier = {}
-    for g in space.generators:
-        tier[((g.name, -1), (g.name, 1))] = [(SYMM_TRANS_CANCEL, (), None)]
-        tier[((g.name, 1), (g.name, -1))] = [(TRANS_SYMM_CANCEL, (), None)]
-    return tier
-
-
-def _torus_tiers(space: "SpacePresentation") -> list[_Tier]:
-    """Move each a left past each b through the commutation relation."""
-    a, b = (g.name for g in space.generators[:2])
-    fwd = relation_fwd(space.relations[0].name)
-    bwd = relation_bwd(space.relations[0].name)
-    return [{
-        ((b, 1), (a, 1)): [(bwd, (), None)],
-        ((b, 1), (a, -1)): [
-            (TRANS_REFL_LEFT_INTRO, (), None),
-            (SYMM_TRANS_CANCEL_INTRO, (0,), Gen(a)),
-            (ASSOC_LEFT, (), None),
-            (ASSOC_RIGHT, (1,), None),
-            (fwd, (1, 0), None),
-            (ASSOC_LEFT, (1,), None),
-            (TRANS_SYMM_CANCEL, (1, 1), None),
-            (TRANS_REFL_RIGHT, (1,), None),
-        ],
-        ((b, -1), (a, 1)): [
-            (TRANS_REFL_RIGHT_INTRO, (), None),
-            (TRANS_SYMM_CANCEL_INTRO, (1,), Gen(b)),
-            (ASSOC_LEFT, (), None),
-            (ASSOC_RIGHT, (1,), None),
-            (fwd, (1, 0), None),
-            (ASSOC_LEFT, (1,), None),
-            (ASSOC_RIGHT, (), None),
-            (SYMM_TRANS_CANCEL, (0,), None),
-            (TRANS_REFL_LEFT, (), None),
-        ],
-        ((b, -1), (a, -1)): [
-            (SYMM_TRANS_CONGR_INTRO, (), None),
-            (fwd, (0,), None),
-            (SYMM_TRANS_CONGR, (), None),
-        ],
-    }]
-
-
-def _klein_tiers(space: "SpacePresentation") -> list[_Tier]:
-    """Move each a left past each b, flipping the b, through the surface
-    relation."""
-    a, b = (g.name for g in space.generators[:2])
-    fwd = relation_fwd(space.relations[0].name)
-    bwd = relation_bwd(space.relations[0].name)
-    return [{
-        ((b, 1), (a, 1)): [
-            (SYMM_SYMM_INTRO, (0,), None),
-            (bwd, (0, 0), None),
-            (SYMM_TRANS_CONGR, (0,), None),
-            (SYMM_SYMM, (0, 0), None),
-            (SYMM_TRANS_CONGR, (0, 1), None),
-            (ASSOC_LEFT, (), None),
-            (ASSOC_LEFT, (1,), None),
-            (SYMM_TRANS_CANCEL, (1, 1), None),
-            (TRANS_REFL_RIGHT, (1,), None),
-        ],
-        ((b, 1), (a, -1)): [
-            (TRANS_REFL_LEFT_INTRO, (), None),
-            (SYMM_TRANS_CANCEL_INTRO, (0,), Gen(a)),
-            (ASSOC_LEFT, (), None),
-            (ASSOC_RIGHT, (1,), None),
-            (fwd, (1,), None),
-        ],
-        ((b, -1), (a, 1)): [
-            (bwd, (0,), None),
-            (ASSOC_LEFT, (), None),
-            (SYMM_TRANS_CANCEL, (1,), None),
-            (TRANS_REFL_RIGHT, (), None),
-        ],
-        ((b, -1), (a, -1)): [
-            (SYMM_TRANS_CONGR_INTRO, (), None),
-            (TRANS_REFL_RIGHT_INTRO, (0,), None),
-            (TRANS_SYMM_CANCEL_INTRO, (0, 1), Symm(Gen(a))),
-            (ASSOC_RIGHT, (0,), None),
-            (fwd, (0, 0), None),
-            (SYMM_TRANS_CONGR, (), None),
-            (SYMM_SYMM, (0,), None),
-            (SYMM_SYMM, (1,), None),
-        ],
-    }]
-
-
-def _cylinder_tiers(space: "SpacePresentation") -> list[_Tier]:
-    """Eliminate the far loop through the square relation: l1 -> ~s l0 s."""
-    seg = Gen(space.generators[0].name)
-    l1 = space.generators[2].name
-    fwd = relation_fwd(space.relations[0].name)
-    return [{
-        ((l1, 1),): [
-            (TRANS_REFL_LEFT_INTRO, (), None),
-            (SYMM_TRANS_CANCEL_INTRO, (0,), seg),
-            (ASSOC_LEFT, (), None),
-            (fwd, (1,), None),
-        ],
-        ((l1, -1),): [
-            (TRANS_REFL_LEFT_INTRO, (0,), None),
-            (SYMM_TRANS_CANCEL_INTRO, (0, 0), seg),
-            (ASSOC_LEFT, (0,), None),
-            (fwd, (0, 1), None),
-            (SYMM_TRANS_CONGR, (), None),
-            (SYMM_TRANS_CONGR, (0,), None),
-            (SYMM_SYMM, (1,), None),
-            (ASSOC_LEFT, (), None),
-        ],
-    }]
-
-
-def _parity_tiers(space: "SpacePresentation") -> list[_Tier]:
-    """Flip every ~alpha to alpha through the squaring relation, then drop
-    adjacent pairs; leaves the empty or one-letter word."""
-    alpha = space.generators[0].name
-    fwd = relation_fwd(space.relations[0].name)
-    bwd = relation_bwd(space.relations[0].name)
-    return [
-        {((alpha, -1),): [
-            (TRANS_REFL_LEFT_INTRO, (), None),
-            (bwd, (0,), None),
-            (ASSOC_LEFT, (), None),
-            (TRANS_SYMM_CANCEL, (1,), None),
-            (TRANS_REFL_RIGHT, (), None),
-        ]},
-        {((alpha, 1), (alpha, 1)): [(fwd, (), None)]},
-    ]
-
-
-# The relation tiers a builtin's record can name; `trace` runs them after
-# free cancellation.
-_TRACE_PHASES: dict[str, Callable[["SpacePresentation"], list[_Tier]]] = {
-    "cylinder": _cylinder_tiers,
-    "torus": _torus_tiers,
-    "klein": _klein_tiers,
-    "parity": _parity_tiers,
-}
-
-
 def trace(
     space: "SpacePresentation", p: PathExpr
 ) -> tuple[NormalForm, tuple[RewriteStep, ...]]:
@@ -875,15 +761,11 @@ def trace(
     the ordered step list. Replaying the steps from p with apply_step lands
     on a term whose letters read off the normal form word."""
     src, tgt = endpoints(space, p)
-    nz = _Normalizer(space)
+    nz = _Normalizer()
     p = nz.run_rules((SYMM_REFL, SYMM_SYMM, SYMM_TRANS_CONGR), p)
     p = nz.run_rules((ASSOC_LEFT,), p)
     p = nz.run_rules((TRANS_REFL_LEFT, TRANS_REFL_RIGHT), p)
-    tiers = [_cancel_tier(space)]
-    rec = _builtin_record(space)
-    if rec is not None and rec.trace_phase is not None:
-        tiers += _TRACE_PHASES[rec.trace_phase](space)
-    nz.rewrite_spine(p, tiers)
+    nz.rewrite_spine(p, _spine_rules(space))
     return NormalForm(nz.word(src, tgt)), tuple(nz.steps)
 
 

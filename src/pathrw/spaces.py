@@ -115,21 +115,27 @@ class _Builtin(_Record):
     `loops` are the generators a, b of the canonical loops a^m b^n. A space
     with a `substitution` canonicalizes by replacing the letters it names
     and reducing freely; any other folds its letters into (m, n) and writes
-    a^m b^n. `retraction` maps generators onto the circle for encoding,
-    `trace_phase` names the tiers of spine rules (letter patterns mapped to
-    step templates, in `rewrite`) that `trace` applies after free
-    cancellation, and `display` renames generators on output."""
+    a^m b^n. `retraction` maps generators onto the circle for encoding, and
+    `display` renames generators on output.
 
-    _fields = ("space", "loops", "substitution", "retraction", "trace_phase", "display")
+    `spine_rules` are the tiers of relation rules `trace` applies after free
+    cancellation. A tier maps a pattern of one letter or two adjacent
+    letters (`"b ~a"`: b, then the inverse of a) to the steps that rewrite
+    it, one line each in the text `rewrite.format_step` prints, at
+    positions inside the pattern's node. `rewrite` compiles them once per
+    space."""
+
+    _fields = ("space", "loops", "substitution", "retraction", "spine_rules", "display")
     __slots__ = _fields
 
     def __init__(
         self, space: SpacePresentation, loops: tuple[str, ...],
         substitution: Mapping[str, _Letters] | None = None,
         retraction: Mapping[str, PathExpr] | None = None,
-        trace_phase: str | None = None, display: Mapping[str, str] | None = None,
+        spine_rules: tuple[Mapping[str, tuple[str, ...]], ...] = (),
+        display: Mapping[str, str] | None = None,
     ) -> None:
-        self._fill(space, loops, substitution, retraction, trace_phase,
+        self._fill(space, loops, substitution, retraction, spine_rules,
                    {} if display is None else display)
 
     def fold(self, letters: _Letters) -> tuple[int, int]:
@@ -192,7 +198,21 @@ _BUILTINS = {
         loops=("l0",),
         substitution={"l1": (("s", -1), ("l0", 1), ("s", 1))},
         retraction={"s": Refl("pt"), "l0": Gen("a"), "l1": Gen("a")},
-        trace_phase="cylinder",
+        # eliminate the far loop through the square relation: l1 -> ~s l0 s
+        spine_rules=({
+            "l1": ("trans_refl_left_intro @ root",
+                   "symm_trans_cancel_intro @ 0 [s]",
+                   "assoc_left @ root",
+                   "relation_fwd(cylSquare) @ 1"),
+            "~l1": ("trans_refl_left_intro @ 0",
+                    "symm_trans_cancel_intro @ 0.0 [s]",
+                    "assoc_left @ 0",
+                    "relation_fwd(cylSquare) @ 0.1",
+                    "symm_trans_congr @ root",
+                    "symm_trans_congr @ 0",
+                    "symm_symm @ 1",
+                    "assoc_left @ root"),
+        },),
     ),
     "mobius": _Builtin(
         _one_point("mobius", GroupTag.FREE_Z, ("a",)),
@@ -209,7 +229,30 @@ _BUILTINS = {
             ),
         ),
         loops=("a", "b"),
-        trace_phase="torus",
+        # move each a left past each b through the commutation relation
+        spine_rules=({
+            "b a": ("relation_bwd(torusComm) @ root",),
+            "b ~a": ("trans_refl_left_intro @ root",
+                     "symm_trans_cancel_intro @ 0 [a]",
+                     "assoc_left @ root",
+                     "assoc_right @ 1",
+                     "relation_fwd(torusComm) @ 1.0",
+                     "assoc_left @ 1",
+                     "trans_symm_cancel @ 1.1",
+                     "trans_refl_right @ 1"),
+            "~b a": ("trans_refl_right_intro @ root",
+                     "trans_symm_cancel_intro @ 1 [b]",
+                     "assoc_left @ root",
+                     "assoc_right @ 1",
+                     "relation_fwd(torusComm) @ 1.0",
+                     "assoc_left @ 1",
+                     "assoc_right @ root",
+                     "symm_trans_cancel @ 0",
+                     "trans_refl_left @ root"),
+            "~b ~a": ("symm_trans_congr_intro @ root",
+                      "relation_fwd(torusComm) @ 0",
+                      "symm_trans_congr @ root"),
+        },),
     ),
     "klein": _Builtin(
         _one_point(
@@ -223,7 +266,36 @@ _BUILTINS = {
             ),
         ),
         loops=("a", "b"),
-        trace_phase="klein",
+        # move each a left past each b, flipping the b, through the surface
+        # relation
+        spine_rules=({
+            "b a": ("symm_symm_intro @ 0",
+                    "relation_bwd(kleinSurf) @ 0.0",
+                    "symm_trans_congr @ 0",
+                    "symm_symm @ 0.0",
+                    "symm_trans_congr @ 0.1",
+                    "assoc_left @ root",
+                    "assoc_left @ 1",
+                    "symm_trans_cancel @ 1.1",
+                    "trans_refl_right @ 1"),
+            "b ~a": ("trans_refl_left_intro @ root",
+                     "symm_trans_cancel_intro @ 0 [a]",
+                     "assoc_left @ root",
+                     "assoc_right @ 1",
+                     "relation_fwd(kleinSurf) @ 1"),
+            "~b a": ("relation_bwd(kleinSurf) @ 0",
+                     "assoc_left @ root",
+                     "symm_trans_cancel @ 1",
+                     "trans_refl_right @ root"),
+            "~b ~a": ("symm_trans_congr_intro @ root",
+                      "trans_refl_right_intro @ 0",
+                      "trans_symm_cancel_intro @ 0.1 [~a]",
+                      "assoc_right @ 0",
+                      "relation_fwd(kleinSurf) @ 0.0",
+                      "symm_trans_congr @ root",
+                      "symm_symm @ 0",
+                      "symm_symm @ 1"),
+        },),
     ),
     "rp2": _Builtin(
         _one_point(
@@ -233,12 +305,24 @@ _BUILTINS = {
             Relation("loopSquare", Trans(Gen("alpha"), Gen("alpha")), Refl("pt")),
         ),
         loops=("alpha",),
-        trace_phase="parity",
+        # flip every ~alpha to alpha through the squaring relation, then drop
+        # adjacent pairs, leaving the empty or one-letter word
+        spine_rules=(
+            {"~alpha": ("trans_refl_left_intro @ root",
+                        "relation_bwd(loopSquare) @ 0",
+                        "assoc_left @ root",
+                        "trans_symm_cancel @ 1",
+                        "trans_refl_right @ root")},
+            {"alpha alpha": ("relation_fwd(loopSquare) @ root",)},
+        ),
         display={"alpha": "α"},
     ),
 }
 
 BUILTIN_NAMES = tuple(_BUILTINS)
+# the records by presentation: a space that merely shares a builtin's name
+# or group tag has none
+_RECORDS = {rec.space: rec for rec in _BUILTINS.values()}
 
 
 def builtin(name: str) -> SpacePresentation:
@@ -252,11 +336,9 @@ def builtin(name: str) -> SpacePresentation:
 
 
 def _builtin_record(space: SpacePresentation) -> _Builtin | None:
-    """The table record of a builtin presentation; None for a space without
-    a group tag, such as one loaded from a file."""
-    if space.group_tag is None:
-        return None
-    return _BUILTINS.get(space.name)
+    """The table record of a builtin presentation; None for any other
+    space, such as one loaded from a file."""
+    return _RECORDS.get(space)
 
 
 def _one_name_token(name: str) -> bool:

@@ -26,7 +26,7 @@ from pathrw import (
     render_group_value,
     zpow,
 )
-from pathrw.pi1 import cylinder_to_circle, mobius_to_circle
+from pathrw.pi1 import _retraction
 
 CIRCLE = builtin("circle")
 CYL = builtin("cylinder")
@@ -93,13 +93,13 @@ class TestEncodeAnchors:
 
 class TestRetractions:
     def test_cylinder_retraction_images(self):
-        m = cylinder_to_circle()
+        m = _retraction("cylinder")
         assert m.gen_map["s"] == Refl("pt")
         assert m.gen_map["l0"] == Gen("a")
         assert m.gen_map["l1"] == Gen("a")
 
     def test_mobius_retraction_is_degree_one(self):
-        m = mobius_to_circle()
+        m = _retraction("mobius")
         assert m.gen_map["a"] == Gen("a")
 
 

@@ -35,6 +35,8 @@ from pathrw.spaces import _BUILTINS, _Builtin, _GroupShape
 CIRCLE = builtin("circle")
 CYL = builtin("cylinder")
 TORUS = builtin("torus")
+# one tier of spine rules for a `_Builtin`
+SPINE = ({"a a": ("relation_fwd(r) @ root",)},)
 
 CIRCLE_REPR = (
     "SpacePresentation(name='circle', points=('pt',), "
@@ -111,17 +113,18 @@ RECORDS = {
         [_GroupShape(1, None, True), _GroupShape(2, 2, True), _GroupShape(2)],
     ),
     "_Builtin": (
-        lambda: _Builtin(CIRCLE, ("a",), None, {"a": Gen("a")}, "parity", {"a": "A"}),
+        lambda: _Builtin(CIRCLE, ("a",), None, {"a": Gen("a")}, SPINE, {"a": "A"}),
         f"_Builtin(space={CIRCLE_REPR}, loops=('a',), substitution=None, "
-        "retraction={'a': Gen(name='a')}, trace_phase='parity', display={'a': 'A'})",
-        ("space", "loops", "substitution", "retraction", "trace_phase", "display"),
+        "retraction={'a': Gen(name='a')}, "
+        "spine_rules=({'a a': ('relation_fwd(r) @ root',)},), display={'a': 'A'})",
+        ("space", "loops", "substitution", "retraction", "spine_rules", "display"),
         [
-            _Builtin(TORUS, ("a",), None, {"a": Gen("a")}, "parity", {"a": "A"}),
-            _Builtin(CIRCLE, ("b",), None, {"a": Gen("a")}, "parity", {"a": "A"}),
-            _Builtin(CIRCLE, ("a",), {}, {"a": Gen("a")}, "parity", {"a": "A"}),
-            _Builtin(CIRCLE, ("a",), None, None, "parity", {"a": "A"}),
-            _Builtin(CIRCLE, ("a",), None, {"a": Gen("a")}, None, {"a": "A"}),
-            _Builtin(CIRCLE, ("a",), None, {"a": Gen("a")}, "parity"),
+            _Builtin(TORUS, ("a",), None, {"a": Gen("a")}, SPINE, {"a": "A"}),
+            _Builtin(CIRCLE, ("b",), None, {"a": Gen("a")}, SPINE, {"a": "A"}),
+            _Builtin(CIRCLE, ("a",), {}, {"a": Gen("a")}, SPINE, {"a": "A"}),
+            _Builtin(CIRCLE, ("a",), None, None, SPINE, {"a": "A"}),
+            _Builtin(CIRCLE, ("a",), None, {"a": Gen("a")}, (), {"a": "A"}),
+            _Builtin(CIRCLE, ("a",), None, {"a": Gen("a")}, SPINE),
         ],
     ),
     "GroupValue": (
@@ -289,7 +292,7 @@ class TestDefaults:
 
     def test_builtin_record_defaults(self):
         a, b = _Builtin(CIRCLE, ("a",)), _Builtin(CIRCLE, ("a",))
-        assert (a.substitution, a.retraction, a.trace_phase) == (None, None, None)
+        assert (a.substitution, a.retraction, a.spine_rules) == (None, None, ())
         # each record gets its own empty display table
         assert a.display == {} and a.display is not b.display
         assert a == b

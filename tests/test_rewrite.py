@@ -52,8 +52,13 @@ from pathrw.rewrite import (
     TRANS_SYMM_CANCEL,
     TRANS_SYMM_CANCEL_INTRO,
 )
-from pathrw.oracle import enumerate_terms
-from pathrw.spaces import parse_space_text
+from pathrw.checks import run_checks
+from pathrw.oracle import EQUAL, bfs_rw_eq, enumerate_terms
+from pathrw.pi1 import GroupValue, decode
+from pathrw.rewrite import _read_step, _spine_rules, normal_forms_decide
+from pathrw.spaces import (
+    Generator, GroupTag, SpacePresentation, _builtin_record, parse_space_text,
+)
 from pathrw.syntax import render_path
 
 CIRCLE = builtin("circle")
@@ -1021,3 +1026,108 @@ class TestFreeNormalizeReference:
                     assert free_normalize(space, p) == _reference_word(space, p)
                     checked += 1
         assert checked == 7 * 60 * 4
+
+
+def _pinned_trace_cases():
+    """The 214 terms whose traces `test_traces_of_larger_terms_are_pinned`
+    digests, built the same way."""
+    rng = Lcg(23)
+    cases = [
+        (space, random_term(space, 10 + rng.randint(61), rng))
+        for space in SMALL_TERM_SPACES
+        for _ in range(30)
+    ]
+    for space, n in ((TORUS, 100), (TORUS, 200), (KLEIN, 100), (KLEIN, 150)):
+        letters = tuple((rng.choice("ab"), rng.choice((1, -1))) for _ in range(n))
+        cases.append((space, term_of_word(Word(letters, "pt", "pt"))))
+    return cases
+
+
+class TestSpineRules:
+    """The spine rules the builtin records write as step lines, and the
+    compiled tiers `trace` reads."""
+
+    def test_record_lines_read_back_to_themselves(self):
+        lines = [
+            (space, line)
+            for space in ALL_SPACES
+            for tier in _builtin_record(space).spine_rules
+            for steps in tier.values()
+            for line in steps
+        ]
+        assert len(lines) == 65
+        for space, line in lines:
+            assert format_step(_read_step(space, line), space) == line
+
+    def test_compiled_rules_keep_the_normal_form(self):
+        compiled = 0
+        for space in SMALL_TERM_SPACES + [FILE_SPACE]:
+            for tier in _spine_rules(space):
+                for letters, (steps, new) in tier.items():
+                    src, tgt = endpoints(space, new)
+                    pattern = term_of_word(Word(letters, src, tgt))
+                    assert normalize(space, new) == normalize(space, pattern)
+                    replayed = pattern
+                    for s in steps:
+                        replayed = apply_step(space, replayed, s)
+                    assert replayed == new
+                    compiled += 1
+        # two cancellations per generator, then each record's patterns
+        assert compiled == 2 * 15 + 2 + 4 + 4 + 2
+
+    def test_compiled_once_per_space(self):
+        assert _spine_rules(KLEIN) is _spine_rules(builtin("klein"))
+
+    def test_reader_round_trips_the_pinned_traces(self):
+        cases = _pinned_trace_cases()
+        assert len(cases) == 214
+        read = payloads = 0
+        for space, t in cases:
+            _, steps = trace(space, t)
+            for s in steps:
+                assert _read_step(space, format_step(s, space)) == s
+                read += 1
+                payloads += s.payload is not None
+        assert read > 10_000 and payloads > 100
+
+
+# A tagged presentation that shares a builtin's name but not its
+# generators, and an exact copy of the torus under another name: neither is
+# a builtin, so neither has a builtin's record.
+XY_TORUS = SpacePresentation(
+    "torus", ("pt",), (Generator("x", "pt", "pt"), Generator("y", "pt", "pt")),
+    (), "pt", GroupTag.ZXZ,
+)
+MY_TORUS = SpacePresentation("mytorus", *TORUS._values()[1:])
+
+
+class TestRecordLookup:
+    def test_a_builtin_name_does_not_make_a_builtin(self):
+        x, y = Gen("x"), Gen("y")
+        assert _builtin_record(XY_TORUS) is None
+        assert normalize(XY_TORUS, Trans(y, x)).word.letters == (("y", 1), ("x", 1))
+        assert not rw_eq(XY_TORUS, x, y)
+        assert normal_forms_decide(XY_TORUS)
+        assert trace(XY_TORUS, Trans(y, x)) == (normalize(XY_TORUS, Trans(y, x)), ())
+        assert _error(lambda: encode(XY_TORUS, x)) == (
+            "GroupTagMismatchError: space 'torus' is not a builtin presentation; "
+            "encode is undefined"
+        )
+
+    def test_a_renamed_builtin_decides_nothing_its_relations_settle(self):
+        ab, ba = Trans(A, B), Trans(B, A)
+        assert _builtin_record(MY_TORUS) is None
+        assert not rw_eq(MY_TORUS, ab, ba)
+        assert not normal_forms_decide(MY_TORUS)
+        assert bfs_rw_eq(MY_TORUS, ab, ba).kind == EQUAL
+        for call in (lambda: encode(MY_TORUS, ab),
+                     lambda: decode(MY_TORUS, GroupValue(GroupTag.ZXZ, 1))):
+            assert "space 'mytorus' is not a builtin presentation" in _error(call)
+        results = run_checks(MY_TORUS, samples=4, max_size=6)
+        names = {r.name for r in results}
+        assert names.isdisjoint({"group-round-trip", "homomorphism"})
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+    def test_every_builtin_finds_its_own_record(self):
+        for space in ALL_SPACES:
+            assert _builtin_record(space).space is space
