@@ -53,9 +53,10 @@ once: each rule's steps run through `apply_step` on its pattern's node
 (the letters fix the node), and the rule keeps the steps and the node they
 leave. A match records the steps and the bracketing steps around them at
 their positions in the whole term, which is never built, and splices the
-stored node into the spine. `apply_step` and the scan rebuild a rewritten
-node's ancestors from a list, each composition with the slots `Trans`
-would set, without its constructor.
+stored node into the spine. The scan maps a node's shape to its first
+fitting rule with one lookup and rebuilds a parent only if its child
+changed; `apply_step` rebuilds the ancestors from a list. Both build every
+composition with `_compose`, which skips `Trans`'s constructor.
 """
 
 from __future__ import annotations
@@ -232,6 +233,16 @@ def _position(chain: Chain) -> Position:
 _ENDS = "ends"
 _PAYLOAD = "payload"
 
+
+def _compose(first: PathExpr, second: PathExpr) -> Trans:
+    """`Trans(first, second)` without the constructor call: replay builds millions."""
+    t = object.__new__(Trans)
+    _set_first(t, first)
+    _set_second(t, second)
+    _set_size(t, 1 + first._size + second._size)
+    return t
+
+
 # The reductions, in `redexes` order.
 _REDUCTIONS = (
     (TRANS_REFL_LEFT, (Trans, Refl, None), None, lambda t, _: t.second),
@@ -248,15 +259,15 @@ _REDUCTIONS = (
     (SYMM_SYMM, (Symm, Symm), None, lambda t, _: t.inner.inner),
     (
         SYMM_TRANS_CONGR, (Symm, Trans), None,
-        lambda t, _: Trans(Symm(t.inner.second), Symm(t.inner.first)),
+        lambda t, _: _compose(Symm(t.inner.second), Symm(t.inner.first)),
     ),
     (
         ASSOC_LEFT, (Trans, Trans, None), None,
-        lambda t, _: Trans(t.first.first, Trans(t.first.second, t.second)),
+        lambda t, _: _compose(t.first.first, _compose(t.first.second, t.second)),
     ),
     (
         ASSOC_RIGHT, (Trans, None, Trans), None,
-        lambda t, _: Trans(Trans(t.first, t.second.first), t.second.second),
+        lambda t, _: _compose(_compose(t.first, t.second.first), t.second.second),
     ),
 )
 
@@ -312,6 +323,15 @@ _REDUCTIONS_AT = {
 }
 
 
+@lru_cache(maxsize=16)
+def _dispatch(rules: tuple[RuleId, ...]) -> dict:
+    """node shape -> (rule, effect) of the first of `rules` that fits it"""
+    return {  # an earlier rule overwrites a later one
+        shape: (rule, _RULES[shape, rule.kind][1])
+        for rule in reversed(rules) for shape in _SHAPES if (shape, rule.kind) in _RULES
+    }
+
+
 # Relation rules keyed by the side they rewrite: for each term, the forward
 # rules whose lhs it is, then the backward rules whose rhs it is, each with
 # the term it rewrites to, in declaration order.
@@ -361,16 +381,22 @@ def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> Pa
     sub = p
     for idx in step.at:
         ancestors.append(sub)
-        if type(sub) is Trans and idx in (0, 1):
-            sub = sub.second if idx else sub.first
-        elif type(sub) is Symm and idx == 0:
+        cls = type(sub)
+        if idx == 0 and cls is Trans:
+            sub = sub.first
+        elif idx == 1 and cls is Trans:
+            sub = sub.second
+        elif idx == 0 and cls is Symm:
             sub = sub.inner
         else:
             raise StepNotEnabledError(
                 f"no subterm at position {format_position(step.at)}"
             )
     rule = step.rule
-    fit = _RULES.get((_shape(sub), rule.kind))
+    cls = type(sub)  # `_shape(sub)`, written out: a call less per step
+    shape = ((Trans, type(sub.first), type(sub.second)) if cls is Trans
+             else (Symm, type(sub.inner)) if cls is Symm else (cls,))
+    fit = _RULES.get((shape, rule.kind))
     if fit is not None:
         reads, effect = fit
         if reads is _ENDS:
@@ -384,7 +410,7 @@ def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> Pa
             new = effect(sub, None)
     elif rule.kind in _KINDS:
         enabled = _plain_relations(space).get(sub, ())
-        new = next((new for r, new in enabled if r == rule), None)
+        new = next((new for r, new in enabled if r._text == rule._text), None)
     else:
         raise StepNotEnabledError(f"unknown rule '{rule}'")
     if new is None:
@@ -396,24 +422,27 @@ def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> Pa
 
 def _rebuild(ancestors: list[PathExpr], at: Position, new: PathExpr) -> PathExpr:
     """The term with `ancestors` (root first) on the way down to position
-    `at` and `new` at `at`; the term itself if `new` is already there. A
-    rebuilt composition gets the slots `Trans.__init__` would set, without
-    the call: replay rebuilds millions."""
+    `at` and `new` at `at`; each composition is rebuilt by `_compose`."""
     i = len(ancestors)
-    if i and new is _child(ancestors[-1], at[-1]):
-        return ancestors[0]
     while i:
         i -= 1
         parent = ancestors[i]
         if type(parent) is Symm:
             new = Symm(new)
-            continue
-        first, second = (parent.first, new) if at[i] else (new, parent.second)
-        new = object.__new__(Trans)
-        _set_first(new, first)
-        _set_second(new, second)
-        _set_size(new, 1 + first._size + second._size)
+        elif at[i]:
+            new = _compose(parent.first, new)
+        else:
+            new = _compose(new, parent.second)
     return new
+
+
+def _up(parent: PathExpr, idx: int, child: PathExpr) -> PathExpr:
+    """`parent` with `child` as its child `idx`; `parent` itself if unchanged."""
+    if type(parent) is Symm:
+        return parent if child is parent.inner else Symm(child)
+    if idx:
+        return parent if child is parent.second else _compose(parent.first, child)
+    return parent if child is parent.first else _compose(child, parent.second)
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +620,6 @@ def _legs(t: PathExpr) -> list[PathExpr]:
     return out
 
 
-def _child(t: PathExpr, idx: int) -> PathExpr:
-    if type(t) is Symm:
-        return t.inner
-    return t.second if idx else t.first
-
-
 class _Normalizer:
     """Applies the normalization strategy while recording every step; the
     whole term is never rebuilt (see the module docstring)."""
@@ -618,30 +641,32 @@ class _Normalizer:
         is: nodes before the parent in preorder are then untouched and were
         found not to match, and the ancestors above the parent keep their
         shape."""
+        table = _dispatch(rules)
         parents: list[PathExpr] = []
         path: list[int] = []
         node = term
         resume = 0  # the child to enter when `node` does not match
         while True:
-            shape = _shape(node)
-            for rule in rules:
-                fit = _RULES.get((shape, rule.kind))
-                if fit is not None:
-                    break
+            cls = type(node)  # `_shape(node)`, written out: a call less per node
+            fit = table.get(
+                (Trans, type(node.first), type(node.second)) if cls is Trans
+                else (Symm, type(node.inner)) if cls is Symm else (cls,)
+            )
             if fit is not None:
-                self.steps.append(RewriteStep(rule, at + tuple(path)))
+                self.steps.append(RewriteStep(fit[0], at + tuple(path)))
                 node = fit[1](node, None)
                 resume = 0
                 if parents:
                     # the rewritten node is new: scan it again after its
                     # parent, but not its left sibling, which did not match
                     resume = path.pop()
-                    node = _rebuild([parents.pop()], (resume,), node)
+                    node = _up(parents.pop(), resume, node)
                 continue
-            if type(node) in (Trans, Symm):
+            if cls is Trans or cls is Symm:
                 parents.append(node)
                 path.append(resume)
-                node = _child(node, resume)
+                node = (node.inner if cls is Symm
+                        else node.second if resume else node.first)
                 resume = 0
                 continue
             # a leaf: climb to the nearest second leg not yet scanned
@@ -649,7 +674,7 @@ class _Normalizer:
                 if not parents:
                     return node
                 idx = path.pop()
-                node = _rebuild([parents.pop()], (idx,), node)
+                node = _up(parents.pop(), idx, node)
                 if idx == 0 and type(node) is Trans:
                     parents.append(node)
                     path.append(1)

@@ -84,7 +84,7 @@ class _Term(_Record):
     """What the four term classes share: the hash (a composite's is filled
     in on first use), the node count and structural equality."""
 
-    __slots__ = ("_hash", "_size", "__weakref__")
+    __slots__ = ("_hash", "_size")
 
     def __hash__(self) -> int:
         try:

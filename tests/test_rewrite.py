@@ -55,7 +55,10 @@ from pathrw.rewrite import (
 from pathrw.checks import run_checks
 from pathrw.oracle import EQUAL, bfs_rw_eq, enumerate_terms
 from pathrw.pi1 import GroupValue, decode
-from pathrw.rewrite import _read_step, _spine_rules, normal_forms_decide
+from pathrw.rewrite import (
+    _RULES, _SHAPES, _Normalizer, _dispatch, _read_step, _spine_rules,
+    normal_forms_decide,
+)
 from pathrw.spaces import (
     Generator, GroupTag, SpacePresentation, _builtin_record, parse_space_text,
 )
@@ -202,6 +205,28 @@ class TestSingleRules:
     def test_unknown_relation_name(self):
         with pytest.raises(StepNotEnabledError):
             apply_step(TORUS, Trans(A, B), step(relation_fwd("nope")))
+
+    def test_relation_steps_pick_their_relation_by_name(self):
+        # `ab` is the lhs of both relations, so its rows name two rules of
+        # one kind, and `c` is the rhs of one
+        space = parse_space_text(
+            "point pt\ngen a : pt -> pt\ngen b : pt -> pt\ngen c : pt -> pt\n"
+            "rel r1 : a * b = c\nrel r2 : a * b = b * a\n", "shared"
+        )
+        ab, ba, c = Trans(A, B), Trans(B, A), Gen("c")
+        assert apply_step(space, ab, step(relation_fwd("r1"))) == c
+        assert apply_step(space, ab, step(relation_fwd("r2"))) == ba
+        assert apply_step(space, c, step(relation_bwd("r1"))) == ab
+        assert apply_step(space, ba, step(relation_bwd("r2"))) == ab
+        refused = [
+            (ab, relation_bwd("r1"), "rule relation_bwd(r1) is not enabled at root"),
+            (c, relation_bwd("r2"), "rule relation_bwd(r2) is not enabled at root"),
+            (ab, relation_fwd("nope"), "rule relation_fwd(nope) is not enabled at root"),
+        ]
+        for term, rule, message in refused:
+            with pytest.raises(StepNotEnabledError) as info:
+                apply_step(space, term, step(rule))
+            assert str(info.value) == message
 
     def test_position_addressing(self):
         t = Trans(Symm(Trans(A, B)), A)
@@ -645,6 +670,34 @@ class TestTrace:
         nf, steps = trace(CIRCLE, Refl("pt"))
         assert steps == ()
         assert nf == NormalForm(Word((), "pt", "pt"))
+
+    def test_dispatch_tables_pick_the_first_fitting_rule(self, monkeypatch):
+        # the rule tuples `trace` scans by, gathered from traces that use
+        # every phase, the one-letter spine rules of the cylinder included
+        seen = set()
+        run_rules = _Normalizer.run_rules
+
+        def spy(nz, rules, term, at=()):
+            seen.add(rules)
+            return run_rules(nz, rules, term, at)
+
+        monkeypatch.setattr(_Normalizer, "run_rules", spy)
+        for space, text in ((KLEIN, "~(b * ~~a) * (refl * a)"), (CYL, "s * l1")):
+            trace(space, parse_path(space, text))
+        assert seen == {
+            (SYMM_REFL, SYMM_SYMM, SYMM_TRANS_CONGR),
+            (ASSOC_LEFT,),
+            (TRANS_REFL_LEFT, TRANS_REFL_RIGHT),
+        }
+        for rules in seen:
+            table = _dispatch(rules)
+            for shape in _SHAPES:
+                fits = [r for r in rules if (shape, r.kind) in _RULES]
+                if fits:
+                    assert table[shape] == (fits[0], _RULES[shape, fits[0].kind][1])
+                else:
+                    assert shape not in table
+            assert set(table) <= set(_SHAPES)
 
     def test_trace_serializes(self):
         t = Trans(B, Trans(A, Symm(Trans(A, B))))

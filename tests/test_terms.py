@@ -454,8 +454,9 @@ class TestDeepAndMixedHashes:
 
 class TestTermMemory:
     def test_parsed_word_memory(self):
-        # 13.7 MB measured, 19.1 MB when every composite stored its hash at
-        # construction; the bound leaves about 20 % headroom
+        # 12.5 MB measured; 13.7 MB while every node had a `__weakref__`
+        # slot, and 19.1 MB when every composite also stored its hash at
+        # construction. The bound is the one set at 13.7 MB
         text = " * ".join(["a", "~a"] * 50_000)
         tracemalloc.start()
         try:
