@@ -54,9 +54,8 @@ once: each rule's steps run through `apply_step` on its pattern's node
 leave. A match records the steps and the bracketing steps around them at
 their positions in the whole term, which is never built, and splices the
 stored node into the spine. The scan maps a node's shape to its first
-fitting rule with one lookup and rebuilds a parent only if its child
-changed; `apply_step` rebuilds the ancestors from a list. Both build every
-composition with `_compose`, which skips `Trans`'s constructor.
+fitting rule with one lookup (a table per phase) and rebuilds a parent
+only if its child changed; `apply_step` rebuilds the ancestors from a list.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from functools import lru_cache, reduce
 from .errors import EndpointMismatchError, StepNotEnabledError
 from .spaces import Relation, SpacePresentation, _builtin_record
 from .terms import Gen, PathExpr, Refl, Symm, Trans, _Record, endpoints
-from .terms import _set_first, _set_second, _set_size
 
 Position = tuple[int, ...]
 
@@ -233,16 +231,6 @@ def _position(chain: Chain) -> Position:
 _ENDS = "ends"
 _PAYLOAD = "payload"
 
-
-def _compose(first: PathExpr, second: PathExpr) -> Trans:
-    """`Trans(first, second)` without the constructor call: replay builds millions."""
-    t = object.__new__(Trans)
-    _set_first(t, first)
-    _set_second(t, second)
-    _set_size(t, 1 + first._size + second._size)
-    return t
-
-
 # The reductions, in `redexes` order.
 _REDUCTIONS = (
     (TRANS_REFL_LEFT, (Trans, Refl, None), None, lambda t, _: t.second),
@@ -259,15 +247,15 @@ _REDUCTIONS = (
     (SYMM_SYMM, (Symm, Symm), None, lambda t, _: t.inner.inner),
     (
         SYMM_TRANS_CONGR, (Symm, Trans), None,
-        lambda t, _: _compose(Symm(t.inner.second), Symm(t.inner.first)),
+        lambda t, _: Trans(Symm(t.inner.second), Symm(t.inner.first)),
     ),
     (
         ASSOC_LEFT, (Trans, Trans, None), None,
-        lambda t, _: _compose(t.first.first, _compose(t.first.second, t.second)),
+        lambda t, _: Trans(t.first.first, Trans(t.first.second, t.second)),
     ),
     (
         ASSOC_RIGHT, (Trans, None, Trans), None,
-        lambda t, _: _compose(_compose(t.first, t.second.first), t.second.second),
+        lambda t, _: Trans(Trans(t.first, t.second.first), t.second.second),
     ),
 )
 
@@ -323,13 +311,21 @@ _REDUCTIONS_AT = {
 }
 
 
-@lru_cache(maxsize=16)
-def _dispatch(rules: tuple[RuleId, ...]) -> dict:
+def _table(rules: tuple[RuleId, ...]) -> dict:
     """node shape -> (rule, effect) of the first of `rules` that fits it"""
     return {  # an earlier rule overwrites a later one
         shape: (rule, _RULES[shape, rule.kind][1])
         for rule in reversed(rules) for shape in _SHAPES if (shape, rule.kind) in _RULES
     }
+
+
+# the rules of `trace`'s three phases, and their tables
+_PHASE_RULES = (
+    (SYMM_REFL, SYMM_SYMM, SYMM_TRANS_CONGR),
+    (ASSOC_LEFT,),
+    (TRANS_REFL_LEFT, TRANS_REFL_RIGHT),
+)
+_PHASES = [_table(rules) for rules in _PHASE_RULES]
 
 
 # Relation rules keyed by the side they rewrite: for each term, the forward
@@ -381,22 +377,16 @@ def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> Pa
     sub = p
     for idx in step.at:
         ancestors.append(sub)
-        cls = type(sub)
-        if idx == 0 and cls is Trans:
-            sub = sub.first
-        elif idx == 1 and cls is Trans:
-            sub = sub.second
-        elif idx == 0 and cls is Symm:
+        if type(sub) is Trans and idx in (0, 1):
+            sub = sub.second if idx else sub.first
+        elif type(sub) is Symm and idx == 0:
             sub = sub.inner
         else:
             raise StepNotEnabledError(
                 f"no subterm at position {format_position(step.at)}"
             )
     rule = step.rule
-    cls = type(sub)  # `_shape(sub)`, written out: a call less per step
-    shape = ((Trans, type(sub.first), type(sub.second)) if cls is Trans
-             else (Symm, type(sub.inner)) if cls is Symm else (cls,))
-    fit = _RULES.get((shape, rule.kind))
+    fit = _RULES.get((_shape(sub), rule.kind))
     if fit is not None:
         reads, effect = fit
         if reads is _ENDS:
@@ -422,7 +412,7 @@ def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> Pa
 
 def _rebuild(ancestors: list[PathExpr], at: Position, new: PathExpr) -> PathExpr:
     """The term with `ancestors` (root first) on the way down to position
-    `at` and `new` at `at`; each composition is rebuilt by `_compose`."""
+    `at` and `new` at `at`."""
     i = len(ancestors)
     while i:
         i -= 1
@@ -430,9 +420,9 @@ def _rebuild(ancestors: list[PathExpr], at: Position, new: PathExpr) -> PathExpr
         if type(parent) is Symm:
             new = Symm(new)
         elif at[i]:
-            new = _compose(parent.first, new)
+            new = Trans(parent.first, new)
         else:
-            new = _compose(new, parent.second)
+            new = Trans(new, parent.second)
     return new
 
 
@@ -441,8 +431,8 @@ def _up(parent: PathExpr, idx: int, child: PathExpr) -> PathExpr:
     if type(parent) is Symm:
         return parent if child is parent.inner else Symm(child)
     if idx:
-        return parent if child is parent.second else _compose(parent.first, child)
-    return parent if child is parent.first else _compose(child, parent.second)
+        return parent if child is parent.second else Trans(parent.first, child)
+    return parent if child is parent.first else Trans(child, parent.second)
 
 
 # ---------------------------------------------------------------------------
@@ -627,31 +617,24 @@ class _Normalizer:
     def __init__(self) -> None:
         self.steps: list[RewriteStep] = []
 
-    def run_rules(
-        self, rules: tuple[RuleId, ...], term: PathExpr, at: Position = ()
-    ) -> PathExpr:
-        """Rewrite `term` by its outermost-leftmost enabled step of `rules`
-        until none is enabled; each step is recorded at `at` plus its
-        position in `term`.
+    def run_rules(self, table: dict, term: PathExpr, at: Position = ()) -> PathExpr:
+        """Rewrite `term` by its outermost-leftmost enabled step of the rules
+        in `table` (see `_table`) until none is enabled; each step is
+        recorded at `at` plus its position in `term`.
 
         After a rewrite the preorder scan resumes at the rewritten node's
-        parent, not at the root. That needs every rule in `rules` to be
+        parent, not at the root. That needs every rule in `table` to be
         decided by the shape of a node alone (its class and its children's
         classes), as every groupoid reduction rule but the two cancellations
         is: nodes before the parent in preorder are then untouched and were
         found not to match, and the ancestors above the parent keep their
         shape."""
-        table = _dispatch(rules)
         parents: list[PathExpr] = []
         path: list[int] = []
         node = term
         resume = 0  # the child to enter when `node` does not match
         while True:
-            cls = type(node)  # `_shape(node)`, written out: a call less per node
-            fit = table.get(
-                (Trans, type(node.first), type(node.second)) if cls is Trans
-                else (Symm, type(node.inner)) if cls is Symm else (cls,)
-            )
+            fit = table.get(_shape(node))
             if fit is not None:
                 self.steps.append(RewriteStep(fit[0], at + tuple(path)))
                 node = fit[1](node, None)
@@ -662,6 +645,7 @@ class _Normalizer:
                     resume = path.pop()
                     node = _up(parents.pop(), resume, node)
                 continue
+            cls = type(node)
             if cls is Trans or cls is Symm:
                 parents.append(node)
                 path.append(resume)
@@ -710,10 +694,11 @@ class _Normalizer:
                 base: Position = (1,) * i
                 last = i == k - 1
                 new = self._rewrite(base if last else base + (0,), rule)
-                # re-flatten only the rewritten node: the rest of the spine
-                # holds no assoc_left redex, so a leaf can stand for it
+                # re-flatten (the assoc_left phase) only the rewritten node:
+                # the rest of the spine holds no assoc_left redex, so a leaf
+                # can stand for it
                 legs = _legs(self.run_rules(
-                    (ASSOC_LEFT,), new if last else Trans(new, _REST), base
+                    _PHASES[1], new if last else Trans(new, _REST), base
                 ))
                 self._splice(i, i + 1, legs if last else legs[:-1])
                 return max(i - 1, 0)
@@ -787,9 +772,8 @@ def trace(
     on a term whose letters read off the normal form word."""
     src, tgt = endpoints(space, p)
     nz = _Normalizer()
-    p = nz.run_rules((SYMM_REFL, SYMM_SYMM, SYMM_TRANS_CONGR), p)
-    p = nz.run_rules((ASSOC_LEFT,), p)
-    p = nz.run_rules((TRANS_REFL_LEFT, TRANS_REFL_RIGHT), p)
+    for table in _PHASES:
+        p = nz.run_rules(table, p)
     nz.rewrite_spine(p, _spine_rules(space))
     return NormalForm(nz.word(src, tgt)), tuple(nz.steps)
 

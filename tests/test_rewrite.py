@@ -56,7 +56,7 @@ from pathrw.checks import run_checks
 from pathrw.oracle import EQUAL, bfs_rw_eq, enumerate_terms
 from pathrw.pi1 import GroupValue, decode
 from pathrw.rewrite import (
-    _RULES, _SHAPES, _Normalizer, _dispatch, _read_step, _spine_rules,
+    _PHASE_RULES, _PHASES, _RULES, _SHAPES, _Normalizer, _read_step, _spine_rules,
     normal_forms_decide,
 )
 from pathrw.spaces import (
@@ -672,25 +672,25 @@ class TestTrace:
         assert nf == NormalForm(Word((), "pt", "pt"))
 
     def test_dispatch_tables_pick_the_first_fitting_rule(self, monkeypatch):
-        # the rule tuples `trace` scans by, gathered from traces that use
-        # every phase, the one-letter spine rules of the cylinder included
-        seen = set()
+        # the tables `trace` scans by, gathered from traces that use every
+        # phase, the one-letter spine rules of the cylinder included
+        seen = []
         run_rules = _Normalizer.run_rules
 
-        def spy(nz, rules, term, at=()):
-            seen.add(rules)
-            return run_rules(nz, rules, term, at)
+        def spy(nz, table, term, at=()):
+            seen.append(table)
+            return run_rules(nz, table, term, at)
 
         monkeypatch.setattr(_Normalizer, "run_rules", spy)
         for space, text in ((KLEIN, "~(b * ~~a) * (refl * a)"), (CYL, "s * l1")):
             trace(space, parse_path(space, text))
-        assert seen == {
+        assert {id(t) for t in seen} == {id(t) for t in _PHASES}
+        assert _PHASE_RULES == (
             (SYMM_REFL, SYMM_SYMM, SYMM_TRANS_CONGR),
             (ASSOC_LEFT,),
             (TRANS_REFL_LEFT, TRANS_REFL_RIGHT),
-        }
-        for rules in seen:
-            table = _dispatch(rules)
+        )
+        for rules, table in zip(_PHASE_RULES, _PHASES):
             for shape in _SHAPES:
                 fits = [r for r in rules if (shape, r.kind) in _RULES]
                 if fits:
