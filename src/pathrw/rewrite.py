@@ -163,63 +163,9 @@ def format_step(step: RewriteStep, space: "SpacePresentation | None" = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# positions and local rewriting
-
-
-# The ancestors of a subterm, innermost first, as nested (child index, rest)
-# pairs ending in None; the child index is the position digit.
-Chain = tuple | None
-
-
-def _walk(
-    space: "SpacePresentation", p: PathExpr
-) -> list[tuple[Chain, PathExpr, tuple[str, str]]]:
-    """Every subterm of p in preorder, with its ancestor chain and endpoints.
-
-    The endpoints are computed bottom-up in one pass, so the walk is linear
-    in p. An ill-formed term raises what `endpoints` raises."""
-    subs: list[tuple[Chain, PathExpr]] = []
-    stack: list[tuple[PathExpr, Chain]] = [(p, None)]
-    while stack:
-        node, chain = stack.pop()
-        subs.append((chain, node))
-        if type(node) is Trans:
-            stack.append((node.second, (1, chain)))
-            stack.append((node.first, (0, chain)))
-        elif type(node) is Symm:
-            stack.append((node.inner, (0, chain)))
-    # In preorder a node's children follow it, so a reverse pass meets them
-    # first: the first leg sits right after its parent, the second leg after
-    # the first leg's whole subtree.
-    ends: list = [None] * len(subs)
-    gens = space.generator_map
-    for i in range(len(subs) - 1, -1, -1):
-        node = subs[i][1]
-        cls = type(node)
-        if cls is Trans:
-            src, mid = ends[i + 1]
-            mid2, tgt = ends[i + 1 + node.first._size]
-            if mid != mid2:
-                endpoints(space, node)
-        elif cls is Symm:
-            tgt, src = ends[i + 1]
-        elif cls is Gen and node.name in gens:
-            gen = gens[node.name]
-            src, tgt = gen.src, gen.tgt
-        elif cls is Refl and node.point in space.point_set:
-            src = tgt = node.point
-        else:
-            src, tgt = endpoints(space, node)
-        ends[i] = (src, tgt)
-    return [(chain, node, ends[i]) for i, (chain, node) in enumerate(subs)]
-
-
-def _position(chain: Chain) -> Position:
-    digits: list[int] = []
-    while chain is not None:
-        idx, chain = chain
-        digits.append(idx)
-    return tuple(reversed(digits))
+# positions and local rewriting: `redexes` walks the whole term once in
+# preorder, carrying each node's position; `apply_step` walks down one
+# position and rebuilds the ancestors above it. Both read the rows below.
 
 
 # Every groupoid rule is one row: the shape of node it rewrites (the node's
@@ -333,42 +279,38 @@ _PHASES = [_table(rules) for rules in _PHASE_RULES]
 # the term it rewrites to, in declaration order.
 @lru_cache(maxsize=128)
 def _plain_relations(space: "SpacePresentation") -> dict:
-    by_name = {rel.name: rel for rel in space.relations}
     table: dict = {}
     for rel in space.relations:
-        r = by_name[rel.name]
-        table.setdefault(r.lhs, []).append((relation_fwd(rel.name), r.rhs))
+        table.setdefault(rel.lhs, []).append((relation_fwd(rel.name), rel.rhs))
     for rel in space.relations:
-        r = by_name[rel.name]
-        table.setdefault(r.rhs, []).append((relation_bwd(rel.name), r.lhs))
+        table.setdefault(rel.rhs, []).append((relation_bwd(rel.name), rel.lhs))
     return table
-
-
-def _reduce_at(
-    t: PathExpr, ends: tuple[str, str], relations: dict
-) -> list[tuple[RuleId, PathExpr]]:
-    """(rule, rewritten node) for every reduction rule enabled at the root
-    of t, in `redexes` order: the groupoid rules that fit t's shape, then
-    forward relation rules, then backward ones. `ends` are t's endpoints."""
-    out = []
-    for rule, effect in _REDUCTIONS_AT[_shape(t)]:
-        new = effect(t, ends)
-        if new is not None:
-            out.append((rule, new))
-    if relations:
-        out.extend(relations.get(t, ()))
-    return out
 
 
 def redexes(space: "SpacePresentation", p: PathExpr) -> list[RewriteStep]:
     """All enabled reduction steps, outermost-leftmost position first and
-    rules in their declaration order at each position."""
+    rules in their declaration order at each position. The term is checked
+    once with `endpoints`, so an ill-formed term raises exactly what that
+    raises; one preorder walk with its own stack then reads each node's
+    rows: groupoid rules, then relation rules."""
+    ends = endpoints(space, p)
     relations = _plain_relations(space)
-    return [
-        RewriteStep(rule, _position(chain))
-        for chain, sub, ends in _walk(space, p)
-        for rule, _ in _reduce_at(sub, ends, relations)
-    ]
+    out: list[RewriteStep] = []
+    stack: list[tuple[PathExpr, Position]] = [(p, ())]
+    while stack:
+        sub, at = stack.pop()
+        # whether a rule fires never depends on the endpoints, so the root's serve
+        for rule, effect in _REDUCTIONS_AT[_shape(sub)]:
+            if effect(sub, ends) is not None:
+                out.append(RewriteStep(rule, at))
+        if relations:
+            out.extend(RewriteStep(rule, at) for rule, _ in relations.get(sub, ()))
+        if type(sub) is Trans:
+            stack.append((sub.second, at + (1,)))
+            stack.append((sub.first, at + (0,)))
+        elif type(sub) is Symm:
+            stack.append((sub.inner, at + (0,)))
+    return out
 
 
 def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> PathExpr:
@@ -585,9 +527,8 @@ def _spine_rules(space: "SpacePresentation") -> tuple[_Tier, ...]:
                     (w[1:], -1) if w[0] == "~" else (w, 1) for w in letters.split()
                 )
             steps = tuple(_read_step(space, line) for line in lines)
-            new = reduce(Trans, [
-                Gen(name) if sign > 0 else Symm(Gen(name)) for name, sign in letters
-            ])
+            # a pattern is never empty, so its word's endpoints go unread
+            new = term_of_word(Word(letters, "", ""))
             for step in steps:
                 new = apply_step(space, new, step)
             tier[letters] = (steps, new)

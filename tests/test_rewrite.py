@@ -419,6 +419,25 @@ class TestRedexes:
             redexes(CIRCLE, Trans(A, Gen("zz")))
         with pytest.raises(EndpointMismatchError):
             redexes(CYL, Trans(Gen("s"), Gen("s")))
+        # with two faults, the one `endpoints` meets first, class and message
+        s, l0, l1 = Gen("s"), Gen("l0"), Gen("l1")
+        for space, t in [
+            (CIRCLE, Trans(Gen("zz"), Refl("nowhere"))),
+            (CYL, Trans(Gen("qq"), Trans(s, s))),
+            (CYL, Trans(Trans(s, s), Trans(l0, l1))),
+        ]:
+            want = _error(lambda: endpoints(space, t))
+            assert want is not None
+            assert _error(lambda: redexes(space, t)) == want
+
+    def test_deep_term(self):
+        # a^3000 nests 2,999 compositions to the left; the walk has no
+        # recursion, and each composition but the innermost is an
+        # assoc_left redex, outermost first
+        got = redexes(CIRCLE, parse_path(CIRCLE, "a^3000"))
+        assert [(s.rule, s.at) for s in got] == [
+            (ASSOC_LEFT, (0,) * k) for k in range(2998)
+        ]
 
     def test_redexes_of_small_terms_are_pinned(self):
         # digest of every small term's redex list, one line per term, as
@@ -1015,6 +1034,7 @@ class TestIllFormedTerms:
             "rw_eq": lambda: rw_eq(space, p, good),
             "rw_eq swapped": lambda: rw_eq(space, good, p),
             "class_of": lambda: class_of(space, p),
+            "redexes": lambda: redexes(space, p),
         }
         if space.group_tag is not None:
             calls["encode"] = lambda: encode(space, p)
