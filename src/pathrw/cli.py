@@ -33,7 +33,7 @@ from __future__ import annotations
 import sys
 
 from .errors import PathError
-from .oracle import DEFAULT_MAX_STATES, Budget, bfs_rw_eq
+from .oracle import DEFAULT_MAX_STATES, Budget, _size_cap, bfs_rw_eq
 from .pi1 import _group_record, encode, decode, parse_group_value, render_group_value
 from .rewrite import format_step, normal_forms_decide, normalize, rw_eq, trace
 from .spaces import BUILTIN_NAMES, SpacePresentation, builtin, parse_space_file
@@ -150,7 +150,10 @@ def _run_equal(args, space):
     if args.oracle:
         verdict = bfs_rw_eq(space, p, q, budget)
         result = _VERDICTS.get(verdict.kind, "undecided")
-        detail = f"{result} (searched {verdict.explored} states)"
+        shown = result
+        if result == "not-equal":  # it holds among terms within the cap only
+            shown += f" within size cap {_size_cap(budget, p, q)}"
+        detail = f"{shown} (searched {verdict.explored} states)"
     else:
         if rw_eq(space, p, q):
             result = "equal"

@@ -47,15 +47,15 @@ record follow. The two routes are independent and the tests hold them
 equal.
 
 `trace` never rebuilds the whole term. Its flattening phases rewrite by a
-preorder scan that resumes at the parent of each rewritten node. The spine
-is then kept as a list of literals. A space's spine rules are compiled
-once: each rule's steps run through `apply_step` on its pattern's node
-(the letters fix the node), and the rule keeps the steps and the node they
-leave. A match records the steps and the bracketing steps around them at
-their positions in the whole term, which is never built, and splices the
-stored node into the spine. The scan maps a node's shape to its first
-fitting rule with one lookup (a table per phase) and rebuilds a parent
-only if its child changed; `apply_step` rebuilds the ancestors from a list.
+preorder scan that resumes at the parent of each rewritten node; the scan
+maps a node's shape to its first fitting rule with one lookup (a table per
+phase) and rebuilds a parent only if its child changed. The spine is then
+kept as its letters alone. A space's spine rules are compiled once, for
+each place a match can sit, into the rule's steps with the bracketing
+steps around them, at positions below an anchor, and the letters that
+replace the match; a match records those steps below its anchor in the
+whole term, which is never built, and splices in the letters. `apply_step`
+rebuilds the ancestors from a list.
 """
 
 from __future__ import annotations
@@ -489,10 +489,12 @@ def _letter(lit: PathExpr) -> tuple[str, int] | None:
     return None
 
 
-# A compiled tier of spine rules: a pattern of one letter or two adjacent
-# letters, each a (generator name, sign) pair, mapped to the steps that
-# rewrite its node and the node they leave.
-_Tier = dict[tuple[tuple[str, int], ...], tuple[tuple[RewriteStep, ...], PathExpr]]
+# A compiled tier maps a pattern of one or two adjacent (generator name,
+# sign) letters to a context per place a match can sit (letters after it,
+# the spine's end after others, the whole spine): how many levels its anchor
+# sits above the match, the steps below the anchor and the new letters.
+_Context = tuple[int, tuple[RewriteStep, ...], tuple]
+_Tier = dict[tuple[tuple[str, int], ...], tuple[_Context, _Context, _Context]]
 
 
 def _read_step(space: "SpacePresentation", line: str) -> RewriteStep:
@@ -512,7 +514,7 @@ def _spine_rules(space: "SpacePresentation") -> tuple[_Tier, ...]:
     """The tiers `trace` rewrites a spine by: free cancellation (~g g and
     g ~g collapse to a constant path), then the tiers of the space's record.
     Each rule's steps are applied to its pattern's node here, once, which
-    checks every step."""
+    checks every step, and compiled for each context."""
     cancel: dict = {}
     for g in space.generators:
         cancel[(g.name, -1), (g.name, 1)] = ("symm_trans_cancel @ root",)
@@ -531,14 +533,48 @@ def _spine_rules(space: "SpacePresentation") -> tuple[_Tier, ...]:
             new = term_of_word(Word(letters, "", ""))
             for step in steps:
                 new = apply_step(space, new, step)
-            tier[letters] = (steps, new)
+            tier[letters] = tuple(
+                (back, tuple(compiled), tuple(_spine_letters(legs)))
+                for back, compiled, legs in _contexts(steps, new, len(letters))
+            )
         tiers.append(tier)
     return tuple(tiers)
 
 
 # A leaf standing for the rest of the spine while a one-letter rewrite is
-# re-flattened; no rule `trace` runs matches it or reads it.
+# compiled; no rule `trace` runs matches it or reads it.
 _REST = Gen("")
+
+
+def _under(idx: int, steps) -> list[RewriteStep]:
+    """`steps` moved under child `idx` of the node they rewrite."""
+    return [RewriteStep(s.rule, (idx,) + s.at, s.payload) for s in steps]
+
+
+def _contexts(steps: tuple[RewriteStep, ...], new: PathExpr, width: int) -> list:
+    """A spine rule's (anchor offset, steps, legs) in each context, given its
+    steps on its pattern's node and `new`, the node they leave. The spine is
+    right-nested, so a match's node sits at its anchor's child 0 when
+    letters follow it, and at the anchor itself when it ends the spine."""
+    nz = _Normalizer()
+    if width == 1:  # rewrite the letter, then re-flatten the new node alone
+        nz.steps = _under(0, steps)
+        mid = (0, nz.steps, _legs(nz.run_rules(_PHASES[1], Trans(new, _REST)))[:-1])
+        nz.steps = list(steps)
+        end = (0, nz.steps, _legs(nz.run_rules(_PHASES[1], new)))
+        return [mid, end, end]
+    # a pair is bracketed into one node, rewritten, then dropped if it
+    # became constant or unbracketed otherwise; the spine's last pair needs
+    # no brackets, and after other letters its anchor is its parent
+    mid = [RewriteStep(ASSOC_RIGHT), *_under(0, steps)]
+    end = _under(1, steps)
+    if type(new) is Refl:
+        mid.append(RewriteStep(TRANS_REFL_LEFT))
+        end.append(RewriteStep(TRANS_REFL_RIGHT))
+        return [(0, mid, []), (1, end, []), (0, steps, [new])]
+    mid.append(RewriteStep(ASSOC_LEFT))
+    legs = _legs(new)
+    return [(0, mid, [new.first, new.second]), (1, end, legs), (0, steps, legs)]
 
 
 def _legs(t: PathExpr) -> list[PathExpr]:
@@ -551,6 +587,14 @@ def _legs(t: PathExpr) -> list[PathExpr]:
     return out
 
 
+def _spine_letters(legs: list[PathExpr]) -> list:
+    """The letters of spine legs; a constant path's letter is None."""
+    letters = [_letter(lit) for lit in legs]
+    if any(le is None and type(lit) is not Refl for lit, le in zip(legs, letters)):
+        raise AssertionError("normalizer left a non-literal in the spine")
+    return letters
+
+
 class _Normalizer:
     """Applies the normalization strategy while recording every step; the
     whole term is never rebuilt (see the module docstring)."""
@@ -558,10 +602,10 @@ class _Normalizer:
     def __init__(self) -> None:
         self.steps: list[RewriteStep] = []
 
-    def run_rules(self, table: dict, term: PathExpr, at: Position = ()) -> PathExpr:
+    def run_rules(self, table: dict, term: PathExpr) -> PathExpr:
         """Rewrite `term` by its outermost-leftmost enabled step of the rules
         in `table` (see `_table`) until none is enabled; each step is
-        recorded at `at` plus its position in `term`.
+        recorded at its position in `term`.
 
         After a rewrite the preorder scan resumes at the rewritten node's
         parent, not at the root. That needs every rule in `table` to be
@@ -577,7 +621,7 @@ class _Normalizer:
         while True:
             fit = table.get(_shape(node))
             if fit is not None:
-                self.steps.append(RewriteStep(fit[0], at + tuple(path)))
+                self.steps.append(RewriteStep(fit[0], tuple(path)))
                 node = fit[1](node, None)
                 resume = 0
                 if parents:
@@ -606,81 +650,38 @@ class _Normalizer:
                     node = node.second
                     break
 
-    def _rewrite(self, at: Position, rule: tuple) -> PathExpr:
-        """Record a compiled spine rule's steps at `at`, the matched node's
-        place in the whole term, and return the node they leave, which its
-        letters fix (see `_spine_rules`)."""
-        steps, new = rule
-        for step in steps:
-            self.steps.append(RewriteStep(step.rule, at + step.at, step.payload))
-        return new
-
     def rewrite_first(self, tier: _Tier, start: int = 0) -> int | None:
         """Rewrite the leftmost spine match of a tier at or after `start`;
         return where the next search for the tier may start, or None if
-        nothing matched.
-
-        A one-letter rule rewrites the literal in place and re-flattens. A
-        two-letter rule brackets the pair into one node (unless it is the
-        spine's last pair), rewrites that node, then drops it if it became
-        constant or unbrackets it otherwise. The spine is right-nested, so
-        the i-th literal sits at position 1.1...1.0 (i ones), the last one
-        at i ones."""
-        spine, letters = self.spine, self.letters
-        k = len(spine)
+        nothing matched. The i-th letter sits at position 1.1...1.0 (i ones),
+        the last one at i ones; a match records its context's steps below
+        its anchor, i ones less the context's offset."""
+        letters = self.letters
+        k = len(letters)
         for i in range(start, k):
             le = letters[i]
             rule = tier.get((le,))
-            if rule is not None:
-                base: Position = (1,) * i
-                last = i == k - 1
-                new = self._rewrite(base if last else base + (0,), rule)
-                # re-flatten (the assoc_left phase) only the rewritten node:
-                # the rest of the spine holds no assoc_left redex, so a leaf
-                # can stand for it
-                legs = _legs(self.run_rules(
-                    _PHASES[1], new if last else Trans(new, _REST), base
-                ))
-                self._splice(i, i + 1, legs if last else legs[:-1])
-                return max(i - 1, 0)
-            if i == k - 1:
-                break
-            rule = tier.get((le, letters[i + 1]))
+            j = i + 1
             if rule is None:
-                continue
-            base = (1,) * i
-            last = i == k - 2
-            if not last:
-                self.steps.append(RewriteStep(ASSOC_RIGHT, base))
-            new = self._rewrite(base if last else base + (0,), rule)
-            if type(new) is Refl:
-                legs = []
-                if not last:
-                    self.steps.append(RewriteStep(TRANS_REFL_LEFT, base))
-                elif k > 2:
-                    self.steps.append(RewriteStep(TRANS_REFL_RIGHT, base[:-1]))
-                else:
-                    legs = [new]
-            elif not last:
-                self.steps.append(RewriteStep(ASSOC_LEFT, base))
-                legs = [new.first, new.second]
-            else:
-                legs = _legs(new)
-            self._splice(i, i + 2, legs)
+                if j == k:
+                    break
+                rule = tier.get((le, letters[j]))
+                if rule is None:
+                    continue
+                j += 1
+            back, steps, new = rule[0 if j < k else 2 if i == 0 else 1]
+            anchor = (1,) * (i - back)
+            self.steps += [RewriteStep(s.rule, anchor + s.at, s.payload) for s in steps]
+            letters[i:j] = new
             return max(i - 1, 0)
         return None
 
-    def _splice(self, i: int, j: int, legs: list[PathExpr]) -> None:
-        self.spine[i:j] = legs
-        self.letters[i:j] = [_letter(lit) for lit in legs]
-
     def rewrite_spine(self, term: PathExpr, tiers: tuple[_Tier, ...]) -> None:
-        """Hold a flattened term as a spine, exhaust each tier in order, and
-        repeat the passes until one adds no step. The rewrite count is
-        budgeted; exceeding it is a bug."""
-        self.spine = _legs(term)
-        self.letters = [_letter(lit) for lit in self.spine]
-        budget = (len(self.spine) + 2) ** 2 + 16
+        """Hold a flattened term as its spine's letters, exhaust each tier in
+        order, and repeat the passes until one adds no step. The rewrite
+        count is budgeted; exceeding it is a bug."""
+        self.letters = _spine_letters(_legs(term))
+        budget = (len(self.letters) + 2) ** 2 + 16
         rewrites = 0
         while True:
             before = rewrites
@@ -695,15 +696,6 @@ class _Normalizer:
             if rewrites == before:
                 return
 
-    def word(self, src: str, tgt: str) -> Word:
-        letters: list[tuple[str, int]] = []
-        for lit, le in zip(self.spine, self.letters):
-            if le is not None:
-                letters.append(le)
-            elif not isinstance(lit, Refl):
-                raise AssertionError("normalizer left a non-literal in the spine")
-        return Word(tuple(letters), src, tgt)
-
 
 def trace(
     space: "SpacePresentation", p: PathExpr
@@ -716,7 +708,8 @@ def trace(
     for table in _PHASES:
         p = nz.run_rules(table, p)
     nz.rewrite_spine(p, _spine_rules(space))
-    return NormalForm(nz.word(src, tgt)), tuple(nz.steps)
+    # filter drops a constant path's None; a letter pair is never false
+    return NormalForm(Word(tuple(filter(None, nz.letters)), src, tgt)), tuple(nz.steps)
 
 
 # format_step renders payloads with syntax, which imports this module

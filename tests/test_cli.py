@@ -120,6 +120,20 @@ class TestEqual:
         assert code == 1
         assert text.startswith("not-equal")
 
+    def test_oracle_not_equal_names_its_size_cap(self, tmp_path):
+        # the Klein bottle as a file: normal forms ignore its relation, and
+        # the oracle's not-equal holds only among terms within the cap, by
+        # default the larger input plus the margin
+        f = tmp_path / "klein.space"
+        f.write_text("point pt\ngen a : pt -> pt\ngen b : pt -> pt\n"
+                     "rel surf : a * b * ~a = ~b\n")
+        argv = ["equal", "--oracle", "--space-file", str(f), "a * b", "b * a"]
+        assert run(argv) == (1, "not-equal within size cap 9 (searched 1498 states)")
+        code, text = run(argv + ["--max-term-size", "12"])
+        assert code == 1 and text.startswith("not-equal within size cap 12 (")
+        code, text = run(argv + ["--json"])
+        assert code == 1 and json.loads(text)["result"] == "not-equal"
+
     def test_oracle_undecided_exits_one(self):
         code, text = run(
             [
@@ -540,6 +554,17 @@ class TestDeepInputs:
         assert run(
             ["equal", "--oracle", "--space", "circle", "a^3000", "a^3000"]
         ) == (0, "equal (searched 0 states)")
+
+    def test_a_deep_relation_side_reaches_the_oracle(self, tmp_path):
+        # every search interns the relation sides, here 3,000 levels deep;
+        # b is a^3000, so the not-equal holds only within the cap
+        f = tmp_path / "big.space"
+        f.write_text("point pt\ngen a : pt -> pt\ngen b : pt -> pt\n"
+                     "rel big : a^3000 = b\n")
+        code, text = run(["check", "--space-file", str(f), "--samples", "3"])
+        assert code == 0 and text.endswith("all checks passed")
+        code, text = run(["equal", "--oracle", "--space-file", str(f), "a * b", "b * a"])
+        assert code == 1 and text.startswith("not-equal within size cap 9 (")
 
     def test_decode_renders_a_deep_loop(self):
         code, text = run(["decode", "--space", "circle", "5000"])

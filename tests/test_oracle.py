@@ -586,6 +586,21 @@ class TestSearchTable:
         gc.collect()
         assert [r for r in searches if r() is not None] == []
 
+    def test_a_fork_starts_like_a_new_search(self):
+        # every search forks its space's start, which holds the nodes all
+        # of them begin with; a fork must equal a search built afresh, and
+        # what it adds must not reach the start
+        file_space = parse_space_text(
+            "point pt\ngen a : pt -> pt\nrel big : a^40 = refl\n", "big"
+        )
+        for space in (*ALL_SPACES, file_space):
+            start = oracle._start(space)
+            fork = start.fork(9)
+            assert vars(fork) == vars(oracle._Search(space, 9))
+            fork.intern(Symm(Refl(space.basepoint)))
+            assert len(start.mark) < len(fork.mark)
+            assert vars(start.fork(9)) == vars(oracle._Search(space, 9))
+
     def test_equal_terms_built_in_one_search_get_one_id(self):
         search = oracle._Search(TORUS, 9)
         t = search.intern(parse_path(TORUS, "a * b * ~a"))
@@ -641,6 +656,25 @@ class TestSearchKeys:
             assert search.intern(parse_path(TORUS, text)) == i
         b, a = search.intern(Gen("b")), search.intern(Gen("a"))
         assert search.trans(b, a) == ids[1] and search.symm(ids[1]) == ids[5]
+
+
+    def test_interning_numbers_nodes_in_post_order_at_any_depth(self):
+        # children before their parent, the left leg's before the right's
+        search = oracle._Search(CIRCLE, 9)
+        first = len(search.mark)
+        t = search.intern(parse_path(CIRCLE, "(a * ~a) * ~(a * a)"))
+        assert t == first + 4
+        assert [search.term(i) for i in range(first, t + 1)] == [
+            parse_path(CIRCLE, text)
+            for text in ("~a", "a * ~a", "a * a", "~(a * a)", "(a * ~a) * ~(a * a)")
+        ]
+        # three times the recursion limit deep, on both legs
+        deep = parse_path(CIRCLE, "a^3000")
+        deep = Trans(deep, Symm(Trans(Gen("a"), deep)))
+        i = search.intern(deep)
+        assert search.intern(deep) == i
+        assert search.size[i] == size(deep)
+        assert len(search.mark) == i + 1
 
 
 class TestWorkBound:

@@ -56,7 +56,8 @@ from pathrw.checks import run_checks
 from pathrw.oracle import EQUAL, bfs_rw_eq, enumerate_terms
 from pathrw.pi1 import GroupValue, decode
 from pathrw.rewrite import (
-    _PHASE_RULES, _PHASES, _RULES, _SHAPES, _Normalizer, _read_step, _spine_rules,
+    _PHASE_RULES, _PHASES, _RULES, _SHAPES, _Normalizer, _legs, _letter, _read_step,
+    _spine_rules,
     normal_forms_decide,
 )
 from pathrw.spaces import (
@@ -696,9 +697,9 @@ class TestTrace:
         seen = []
         run_rules = _Normalizer.run_rules
 
-        def spy(nz, table, term, at=()):
+        def spy(nz, table, term):
             seen.append(table)
-            return run_rules(nz, table, term, at)
+            return run_rules(nz, table, term)
 
         monkeypatch.setattr(_Normalizer, "run_rules", spy)
         for space, text in ((KLEIN, "~(b * ~~a) * (refl * a)"), (CYL, "s * l1")):
@@ -1133,17 +1134,34 @@ class TestSpineRules:
             assert format_step(_read_step(space, line), space) == line
 
     def test_compiled_rules_keep_the_normal_form(self):
+        def lit(name, sign):
+            return Gen(name) if sign > 0 else Symm(Gen(name))
+
         compiled = 0
         for space in SMALL_TERM_SPACES + [FILE_SPACE]:
             for tier in _spine_rules(space):
-                for letters, (steps, new) in tier.items():
-                    src, tgt = endpoints(space, new)
-                    pattern = term_of_word(Word(letters, src, tgt))
-                    assert normalize(space, new) == normalize(space, pattern)
-                    replayed = pattern
-                    for s in steps:
-                        replayed = apply_step(space, replayed, s)
-                    assert replayed == new
+                for letters, contexts in tier.items():
+                    # a letter before the match ends where it starts, and
+                    # one after it starts where it ends: the inverses of
+                    # its first and last letters
+                    (first, s1), (last, s2) = letters[0], letters[-1]
+                    before, after = [(first, -s1)], [(last, -s2)]
+                    # letters on both sides, ending the spine, the whole spine
+                    places = [(before, after), (before, []), ([], [])]
+                    for (back, steps, new), (left, right) in zip(contexts, places):
+                        spine = [lit(*le) for le in left + list(letters) + right]
+                        term = spine.pop()
+                        while spine:
+                            term = Trans(spine.pop(), term)
+                        anchor = (1,) * (len(left) - back)
+                        replayed = term
+                        for s in steps:
+                            replayed = apply_step(
+                                space, replayed, RewriteStep(s.rule, anchor + s.at, s.payload)
+                            )
+                        assert normalize(space, replayed) == normalize(space, term)
+                        got = [_letter(leg) for leg in _legs(replayed)]
+                        assert got == left + list(new) + right
                     compiled += 1
         # two cancellations per generator, then each record's patterns
         assert compiled == 2 * 15 + 2 + 4 + 4 + 2
