@@ -150,10 +150,9 @@ def _run_equal(args, space):
     if args.oracle:
         verdict = bfs_rw_eq(space, p, q, budget)
         result = _VERDICTS.get(verdict.kind, "undecided")
-        shown = result
-        if result == "not-equal":  # it holds among terms within the cap only
-            shown += f" within size cap {_size_cap(budget, p, q)}"
-        detail = f"{shown} (searched {verdict.explored} states)"
+        cap = _size_cap(budget, p, q)  # a not-equal holds within it only
+        within = f" within size cap {cap}" if result == "not-equal" else ""
+        detail = f"{result}{within} (searched {verdict.explored} states)"
     else:
         if rw_eq(space, p, q):
             result = "equal"

@@ -25,12 +25,9 @@ columns of kind, children, size, endpoints and search mark, filed under
 the exact ids of its children, so equal terms get one id, no structural
 hash is trusted, and a visited-set probe is one read of the mark column.
 The columns die with the search, which hands back plain terms only
-through `_Search.term`. Every search of a space forks one copy of the
-nodes all of them start with (constant paths, generators, relation
-sides), built once per space. `bfs_rw_eq` and `explore_class` share one
-search loop, `_bfs`, and one size-cap rule. A search stops, undecided,
-when its state budget runs out or once it has made MAX_NEIGHBORS
-neighbours.
+through `_Search.term`. `bfs_rw_eq` and `explore_class` share one search
+loop, `_bfs`, and one size-cap rule. A search stops, undecided, when its
+state budget runs out or once it has made MAX_NEIGHBORS neighbours.
 
 Also here: a deterministic random term generator (a fixed 64-bit linear
 congruential generator, so seeds mean the same thing everywhere), exhaustive
@@ -41,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .errors import EndpointMismatchError, UnreachableEndpointsError
 from .rewrite import (
@@ -198,23 +195,6 @@ def _feasible(space: SpacePresentation, n: int, src: str, tgt: str) -> bool:
     return n > 0 and (src, tgt) in _feasible_sizes(space, n)[n]
 
 
-def _enumerate(
-    space: SpacePresentation, n: int, src: str, tgt: str, sub, leaf, symm, trans
-) -> list:
-    """Every term of exactly n > 0 nodes running src -> tgt, in enumeration
-    order: the leaves, each passed through `leaf`, or else the inverses and
-    then the compositions, built by `symm` and `trans` from `sub(k, s, t)`,
-    the terms of k nodes from s to t."""
-    if n == 1:
-        return [leaf(q) for q in _leaf_options(space, src, tgt)]
-    out = [symm(q) for q in sub(n - 1, tgt, src)]
-    for k in range(1, n - 1):
-        for mid in space.points:
-            for left in sub(k, src, mid):
-                out += [trans(left, right) for right in sub(n - 1 - k, mid, tgt)]
-    return out
-
-
 @lru_cache(maxsize=None)
 def enumerate_terms(
     space: SpacePresentation, n: int, src: str, tgt: str
@@ -223,8 +203,15 @@ def enumerate_terms(
     small."""
     if n <= 0:
         return ()
-    sub = partial(enumerate_terms, space)
-    return tuple(_enumerate(space, n, src, tgt, sub, lambda q: q, Symm, Trans))
+    if n == 1:
+        return _leaf_options(space, src, tgt)
+    out: list[PathExpr] = [Symm(q) for q in enumerate_terms(space, n - 1, tgt, src)]
+    for k in range(1, n - 1):
+        for mid in space.points:
+            for left in enumerate_terms(space, k, src, mid):
+                for right in enumerate_terms(space, n - 1 - k, mid, tgt):
+                    out.append(Trans(left, right))
+    return tuple(out)
 
 
 def enumerate_loops(space: SpacePresentation, max_len: int):
@@ -373,19 +360,6 @@ class _Search:
             for side, rows in _plain_relations(space).items()
         }
 
-    def fork(self, cap: int) -> _Search:
-        """A new search from a copy of this one's nodes, with empty memos."""
-        new = object.__new__(_Search)
-        new.space, new.cap, new.generated = self.space, cap, 0
-        new.kind, new.mark, new.size = self.kind[:], self.mark[:], self.size[:]
-        new.first, new.second = self.first[:], self.second[:]
-        new.src, new.tgt = self.src[:], self.tgt[:]
-        new._refls, new._gens, new.relations = self._refls, self._gens, self.relations
-        new._symms, new._transes = self._symms.copy(), self._transes.copy()
-        new._pairs, new._payloads = {}, {}
-        new._reductions_of, new._introductions_of = {}, {}
-        return new
-
     def _add(self, kind: int, first, second, n: int, src: str, tgt: str) -> int:
         self.kind.append(kind)
         self.first.append(first)
@@ -417,16 +391,13 @@ class _Search:
 
     def intern(self, t: PathExpr) -> int:
         """The id of a plain term, its nodes numbered in post-order, left leg
-        first, by a walk with its own stack: a node's class is stacked under
-        its children and then builds it from their ids."""
+        first, without recursion: a node's class waits under its children."""
         ids: list[int] = []
         todo: list = [t]
         while todo:
             t = todo.pop()
             cls = type(t)
-            if cls is Gen:
-                ids.append(self._gens[t.name])
-            elif cls is Trans:
+            if cls is Trans:
                 todo += (Trans, t.second, t.first)
             elif t is Trans:
                 second = ids.pop()
@@ -436,7 +407,7 @@ class _Search:
             elif t is Symm:
                 ids[-1] = self.symm(ids[-1])
             else:
-                ids.append(self._refls[t.point])
+                ids.append(self._gens[t.name] if cls is Gen else self._refls[t.point])
         return ids[0]
 
     def term(self, i: int) -> PathExpr:
@@ -568,23 +539,13 @@ class _Search:
         return pairs
 
     def payloads(self, n: int, src: str, tgt: str) -> list[int]:
-        """The ids of every term of n nodes from src to tgt, in
-        `enumerate_terms` order, each built from its children's ids."""
+        """The ids of every term of n nodes from src to tgt."""
         key = (n, src, tgt)
         out = self._payloads.get(key)
         if out is None:
-            out = self._payloads[key] = _enumerate(
-                self.space, n, src, tgt,
-                self.payloads, self.intern, self.symm, self.trans,
-            )
+            terms = enumerate_terms(self.space, n, src, tgt)
+            out = self._payloads[key] = [self.intern(q) for q in terms]
         return out
-
-
-@lru_cache(maxsize=128)
-def _start(space: SpacePresentation) -> _Search:
-    """The nodes every search of a space starts from, built once per space:
-    its constant paths, its generators and its relation sides."""
-    return _Search(space, 0)
 
 
 def _size_cap(budget: Budget, *terms: PathExpr) -> int:
@@ -597,11 +558,10 @@ def _bfs(
     space: SpacePresentation, starts: tuple[PathExpr, ...], budget: Budget
 ) -> tuple[_Search, int, bool | None]:
     """Search from one start, or from two until their sides meet, always
-    expanding the thinner frontier (side 1 on a tie; a lone start's
-    frontier is both).
-    Returns the search, the states explored and whether the sides met, None
-    when the state budget or MAX_NEIGHBORS ran out first."""
-    search = _start(space).fork(_size_cap(budget, *starts))
+    expanding the thinner frontier (side 1 on a tie; a lone start's frontier
+    is both). Returns the search, the states explored and whether the sides
+    met, None when the state budget or MAX_NEIGHBORS ran out first."""
+    search = _Search(space, _size_cap(budget, *starts))
     mark = search.mark
     fronts = [deque([search.intern(t)]) for t in starts]
     for side, front in enumerate(fronts, 1):
@@ -611,7 +571,6 @@ def _bfs(
     while front_p and front_q:
         if explored >= budget.max_states or search.generated >= MAX_NEIGHBORS:
             return search, explored, None
-        # expand the thinner side
         if len(front_p) <= len(front_q):
             frontier, side = front_p, 1
         else:
@@ -640,9 +599,7 @@ def bfs_rw_eq(
     The search runs from both ends at once. Every step has an inverse step,
     so a meeting point witnesses a full derivation."""
     if endpoints(space, p) != endpoints(space, q):
-        raise EndpointMismatchError(
-            "the oracle compares paths with identical endpoints"
-        )
+        raise EndpointMismatchError("the oracle compares paths with identical endpoints")
     if p == q:
         return OracleVerdict(EQUAL, 0)
     search, explored, met = _bfs(space, (p, q), budget or Budget())

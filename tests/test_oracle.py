@@ -586,21 +586,6 @@ class TestSearchTable:
         gc.collect()
         assert [r for r in searches if r() is not None] == []
 
-    def test_a_fork_starts_like_a_new_search(self):
-        # every search forks its space's start, which holds the nodes all
-        # of them begin with; a fork must equal a search built afresh, and
-        # what it adds must not reach the start
-        file_space = parse_space_text(
-            "point pt\ngen a : pt -> pt\nrel big : a^40 = refl\n", "big"
-        )
-        for space in (*ALL_SPACES, file_space):
-            start = oracle._start(space)
-            fork = start.fork(9)
-            assert vars(fork) == vars(oracle._Search(space, 9))
-            fork.intern(Symm(Refl(space.basepoint)))
-            assert len(start.mark) < len(fork.mark)
-            assert vars(start.fork(9)) == vars(oracle._Search(space, 9))
-
     def test_equal_terms_built_in_one_search_get_one_id(self):
         search = oracle._Search(TORUS, 9)
         t = search.intern(parse_path(TORUS, "a * b * ~a"))
