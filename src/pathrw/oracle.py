@@ -12,22 +12,24 @@ inputs.
 Each state is expanded in one pass over its nodes. A term's one-step
 rewrites are the steps at its root followed by each child's rewrites
 plugged back into it, so positions come in preorder; a subterm's rewrites
-are computed once per search and reused by every state that contains it.
-The search restates each rule of the table in `rewrite` over its own node
-ids, and its tests hold the two statements to the same neighbour lists.
-Neighbour order is part of the contract, since it fixes the search order
-and so every explored count: reductions first in `redexes` order, then the
-introductions at each position in preorder, in table order, with
-cancellation-pair payloads in `enumerate_terms` order. A search numbers
-its terms as it builds them, a form of hash-consing (Filliatre and
-Conchon, "Type-safe modular hash-consing", 2006): a node is an int id into
-columns of kind, children, size, endpoints and search mark, filed under
-the exact ids of its children, so equal terms get one id, no structural
-hash is trusted, and a visited-set probe is one read of the mark column.
-The columns die with the search, which hands back plain terms only
-through `_Search.term`. `bfs_rw_eq` and `explore_class` share one search
-loop, `_bfs`, and one size-cap rule. A search stops, undecided, when its
-state budget runs out or once it has made MAX_NEIGHBORS neighbours.
+are computed once per search, memoized by room and subterm id. A state
+yields its reductions as one list and, only if none met the other side,
+its introductions as a second. The search restates each rule of the table
+in `rewrite` over its own node ids, and its tests hold the two statements
+to the same neighbour lists. Neighbour order is part of the contract, as
+it fixes the search order and so every explored count: reductions first
+in `redexes` order, then the introductions at each position in preorder,
+in table order, with cancellation-pair payloads in `enumerate_terms`
+order. A search numbers its terms as it builds them, a form of
+hash-consing (Filliatre and Conchon, "Type-safe modular hash-consing",
+2006): a node is an int id into columns of kind, children, size,
+endpoints and search mark, filed under the exact ids of its children, so
+equal terms get one id, no structural hash is trusted, and a visited-set
+probe is one read of the mark column. Interning an input checks it as
+`endpoints` does. The columns die with the search, which hands back plain
+terms only through `_Search.term`. `bfs_rw_eq` and `explore_class` share
+one search loop, `_bfs`, and one size-cap rule. A search stops, undecided,
+when its state budget runs out or once it has made MAX_NEIGHBORS neighbours.
 
 Also here: a deterministic random term generator (a fixed 64-bit linear
 congruential generator, so seeds mean the same thing everywhere), exhaustive
@@ -331,7 +333,7 @@ class _Search:
     while ids stay below 2**32 (memory runs out long before), and an
     inverse under its child's id."""
 
-    def __init__(self, space: SpacePresentation, cap: int):
+    def __init__(self, space: SpacePresentation, cap: int | None):
         self.space = space
         self.cap = cap
         self.generated = 0  # neighbours generated so far
@@ -352,9 +354,9 @@ class _Search:
         self._pairs: dict[tuple[int, int], list[int]] = {}
         # (size, src, tgt) -> the ids of `enumerate_terms`' terms
         self._payloads: dict[tuple[int, str, str], list[int]] = {}
-        # room -> subterm -> its reductions, or its introductions
-        self._reductions_of: dict[int, dict] = {}
-        self._introductions_of: dict[int, dict] = {}
+        # room << 32 | subterm -> its reductions, or its introductions
+        self._reductions_of: dict[int, list[int]] = {}
+        self._introductions_of: dict[int, list[int]] = {}
         self.relations = {
             self.intern(side): [self.intern(new) for _, new in rows]
             for side, rows in _plain_relations(space).items()
@@ -374,26 +376,26 @@ class _Search:
         i = self._symms.get(inner)
         if i is None:
             i = self._symms[inner] = self._add(
-                _SYMM, inner, None, self.size[inner] + 1,
-                self.tgt[inner], self.src[inner],
+                _SYMM, inner, None, self.size[inner] + 1, self.tgt[inner], self.src[inner]
             )
         return i
 
     def trans(self, first: int, second: int) -> int:
         key = first << 32 | second
-        i = self._transes.get(key)
-        if i is None:
-            i = self._transes[key] = self._add(
-                _TRANS, first, second, self.size[first] + self.size[second] + 1,
-                self.src[first], self.tgt[second],
-            )
+        return self._transes.get(key) or self._new_trans(key, first, second)
+
+    def _new_trans(self, key: int, first: int, second: int) -> int:
+        i = self._transes[key] = self._add(
+            _TRANS, first, second, self.size[first] + self.size[second] + 1,
+            self.src[first], self.tgt[second],
+        )
         return i
 
     def intern(self, t: PathExpr) -> int:
         """The id of a plain term, its nodes numbered in post-order, left leg
-        first, without recursion: a node's class waits under its children."""
-        ids: list[int] = []
-        todo: list = [t]
+        first, without recursion: a node's class waits under its children.
+        At a fault it defers to `endpoints`, which walks in the same order."""
+        root, ids, todo = t, [], [t]
         while todo:
             t = todo.pop()
             cls = type(t)
@@ -401,43 +403,53 @@ class _Search:
                 todo += (Trans, t.second, t.first)
             elif t is Trans:
                 second = ids.pop()
+                if self.tgt[ids[-1]] != self.src[second]:
+                    endpoints(self.space, root)
                 ids[-1] = self.trans(ids[-1], second)
             elif cls is Symm:
                 todo += (Symm, t.inner)
             elif t is Symm:
                 ids[-1] = self.symm(ids[-1])
-            else:
-                ids.append(self._gens[t.name] if cls is Gen else self._refls[t.point])
+            else:  # a leaf; `endpoints` raises on one the space lacks
+                i = (self._gens.get(t.name) if cls is Gen
+                     else self._refls.get(t.point) if cls is Refl else None)
+                ids.append(endpoints(self.space, t) if i is None else i)
         return ids[0]
 
     def term(self, i: int) -> PathExpr:
-        """The plain term of an id."""
-        kind, first = self.kind[i], self.first[i]
-        if kind == _TRANS:
-            return Trans(self.term(first), self.term(self.second[i]))
-        if kind == _SYMM:
-            return Symm(self.term(first))
-        return Refl(first) if kind == _REFL else Gen(first)
+        """The plain term of an id; a node's complement waits under its children."""
+        kind, first, second, built, todo = self.kind, self.first, self.second, [], [i]
+        while todo:
+            i = todo.pop()
+            if i < 0:
+                last = built.pop()
+                built.append(Symm(last) if kind[~i] == _SYMM else Trans(built.pop(), last))
+            elif kind[i] < _SYMM:
+                built.append(Refl(first[i]) if kind[i] == _REFL else Gen(first[i]))
+            else:
+                todo += (~i, first[i]) if kind[i] == _SYMM else (~i, second[i], first[i])
+        return built[0]
 
-    def neighbors(self, t: int) -> Iterator[int]:
+    def neighbors(self, t: int) -> Iterator[list[int]]:
         """Every term one step from t within the size cap, in a fixed order
-        that decides the search order: reductions in `redexes` order, then
-        the introductions at each position in preorder."""
-        cap = self.cap
-        out = self.rewrites(self.reductions_here, self._reductions_of, t, cap)
-        self.generated += len(out)
-        yield from out
-        out = self.rewrites(self.introductions_here, self._introductions_of, t, cap)
-        self.generated += len(out)
-        yield from out
+        that decides the search order: a list of the reductions in `redexes`
+        order, then, once that is used, one of the introductions in preorder."""
+        for here, memo in ((self.reductions_here, self._reductions_of),
+                           (self.introductions_here, self._introductions_of)):
+            out = self.rewrites(here, memo, t, self.cap)
+            self.generated += len(out)
+            yield out
 
     # A term's one-step rewrites are built from its children's: the steps at
     # its root, then each child's rewrites plugged back into it, which is
     # positions in preorder. `room` is the most nodes the rewritten term may
     # have, so a child's room is its parent's less the parent's other nodes.
     # A subterm recurs across many states, so its rewrites are kept for the
-    # rest of the search; a state's own list is used once and is not. A
-    # plugged node is looked up inline, and built only when it is new.
+    # rest of the search in a flat memo keyed room << 32 | subterm (exact for
+    # a negative room too); a state's own list is used once and is not. A
+    # child's list and each plugged node take one inline probe, and a node
+    # is built only when new. Plugging is a plain loop, as a comprehension
+    # on Python 3.11 makes a function and closure cells on every call.
 
     def rewrites(self, here, memo: dict, t: int, room: int) -> list[int]:
         """Every term one `here` step from t, at any position, with at most
@@ -446,25 +458,26 @@ class _Search:
         kind = self.kind[t]
         if kind == _TRANS:
             first, second, size = self.first[t], self.second[t], self.size
-            get, trans, n = self._transes.get, self.trans, size[t]
-            inside = self._inside(here, memo, first, room - n + size[first])
-            out += [get(x << 32 | second) or trans(x, second) for x in inside]
-            inside = self._inside(here, memo, second, room - n + size[second])
-            high = first << 32
-            out += [get(high | x) or trans(first, x) for x in inside]
+            get, new, high = self._transes.get, self._new_trans, first << 32
+            sub = room - 1 - size[second]
+            if (inside := memo.get(key := sub << 32 | first)) is None:
+                inside = memo[key] = self.rewrites(here, memo, first, sub)
+            for x in inside:
+                k = x << 32 | second
+                out.append(get(k) or new(k, x, second))
+            sub = room - 1 - size[first]
+            if (inside := memo.get(key := sub << 32 | second)) is None:
+                inside = memo[key] = self.rewrites(here, memo, second, sub)
+            for x in inside:
+                k = high | x
+                out.append(get(k) or new(k, first, x))
         elif kind == _SYMM:
+            inner, sub = self.first[t], room - 1
+            if (inside := memo.get(key := sub << 32 | inner)) is None:
+                inside = memo[key] = self.rewrites(here, memo, inner, sub)
             get, symm = self._symms.get, self.symm
-            inside = self._inside(here, memo, self.first[t], room - 1)
-            out += [get(x) or symm(x) for x in inside]
-        return out
-
-    def _inside(self, here, memo: dict, t: int, room: int) -> list[int]:
-        at_room = memo.get(room)
-        if at_room is None:
-            at_room = memo[room] = {}
-        out = at_room.get(t)
-        if out is None:
-            out = at_room[t] = self.rewrites(here, memo, t, room)
+            for x in inside:
+                out.append(get(x) or symm(x))
         return out
 
     # The rules below restate the rows of `rewrite`'s rule table over ids,
@@ -532,19 +545,25 @@ class _Search:
             pairs = self._pairs[key] = []
             for qn in range(1, max_payload + 1):
                 for other in self.space.points:
-                    for q in self.payloads(qn, other, point):
-                        pairs.append(trans(symm(q), q))
-                    for q in self.payloads(qn, point, other):
-                        pairs.append(trans(q, symm(q)))
+                    pairs += [trans(symm(q), q) for q in self.payloads(qn, other, point)]
+                    pairs += [trans(q, symm(q)) for q in self.payloads(qn, point, other)]
         return pairs
 
     def payloads(self, n: int, src: str, tgt: str) -> list[int]:
-        """The ids of every term of n nodes from src to tgt."""
+        """The ids of every term of n nodes from src to tgt, in
+        `enumerate_terms` order, built from the ids of smaller sizes."""
         key = (n, src, tgt)
         out = self._payloads.get(key)
         if out is None:
-            terms = enumerate_terms(self.space, n, src, tgt)
-            out = self._payloads[key] = [self.intern(q) for q in terms]
+            ids = self.payloads
+            out = self._payloads[key] = (
+                [self.intern(q) for q in _leaf_options(self.space, src, tgt)] if n == 1
+                else [self.symm(q) for q in ids(n - 1, tgt, src)]
+            ) + [
+                self.trans(left, right)
+                for k in range(1, n - 1) for mid in self.space.points
+                for left in ids(k, src, mid) for right in ids(n - 1 - k, mid, tgt)
+            ]
         return out
 
 
@@ -561,12 +580,17 @@ def _bfs(
     expanding the thinner frontier (side 1 on a tie; a lone start's frontier
     is both). Returns the search, the states explored and whether the sides
     met, None when the state budget or MAX_NEIGHBORS ran out first."""
-    search = _Search(space, _size_cap(budget, *starts))
-    mark = search.mark
+    search = _Search(space, None)  # the cap waits until the starts intern
     fronts = [deque([search.intern(t)]) for t in starts]
-    for side, front in enumerate(fronts, 1):
-        mark[front[0]] = side
     front_p, front_q = fronts[0], fronts[-1]
+    p, q = front_p[0], front_q[0]
+    if search.src[p] != search.src[q] or search.tgt[p] != search.tgt[q]:
+        raise EndpointMismatchError("the oracle compares paths with identical endpoints")
+    if p == q and front_p is not front_q:  # equal starts meet at once
+        return search, 0, True
+    search.cap = _size_cap(budget, *starts)
+    mark = search.mark
+    mark[q], mark[p] = 2, 1  # a lone start, both p and q, is side 1
     explored = 0
     while front_p and front_q:
         if explored >= budget.max_states or search.generated >= MAX_NEIGHBORS:
@@ -577,13 +601,14 @@ def _bfs(
             frontier, side = front_q, 2
         t = frontier.popleft()
         explored += 1
-        for nb in search.neighbors(t):
-            seen = mark[nb]
-            if seen != side:
-                if seen:
-                    return search, explored, True
-                mark[nb] = side
-                frontier.append(nb)
+        for out in search.neighbors(t):
+            for nb in out:
+                seen = mark[nb]
+                if seen != side:
+                    if seen:
+                        return search, explored, True
+                    mark[nb] = side
+                    frontier.append(nb)
     return search, explored, False
 
 
@@ -598,10 +623,6 @@ def bfs_rw_eq(
 
     The search runs from both ends at once. Every step has an inverse step,
     so a meeting point witnesses a full derivation."""
-    if endpoints(space, p) != endpoints(space, q):
-        raise EndpointMismatchError("the oracle compares paths with identical endpoints")
-    if p == q:
-        return OracleVerdict(EQUAL, 0)
     search, explored, met = _bfs(space, (p, q), budget or Budget())
     if met:
         return OracleVerdict(EQUAL, explored)
@@ -618,7 +639,6 @@ def explore_class(
     p among terms within the size cap; a p larger than the cap never
     finishes, and neither does a search that generates MAX_NEIGHBORS
     neighbours."""
-    endpoints(space, p)
     search, _, met = _bfs(space, (p,), budget or Budget())
     finished = met is not None and size(p) <= search.cap
     return {search.term(i) for i, seen in enumerate(search.mark) if seen}, finished

@@ -424,6 +424,58 @@ class TestExploreClass:
         assert not complete
         assert len(seen) >= 1
 
+    def test_deep_start_comes_back_without_recursion(self):
+        # three times the recursion limit deep; the class is handed back
+        # through `_Search.term`
+        p = parse_path(CIRCLE, "a^3000")
+        assert explore_class(CIRCLE, p, Budget(max_states=0)) == ({p}, False)
+
+
+class _NotATerm:
+    """Enough of a term to be built into one, and nothing more."""
+
+    _size = 1
+
+
+# ill-formed inputs, each named by the fault it holds; the last two hold two
+# faults, and the one met first in post-order, left leg first, must win
+ILL_FORMED = (
+    ("unknown generator", CIRCLE, Trans(Gen("a"), Gen("zz"))),
+    ("unknown point", CYL, Trans(Refl("b9"), Gen("l0"))),
+    ("mismatch under a left leg", CYL, Trans(Trans(Gen("s"), Gen("s")), Gen("l1"))),
+    ("mismatch under a right leg", CYL, Trans(Gen("l0"), Trans(Gen("s"), Gen("s")))),
+    ("non-term leaf", CIRCLE, Trans(Gen("a"), Symm(_NotATerm()))),
+    ("non-term input", CIRCLE, "a"),
+    ("mismatch before an unknown generator", CYL,
+     Trans(Trans(Gen("s"), Gen("s")), Symm(Gen("zz")))),
+    ("unknown point before a mismatch", CYL,
+     Trans(Trans(Refl("b9"), Gen("s")), Trans(Gen("s"), Gen("s")))),
+)
+
+
+class TestInputCheck:
+    @pytest.mark.parametrize("name, space, bad", ILL_FORMED, ids=[c[0] for c in ILL_FORMED])
+    def test_entry_points_raise_what_endpoints_raises(self, name, space, bad):
+        with pytest.raises(Exception) as expected:
+            endpoints(space, bad)
+        good = Refl(space.basepoint)
+        calls = (
+            lambda: bfs_rw_eq(space, bad, good),
+            lambda: bfs_rw_eq(space, good, bad),
+            lambda: explore_class(space, bad),
+        )
+        for call in calls:
+            with pytest.raises(Exception) as got:
+                call()
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
+
+    def test_first_input_fault_wins(self):
+        # as when each input was walked by `endpoints` in turn
+        p, q = Trans(Gen("a"), Gen("zz")), "a"
+        with pytest.raises(UnknownGeneratorError):
+            bfs_rw_eq(CIRCLE, p, q)
+
 
 # (space, p, q, max_states, verdict kind, states explored), captured from the
 # search as it stood before its inner loop was rewritten. The explored count
@@ -564,7 +616,8 @@ class TestNeighborOrder:
                 if cap not in searches:
                     searches[cap] = oracle._Search(space, cap)
                 search = searches[cap]
-                got = [search.term(i) for i in search.neighbors(search.intern(t))]
+                lists = search.neighbors(search.intern(t))
+                got = [search.term(i) for out in lists for i in out]
                 assert got == _reference_neighbors(space, t, cap), (
                     space.name, render_path(space, t), cap
                 )
@@ -603,6 +656,18 @@ class TestSearchTable:
         seen, complete = explore_class(TORUS, p, Budget(max_term_size=5))
         assert complete
         assert same in seen and Trans(Gen("b"), Gen("a")) in seen
+
+
+class TestPayloads:
+    def test_payloads_are_the_enumerated_terms_in_order(self):
+        for space in ALL_SPACES:
+            search = oracle._Search(space, 9)
+            for n in range(1, 6):
+                for src in space.points:
+                    for tgt in space.points:
+                        assert search.payloads(n, src, tgt) == [
+                            search.intern(q) for q in enumerate_terms(space, n, src, tgt)
+                        ], (space.name, n, src, tgt)
 
 
 class TestSearchKeys:
