@@ -2,14 +2,14 @@
 
 All four builtin groups are pairs (m, n); the builtin table in `spaces`
 gives each group tag its arity, modulus and twist, and each builtin space
-its loop generators. Encoding reads (m, n) off the canonical word a^m b^n,
-decoding writes that word, and the group arithmetic is one formula for
+its loop generators. Encoding folds a loop's free word into (m, n),
+decoding writes a^m b^n, and the group arithmetic is one formula for
 every tag, so the translation can be checked to be a homomorphism.
 
 The two spaces whose basepoint sits on a circle factor (cylinder, mobius
-band) encode through an explicit retraction onto the circle rather than by
-counting letters, keeping the computation honest to why the answer is an
-integer.
+band) encode through an explicit retraction onto the circle, each letter
+replaced by its generator image, rather than by counting letters, keeping
+the computation honest to why the answer is an integer.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from .errors import (
     NotABasepointLoopError,
     ParseError,
 )
-from .groupoid import PathClass, class_of
-from .rewrite import Word, normalize, term_of_word
+from .groupoid import PathClass
+from .rewrite import NormalForm, Word, _substitute, free_normalize
 from .spaces import _SHAPES, GroupTag, SpacePresentation, _Builtin, _builtin_record, builtin
 from .syntax import MAX_TERM_NODES, _int
-from .terms import PathExpr, SpaceMap, Trans, _Record, endpoints, map_path
+from .terms import PathExpr, SpaceMap, Trans, _Record
 
 
 class GroupValue(_Record):
@@ -58,6 +58,13 @@ def _retraction(name: str) -> SpaceMap:
     )
 
 
+@lru_cache(maxsize=None)
+def _retraction_images(name: str) -> dict:
+    """The checked retraction's generator images, as circle letters."""
+    m = _retraction(name)
+    return {g: free_normalize(m.target, t).letters for g, t in m.gen_map.items()}
+
+
 def _group_record(space: SpacePresentation, op: str) -> _Builtin:
     """The builtin record `op` computes with; a space without one has no
     group to compute in."""
@@ -77,22 +84,20 @@ def _require_basepoint_loop(space: SpacePresentation, src: str, tgt: str) -> Non
 
 
 def encode(space: SpacePresentation, p: PathExpr) -> GroupValue:
-    """The group element of a basepoint loop."""
+    """The group element of a basepoint loop: folded from its free word."""
     rec = _group_record(space, "encode")
-    if rec.retraction is None:
-        word = normalize(space, p).word
-        _require_basepoint_loop(space, word.src, word.tgt)
-    else:
-        _require_basepoint_loop(space, *endpoints(space, p))
-        retraction = _retraction(space.name)
-        rec = _builtin_record(retraction.target)
-        word = normalize(rec.space, map_path(retraction, p)).word
-    m, n = rec.fold(word.letters)
+    word = free_normalize(space, p)
+    _require_basepoint_loop(space, word.src, word.tgt)
+    letters = word.letters
+    if rec.retraction is not None:
+        rec = _builtin_record(_retraction(space.name).target)
+        letters = _substitute(letters, _retraction_images(space.name))
+    m, n = rec.fold(letters)
     return GroupValue(space.group_tag, m, n)
 
 
 def decode(space: SpacePresentation, value: GroupValue) -> PathClass:
-    """The loop class a group element names. Inverse to encode on classes."""
+    """The loop class of a^m b^n, its own normal form. Inverse to encode."""
     rec = _group_record(space, "decode")
     if value.tag is not space.group_tag:
         raise GroupTagMismatchError(
@@ -101,7 +106,7 @@ def decode(space: SpacePresentation, value: GroupValue) -> PathClass:
         )
     base = space.basepoint
     word = Word(rec.write(value.m, value.n), base, base)
-    return class_of(space, term_of_word(word))
+    return PathClass(space, space.name, NormalForm(word), base, base)
 
 
 def _reduced(tag: GroupTag, m: int, n: int) -> GroupValue:

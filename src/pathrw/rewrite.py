@@ -63,7 +63,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from .errors import EndpointMismatchError, StepNotEnabledError
-from .spaces import Relation, SpacePresentation, _builtin_record
+from .spaces import Relation, SpacePresentation, _builtin_record, _Letters
 from .terms import Gen, PathExpr, Refl, Symm, Trans, _Record, endpoints
 
 Position = tuple[int, ...]
@@ -439,16 +439,21 @@ def normalize(space: "SpacePresentation", p: PathExpr) -> NormalForm:
         return NormalForm(w)
     if rec.substitution is None:
         return NormalForm(Word(rec.write(*rec.fold(w.letters)), w.src, w.tgt))
-    # substitute each letter's image, or the letter itself, and reduce
-    letters: list[tuple[str, int]] = []
-    for name, sign in w.letters:
-        image = rec.substitution.get(name, ((name, 1),))
-        for n, s in image if sign > 0 else reversed(image):
-            if letters and letters[-1] == (n, -s * sign):
-                letters.pop()
+    return NormalForm(Word(_substitute(w.letters, rec.substitution), w.src, w.tgt))
+
+
+def _substitute(letters: _Letters, images: dict[str, _Letters]) -> _Letters:
+    """Each letter replaced by its image, or kept where it has none, freely
+    reduced; an inverse letter takes its image reversed, signs flipped."""
+    out: list[tuple[str, int]] = []
+    for name, sign in letters:
+        image = images.get(name, ((name, 1),))
+        for g, s in image if sign > 0 else reversed(image):
+            if out and out[-1] == (g, -s * sign):
+                out.pop()
             else:
-                letters.append((n, s * sign))
-    return NormalForm(Word(tuple(letters), w.src, w.tgt))
+                out.append((g, s * sign))
+    return tuple(out)
 
 
 def normal_forms_decide(space: "SpacePresentation") -> bool:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathrw import (
+    EndpointMismatchError,
     Gen,
     GroupTag,
     GroupTagMismatchError,
@@ -12,21 +13,30 @@ from pathrw import (
     Refl,
     Symm,
     Trans,
+    UnknownGeneratorError,
+    UnknownPointError,
+    Word,
     builtin,
     class_of,
     decode,
     encode,
+    endpoints,
+    enumerate_loops,
     group_identity,
     group_inv,
     group_mul,
     homomorphism_check,
+    map_path,
+    normalize,
     parse_group_value,
     parse_space_text,
     random_term,
     render_group_value,
+    term_of_word,
     zpow,
 )
-from pathrw.pi1 import _retraction
+from pathrw.pi1 import _group_record, _retraction
+from pathrw.spaces import _builtin_record
 
 CIRCLE = builtin("circle")
 CYL = builtin("cylinder")
@@ -35,8 +45,48 @@ TORUS = builtin("torus")
 KLEIN = builtin("klein")
 RP2 = builtin("rp2")
 
+ALL = (CIRCLE, CYL, MOBIUS, TORUS, KLEIN, RP2)
+
 A = Gen("a")
 B = Gen("b")
+
+
+def _former_encode(space, p):
+    """encode as it was computed through terms: normalize the loop, or on the
+    cylinder and the Möbius band push it through the retraction with
+    `map_path` and normalize the image in the circle."""
+    rec = _group_record(space, "encode")
+    if rec.retraction is None:
+        word = normalize(space, p).word
+        src, tgt = word.src, word.tgt
+    else:
+        src, tgt = endpoints(space, p)
+    if (src, tgt) != (space.basepoint, space.basepoint):
+        raise NotABasepointLoopError(
+            f"encode needs a loop at '{space.basepoint}', got {src} -> {tgt}"
+        )
+    if rec.retraction is None:
+        m, n = rec.fold(word.letters)
+    else:
+        circle = builtin("circle")
+        image = normalize(circle, map_path(_retraction(space.name), p))
+        m, n = _builtin_record(circle).fold(image.word.letters)
+    return GroupValue(space.group_tag, m, n)
+
+
+def _random_loop(space, length, rng):
+    """A basepoint loop of `length` random letters, plus one step home if
+    the walk ends elsewhere."""
+    steps = {pt: [] for pt in space.points}
+    for g in space.generators:
+        steps[g.src].append((g.name, 1, g.tgt))
+        steps[g.tgt].append((g.name, -1, g.src))
+    at, letters = space.basepoint, []
+    while len(letters) < length or at != space.basepoint:
+        name, sign, at = rng.choice(steps[at])
+        letters.append((name, sign))
+    base = space.basepoint
+    return term_of_word(Word(tuple(letters), base, base))
 
 
 class TestEncodeAnchors:
@@ -91,6 +141,55 @@ class TestEncodeAnchors:
             encode(sp, Gen("u"))
 
 
+class TestEncodeParity:
+    """encode folds free words; the former route through terms, written out
+    in `_former_encode`, gives every value and every error it gives."""
+
+    def test_enumerated_loops(self):
+        for space in ALL:
+            for p in enumerate_loops(space, 6):
+                assert encode(space, p) == _former_encode(space, p)
+
+    def test_random_loops(self):
+        rng = Lcg(83)
+        for space in ALL:
+            base = space.basepoint
+            for _ in range(60):
+                p = random_term(space, 1 + rng.randint(40), rng, base, base)
+                assert encode(space, p) == _former_encode(space, p)
+                assert encode(space, Symm(p)) == _former_encode(space, Symm(p))
+
+    def test_long_loops(self):
+        rng = Lcg(89)
+        for space in ALL:
+            p = _random_loop(space, 2000, rng)
+            for q in (p, Symm(p), Trans(p, Symm(p))):
+                assert encode(space, q) == _former_encode(space, q)
+
+    @pytest.mark.parametrize("space, p, error", [
+        (CIRCLE, Trans(A, Gen("nope")), UnknownGeneratorError),
+        (CYL, Trans(Gen("l0"), Gen("a")), UnknownGeneratorError),
+        (MOBIUS, Symm(Trans(Gen("b"), A)), UnknownGeneratorError),
+        (CYL, Trans(Gen("s"), Gen("l0")), EndpointMismatchError),
+        (CYL, Trans(Gen("l0"), Symm(Gen("s"))), EndpointMismatchError),
+        (TORUS, Trans(A, Refl("b0")), UnknownPointError),
+        (CYL, Gen("s"), NotABasepointLoopError),
+        (CYL, Gen("l1"), NotABasepointLoopError),
+        (CYL, Trans(Symm(Gen("s")), Trans(Gen("l0"), Gen("s"))), NotABasepointLoopError),
+        (parse_space_text("point p\ngen u : p -> p\nbase p\n"), Gen("u"),
+         GroupTagMismatchError),
+        (parse_space_text("point pt\ngen a : pt -> pt\nbase pt\n"), A,
+         GroupTagMismatchError),
+    ])
+    def test_errors(self, space, p, error):
+        with pytest.raises(error) as new:
+            encode(space, p)
+        with pytest.raises(error) as old:
+            _former_encode(space, p)
+        assert type(new.value) is type(old.value)
+        assert str(new.value) == str(old.value)
+
+
 class TestRetractions:
     def test_cylinder_retraction_images(self):
         m = _retraction("cylinder")
@@ -140,6 +239,28 @@ class TestDecode:
                 t = random_term(space, 1 + rng.randint(12), rng, base, base)
                 c = class_of(space, t)
                 assert decode(space, encode(space, t)) == c
+
+
+    def test_decode_is_the_class_of_its_word(self):
+        for space in ALL:
+            rec = _builtin_record(space)
+            for v in _small_values(space.group_tag):
+                c = decode(space, v)
+                assert c == class_of(space, c.representative())
+                assert c.nf.word.letters == rec.write(v.m, v.n)
+                assert (c.src, c.tgt) == (space.basepoint, space.basepoint)
+
+
+def _small_values(tag):
+    """Every element of `tag` with |m|, |n| <= 20: both residues of Z2."""
+    out = []
+    for m in range(-20, 21):
+        for n in range(-20, 21):
+            try:
+                out.append(GroupValue(tag, m, n))
+            except ValueError:
+                pass
+    return out
 
 
 class TestGroupArithmetic:
