@@ -19,7 +19,7 @@ from .groupoid import class_of, comp, identity, inv, zpow_class
 from .oracle import Budget, Lcg, bfs_rw_eq, local_confluence_probe, random_term
 from .pi1 import decode, encode, group_mul, homomorphism_check
 from .rewrite import (
-    apply_step, free_normalize, normal_forms_decide, normalize, rw_eq, term_of_word, trace,
+    free_normalize, normal_forms_decide, normalize, replay, rw_eq, term_of_word, trace,
 )
 from .spaces import SpacePresentation, _builtin_record
 from .syntax import render_path
@@ -68,10 +68,7 @@ def _trace_replay(space, rng, max_size):
     nf, steps = trace(space, t)
     if nf != normalize(space, t):
         return (t,), "trace and normalize disagree"
-    cur = t
-    for step in steps:
-        cur = apply_step(space, cur, step)
-    if free_normalize(space, cur).letters != nf.word.letters:
+    if free_normalize(space, replay(space, t, steps)).letters != nf.word.letters:
         return (t,), "replay missed the normal form"
     return (t,), None
 

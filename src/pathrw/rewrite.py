@@ -49,13 +49,15 @@ equal.
 `trace` never rebuilds the whole term. Its flattening phases rewrite by a
 preorder scan that resumes at the parent of each rewritten node; the scan
 maps a node's shape to its first fitting rule with one lookup (a table per
-phase) and rebuilds a parent only if its child changed. The spine is then
-kept as its letters alone. A space's spine rules are compiled once, for
-each place a match can sit, into the rule's steps with the bracketing
-steps around them, at positions below an anchor, and the letters that
-replace the match; a match records those steps below its anchor in the
-whole term, which is never built, and splices in the letters. `apply_step`
-rebuilds the ancestors from a list.
+phase). The spine is then kept as its letters alone. A space's spine rules
+are compiled once, for each place a match can sit, into the rule's steps
+with the bracketing steps around them, at positions below an anchor, and
+the letters that replace the match; a match records those steps below its
+anchor in the whole term, which is never built, and splices in the letters.
+
+The scan, `apply_step` and `replay` move one zipper (see `_climb`); `replay`
+keeps it open across a step list and climbs only as far as consecutive
+positions differ, so it costs the zipper's moves, not the steps' depths.
 """
 
 from __future__ import annotations
@@ -164,8 +166,8 @@ def format_step(step: RewriteStep, space: "SpacePresentation | None" = None) -> 
 
 # ---------------------------------------------------------------------------
 # positions and local rewriting: `redexes` walks the whole term once in
-# preorder, carrying each node's position; `apply_step` walks down one
-# position and rebuilds the ancestors above it. Both read the rows below.
+# preorder, carrying each node's position; `apply_step` and `replay` move a
+# zipper down to each step's position and back up. All read the rows below.
 
 
 # Every groupoid rule is one row: the shape of node it rewrites (the node's
@@ -315,66 +317,71 @@ def redexes(space: "SpacePresentation", p: PathExpr) -> list[RewriteStep]:
 
 def apply_step(space: "SpacePresentation", p: PathExpr, step: RewriteStep) -> PathExpr:
     """Apply one step; raises StepNotEnabledError if the pattern is absent."""
-    ancestors: list[PathExpr] = []
-    sub = p
-    for idx in step.at:
-        ancestors.append(sub)
-        if type(sub) is Trans and idx in (0, 1):
-            sub = sub.second if idx else sub.first
-        elif type(sub) is Symm and idx == 0:
-            sub = sub.inner
-        else:
-            raise StepNotEnabledError(
-                f"no subterm at position {format_position(step.at)}"
-            )
-    rule = step.rule
-    fit = _RULES.get((_shape(sub), rule.kind))
-    if fit is not None:
-        reads, effect = fit
-        if reads is _ENDS:
-            new = effect(sub, endpoints(space, sub))
-        elif reads is _PAYLOAD:
-            # the pair around the payload must run from the point to itself
-            new = None if step.payload is None else effect(sub, step.payload)
-            if new is not None and endpoints(space, new) != (sub.point, sub.point):
-                new = None
-        else:
-            new = effect(sub, None)
-    elif rule.kind in _KINDS:
-        enabled = _plain_relations(space).get(sub, ())
-        new = next((new for r, new in enabled if r._text == rule._text), None)
-    else:
-        raise StepNotEnabledError(f"unknown rule '{rule}'")
-    if new is None:
-        raise StepNotEnabledError(
-            f"rule {step.rule} is not enabled at {format_position(step.at)}"
-        )
-    return _rebuild(ancestors, step.at, new)
+    return replay(space, p, (step,))
 
 
-def _rebuild(ancestors: list[PathExpr], at: Position, new: PathExpr) -> PathExpr:
-    """The term with `ancestors` (root first) on the way down to position
-    `at` and `new` at `at`."""
-    i = len(ancestors)
-    while i:
+def replay(space: "SpacePresentation", p: PathExpr, steps) -> PathExpr:
+    """The term `apply_step` reaches from `p` by `steps` in turn, refusing a
+    bad list at the same step with the same error. The zipper stays open:
+    a step climbs only to the prefix its position shares with the last."""
+    parents: list[PathExpr] = []
+    node, last = p, ()
+    for step in steps:
+        at = step.at
+        if parents:
+            k = min(len(last), len(at))
+            if at[:k] != last[:k]:  # `trace`'s positions mostly extend the last
+                k = next((i for i, (x, y) in enumerate(zip(at, last)) if x != y), k)
+            node = _climb(parents, last, node, k)
+        for idx in at[len(parents):]:
+            parents.append(node)
+            if type(node) is Trans and idx in (0, 1):
+                node = node.second if idx else node.first
+            elif type(node) is Symm and idx == 0:
+                node = node.inner
+            else:
+                raise StepNotEnabledError(f"no subterm at position {format_position(at)}")
+        rule = step.rule
+        fit = _RULES.get((_shape(node), rule.kind))
+        if fit is not None:
+            reads, effect = fit
+            if reads is _ENDS:
+                new = effect(node, endpoints(space, node))
+            elif reads is _PAYLOAD:
+                # the pair around the payload must run from the point to itself
+                new = None if step.payload is None else effect(node, step.payload)
+                if new is not None and endpoints(space, new) != (node.point, node.point):
+                    new = None
+            else:
+                new = effect(node, None)
+        elif rule.kind in _KINDS:
+            enabled = _plain_relations(space).get(node, ())
+            new = next((new for r, new in enabled if r._text == rule._text), None)
+        else:
+            raise StepNotEnabledError(f"unknown rule '{rule}'")
+        if new is None:
+            raise StepNotEnabledError(f"rule {rule} is not enabled at {format_position(at)}")
+        node, last = new, at
+    return _climb(parents, last, node, 0)
+
+
+def _climb(parents: list[PathExpr], path, node: PathExpr, depth: int) -> PathExpr:
+    """Climb a zipper (Huet, "The Zipper", JFP 1997), the focus `node` under
+    `parents` (root first) at position `path`, to `depth` levels below the
+    root; `parents` is cut to match, and a parent is rebuilt only if its
+    child changed. Return the focus reached."""
+    i = len(parents)
+    while i > depth:
         i -= 1
-        parent = ancestors[i]
-        if type(parent) is Symm:
-            new = Symm(new)
-        elif at[i]:
-            new = Trans(parent.first, new)
+        parent = parents[i]
+        if path[i]:  # only a composition has a child 1
+            node = parent if node is parent.second else Trans(parent.first, node)
+        elif type(parent) is Symm:
+            node = parent if node is parent.inner else Symm(node)
         else:
-            new = Trans(new, parent.second)
-    return new
-
-
-def _up(parent: PathExpr, idx: int, child: PathExpr) -> PathExpr:
-    """`parent` with `child` as its child `idx`; `parent` itself if unchanged."""
-    if type(parent) is Symm:
-        return parent if child is parent.inner else Symm(child)
-    if idx:
-        return parent if child is parent.second else Trans(parent.first, child)
-    return parent if child is parent.first else Trans(child, parent.second)
+            node = parent if node is parent.first else Trans(node, parent.second)
+    del parents[depth:]
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +542,7 @@ def _spine_rules(space: "SpacePresentation") -> tuple[_Tier, ...]:
                 )
             steps = tuple(_read_step(space, line) for line in lines)
             # a pattern is never empty, so its word's endpoints go unread
-            new = term_of_word(Word(letters, "", ""))
-            for step in steps:
-                new = apply_step(space, new, step)
+            new = replay(space, term_of_word(Word(letters, "", "")), steps)
             tier[letters] = tuple(
                 (back, tuple(compiled), tuple(_spine_letters(legs)))
                 for back, compiled, legs in _contexts(steps, new, len(letters))
@@ -629,11 +634,9 @@ class _Normalizer:
                 self.steps.append(RewriteStep(fit[0], tuple(path)))
                 node = fit[1](node, None)
                 resume = 0
-                if parents:
-                    # the rewritten node is new: scan it again after its
-                    # parent, but not its left sibling, which did not match
+                if path:  # rescan from the parent, but not the left sibling: it did not match
+                    node = _climb(parents, path, node, len(path) - 1)
                     resume = path.pop()
-                    node = _up(parents.pop(), resume, node)
                 continue
             cls = type(node)
             if cls is Trans or cls is Symm:
@@ -644,16 +647,16 @@ class _Normalizer:
                 resume = 0
                 continue
             # a leaf: climb to the nearest second leg not yet scanned
-            while True:
-                if not parents:
-                    return node
-                idx = path.pop()
-                node = _up(parents.pop(), idx, node)
-                if idx == 0 and type(node) is Trans:
-                    parents.append(node)
-                    path.append(1)
-                    node = node.second
-                    break
+            i = len(path)
+            while i and (path[i - 1] or type(parents[i - 1]) is not Trans):
+                i -= 1
+            if not i:
+                return _climb(parents, path, node, 0)
+            if i < len(path):  # climb to that leg's parent
+                parents.append(_climb(parents, path, node, i - 1))
+                del path[i:]
+            path[-1] = 1
+            node = parents[-1].second
 
     def rewrite_first(self, tier: _Tier, start: int = 0) -> int | None:
         """Rewrite the leftmost spine match of a tier at or after `start`;

@@ -23,6 +23,7 @@ from pathrw.rewrite import (
     free_normalize,
     normalize,
     redexes,
+    replay,
     rw_eq,
     trace,
 )
@@ -355,10 +356,7 @@ def test_trace_replay():
             if nf != normalize(space, p):
                 failures.append(f"{space.name} sample {i}: trace went elsewhere")
                 break
-            cur = p
-            for step in steps:
-                cur = apply_step(space, cur, step)
-            if free_normalize(space, cur) != nf.word:
+            if free_normalize(space, replay(space, p, steps)) != nf.word:
                 failures.append(f"{space.name} sample {i}: replay missed")
                 break
     _finish(

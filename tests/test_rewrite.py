@@ -59,6 +59,7 @@ from pathrw.rewrite import (
     _PHASE_RULES, _PHASES, _RULES, _SHAPES, _Normalizer, _legs, _letter, _read_step,
     _spine_rules,
     normal_forms_decide,
+    replay,
 )
 from pathrw.spaces import (
     Generator, GroupTag, SpacePresentation, _builtin_record, parse_space_text,
@@ -138,6 +139,46 @@ def _intro_steps(space, t):
         for rule in _UNDOES:
             for q in payloads if rule in _PAYLOAD_INTROS else [None]:
                 yield RewriteStep(rule, pos, q)
+
+
+# `apply_step`'s refusals: a step, the term it is applied to, and the message
+_REFUSALS = [
+    # no subterm: an index a node does not have, or any index under a leaf
+    (TORUS, Trans(A, B), step(ASSOC_LEFT, (2,)), "no subterm at position 2"),
+    (TORUS, Trans(Symm(A), B), step(SYMM_SYMM, (0, 1)), "no subterm at position 0.1"),
+    (TORUS, Trans(A, B), step(SYMM_SYMM, (1, 0)), "no subterm at position 1.0"),
+    (CIRCLE, A, step(SYMM_SYMM, (0, 1)), "no subterm at position 0.1"),
+    (CIRCLE, Refl("pt"), step(SYMM_REFL, (1,)), "no subterm at position 1"),
+    # the position is checked before the rule, then an unknown rule
+    (TORUS, A, step(RuleId("nope"), (0,)), "no subterm at position 0"),
+    (TORUS, Trans(A, B), step(RuleId("nope"), (1,)), "unknown rule 'nope'"),
+    # a rule whose shape does not fit
+    (CIRCLE, Trans(A, A), step(TRANS_REFL_LEFT), "rule trans_refl_left is not enabled at root"),
+    (TORUS, Trans(B, Symm(A)), step(SYMM_TRANS_CONGR, (1,)),
+     "rule symm_trans_congr is not enabled at 1"),
+    (TORUS, Trans(Symm(B), A), step(SYMM_TRANS_CONGR_INTRO),
+     "rule symm_trans_congr_intro is not enabled at root"),
+    # a cancellation of unequal operands
+    (TORUS, Trans(Symm(A), B), step(SYMM_TRANS_CANCEL),
+     "rule symm_trans_cancel is not enabled at root"),
+    (TORUS, Trans(B, Trans(A, Symm(B))), step(TRANS_SYMM_CANCEL, (1,)),
+     "rule trans_symm_cancel is not enabled at 1"),
+    # a cancellation intro without a payload, or whose pair does not
+    # close at the point
+    (CIRCLE, Refl("pt"), step(SYMM_TRANS_CANCEL_INTRO),
+     "rule symm_trans_cancel_intro is not enabled at root"),
+    (CYL, Refl("b0"), step(SYMM_TRANS_CANCEL_INTRO, (), Gen("s")),
+     "rule symm_trans_cancel_intro is not enabled at root"),
+    (CYL, Trans(Gen("s"), Refl("b1")), step(TRANS_SYMM_CANCEL_INTRO, (1,), Gen("s")),
+     "rule trans_symm_cancel_intro is not enabled at 1"),
+    # a relation rule absent at the node, or naming no relation
+    (TORUS, Trans(B, A), step(relation_fwd("torusComm")),
+     "rule relation_fwd(torusComm) is not enabled at root"),
+    (TORUS, Symm(Trans(A, B)), step(relation_bwd("torusComm"), (0,)),
+     "rule relation_bwd(torusComm) is not enabled at 0"),
+    (TORUS, Trans(A, B), step(relation_fwd("nope")),
+     "rule relation_fwd(nope) is not enabled at root"),
+]
 
 
 class TestSingleRules:
@@ -243,43 +284,7 @@ class TestSingleRules:
         with pytest.raises(StepNotEnabledError):
             apply_step(CIRCLE, t, step(TRANS_REFL_LEFT))
 
-    @pytest.mark.parametrize("space, term, s, message", [
-        # no subterm: an index a node does not have, or any index under a leaf
-        (TORUS, Trans(A, B), step(ASSOC_LEFT, (2,)), "no subterm at position 2"),
-        (TORUS, Trans(Symm(A), B), step(SYMM_SYMM, (0, 1)), "no subterm at position 0.1"),
-        (TORUS, Trans(A, B), step(SYMM_SYMM, (1, 0)), "no subterm at position 1.0"),
-        (CIRCLE, A, step(SYMM_SYMM, (0, 1)), "no subterm at position 0.1"),
-        (CIRCLE, Refl("pt"), step(SYMM_REFL, (1,)), "no subterm at position 1"),
-        # the position is checked before the rule, then an unknown rule
-        (TORUS, A, step(RuleId("nope"), (0,)), "no subterm at position 0"),
-        (TORUS, Trans(A, B), step(RuleId("nope"), (1,)), "unknown rule 'nope'"),
-        # a rule whose shape does not fit
-        (CIRCLE, Trans(A, A), step(TRANS_REFL_LEFT), "rule trans_refl_left is not enabled at root"),
-        (TORUS, Trans(B, Symm(A)), step(SYMM_TRANS_CONGR, (1,)),
-         "rule symm_trans_congr is not enabled at 1"),
-        (TORUS, Trans(Symm(B), A), step(SYMM_TRANS_CONGR_INTRO),
-         "rule symm_trans_congr_intro is not enabled at root"),
-        # a cancellation of unequal operands
-        (TORUS, Trans(Symm(A), B), step(SYMM_TRANS_CANCEL),
-         "rule symm_trans_cancel is not enabled at root"),
-        (TORUS, Trans(B, Trans(A, Symm(B))), step(TRANS_SYMM_CANCEL, (1,)),
-         "rule trans_symm_cancel is not enabled at 1"),
-        # a cancellation intro without a payload, or whose pair does not
-        # close at the point
-        (CIRCLE, Refl("pt"), step(SYMM_TRANS_CANCEL_INTRO),
-         "rule symm_trans_cancel_intro is not enabled at root"),
-        (CYL, Refl("b0"), step(SYMM_TRANS_CANCEL_INTRO, (), Gen("s")),
-         "rule symm_trans_cancel_intro is not enabled at root"),
-        (CYL, Trans(Gen("s"), Refl("b1")), step(TRANS_SYMM_CANCEL_INTRO, (1,), Gen("s")),
-         "rule trans_symm_cancel_intro is not enabled at 1"),
-        # a relation rule absent at the node, or naming no relation
-        (TORUS, Trans(B, A), step(relation_fwd("torusComm")),
-         "rule relation_fwd(torusComm) is not enabled at root"),
-        (TORUS, Symm(Trans(A, B)), step(relation_bwd("torusComm"), (0,)),
-         "rule relation_bwd(torusComm) is not enabled at 0"),
-        (TORUS, Trans(A, B), step(relation_fwd("nope")),
-         "rule relation_fwd(nope) is not enabled at root"),
-    ])
+    @pytest.mark.parametrize("space, term, s, message", _REFUSALS)
     def test_refusals_are_pinned(self, space, term, s, message):
         with pytest.raises(StepNotEnabledError) as info:
             apply_step(space, term, s)
@@ -739,16 +744,107 @@ class TestDeepTerms:
         t = term_of_word(Word(tuple(letters), "pt", "pt"))
         nf, steps = trace(TORUS, t)
         assert nf.word.letters == (("a", 1),) + (("b", 1),) * 4999
-        cur = t
+        want = B
+        for leg in [B] * 4998 + [A]:
+            want = Trans(leg, want)
+        assert replay(TORUS, t, steps) == want
+
+
+def _loop_outcome(space, t, steps):
+    """What `apply_step`, one step at a time, makes of a step list: the term
+    it reaches, or the index of the step refused with its error's class and
+    message."""
+    for i, s in enumerate(steps):
+        try:
+            t = apply_step(space, t, s)
+        except Exception as e:
+            return i, type(e), str(e)
+    return t
+
+
+def _replay_outcome(space, t, steps):
+    """The same from `replay`, fed the steps one at a time, so that a
+    refusal shows how many it took."""
+    fed = []
+
+    def feed():
         for s in steps:
-            cur = apply_step(TORUS, cur, s)
-        # read the replayed spine back leg by leg: term equality recurses
-        legs = []
-        while isinstance(cur, Trans):
-            legs.append(cur.first)
-            cur = cur.second
-        legs.append(cur)
-        assert legs == [A] + [B] * 4999
+            fed.append(s)
+            yield s
+
+    try:
+        return replay(space, t, feed())
+    except Exception as e:
+        return len(fed) - 1, type(e), str(e)
+
+
+def _jumping_steps(space, t, rng, n):
+    """n steps from t, each drawn against the term the ones before it leave:
+    a random redex, or an intro row that applies at a random position."""
+    payloads = [
+        q for src in space.points for tgt in space.points
+        for q in enumerate_terms(space, 1, src, tgt)
+    ]
+    steps = []
+    while len(steps) < n:
+        found = redexes(space, t)
+        if found and rng.randint(2):
+            s = rng.choice(found)
+        else:
+            rule = rng.choice(tuple(_UNDOES))
+            payload = rng.choice(payloads) if rule in _PAYLOAD_INTROS else None
+            s = RewriteStep(rule, rng.choice(_positions(t)), payload)
+        try:
+            t = apply_step(space, t, s)
+        except StepNotEnabledError:
+            continue
+        steps.append(s)
+    return steps
+
+
+class TestReplay:
+    """`replay` keeps one zipper open across a step list; it must reach what
+    the `apply_step` loop reaches, and refuse where it refuses."""
+
+    def test_pinned_traces(self):
+        cases = _pinned_trace_cases()
+        for space, t in cases:
+            steps = trace(space, t)[1]
+            want = _loop_outcome(space, t, steps)
+            assert not isinstance(want, tuple)
+            assert _replay_outcome(space, t, steps) == want
+        assert len(cases) == 214
+
+    @pytest.mark.parametrize("space, term, s, message", _REFUSALS)
+    def test_refusals_among_valid_steps(self, space, term, s, message):
+        # valid steps that leave the term as it was: at the deepest position
+        # on the way to the refused one, then at the root and back, and a
+        # valid step after the refusal that is never reached
+        deep = max((p for p in _positions(term) if s.at[:len(p)] == p), key=len)
+        steps = [
+            step(SYMM_SYMM_INTRO, deep), step(TRANS_REFL_RIGHT_INTRO),
+            step(TRANS_REFL_RIGHT), step(SYMM_SYMM, deep), s, step(SYMM_SYMM_INTRO),
+        ]
+        want = (4, StepNotEnabledError, message)
+        assert _loop_outcome(space, term, steps) == want
+        assert _replay_outcome(space, term, steps) == want
+
+    def test_random_step_lists_jump_between_branches(self):
+        rng = Lcg(29)
+        jumps = 0
+        for space in SMALL_TERM_SPACES:
+            for _ in range(8):
+                t = random_term(space, 5 + rng.randint(20), rng)
+                steps = _jumping_steps(space, t, rng, 30)
+                want = _loop_outcome(space, t, steps)
+                assert not isinstance(want, tuple)
+                assert _replay_outcome(space, t, steps) == want
+                for a, b in zip(steps, steps[1:]):
+                    k = min(len(a.at), len(b.at))
+                    jumps += a.at[:k] != b.at[:k]
+        # a jump leaves the last step's branch: neither position extends
+        # the other, so the zipper climbs above both
+        assert jumps > 500
 
 
 # The exact step lists `trace` writes. The first twelve cases apply each
