@@ -1139,6 +1139,19 @@ class TestIllFormedTerms:
             name: want for name in calls
         }
 
+    @pytest.mark.parametrize("case", range(len(ILL_FORMED)))
+    def test_replay_raises_what_the_step_loop_raises(self, case):
+        # a unit introduction at the root reads the term's endpoints, so after
+        # two valid steps it raises what `endpoints` raises
+        space, p, want = ILL_FORMED[case]
+        steps = [step(SYMM_SYMM_INTRO), step(SYMM_SYMM), step(TRANS_REFL_LEFT_INTRO)]
+        got = _loop_outcome(space, p, steps)
+        assert _replay_outcome(space, p, steps) == got
+        if isinstance(p, str):  # a value that is no term fits no rule
+            assert got[:2] == (0, StepNotEnabledError)
+        else:
+            assert (got[0], f"{got[1].__name__}: {got[2]}") == (2, want)
+
     def test_chains_are_long(self):
         assert (LEFT_CHAIN._size, RIGHT_CHAIN._size) == (5999, 6001)
 
