@@ -1,20 +1,15 @@
 """Loop classes at the basepoint as elements of a concrete group.
 
-All four builtin groups are pairs (m, n); the builtin table in `spaces`
-gives each group tag its arity, modulus and twist, and each builtin space
-its loop generators. Encoding folds a loop's free word into (m, n),
-decoding writes a^m b^n, and the group arithmetic is one formula for
-every tag, so the translation can be checked to be a homomorphism.
-
-The two spaces whose basepoint sits on a circle factor (cylinder, mobius
-band) encode through an explicit retraction onto the circle, each letter
-replaced by its generator image, rather than by counting letters, keeping
-the computation honest to why the answer is an integer.
+All four builtin groups are pairs (m, n), and each group tag carries its
+arity, modulus and twist. Encoding multiplies the images a builtin's
+record in `spaces` gives the letters of a loop's free word, decoding
+writes a^m b^n, and the group arithmetic is one formula for every tag, so
+the translation can be checked to be a homomorphism. The cylinder's images
+are those of its retraction onto the near loop, and every record's images
+are checked at import to respect its relations.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .errors import (
     GroupTagMismatchError,
@@ -22,10 +17,10 @@ from .errors import (
     ParseError,
 )
 from .groupoid import PathClass
-from .rewrite import NormalForm, Word, _substitute, free_normalize
-from .spaces import _SHAPES, GroupTag, SpacePresentation, _Builtin, _builtin_record, builtin
+from .rewrite import NormalForm, Word, free_normalize
+from .spaces import _BUILTINS, GroupTag, SpacePresentation, _Builtin, _builtin_record
 from .syntax import MAX_TERM_NODES, _int
-from .terms import PathExpr, SpaceMap, Trans, _Record
+from .terms import PathExpr, Trans, _Record
 
 
 class GroupValue(_Record):
@@ -36,33 +31,12 @@ class GroupValue(_Record):
     __slots__ = _fields = ("tag", "m", "n")
 
     def __init__(self, tag: GroupTag, m: int = 0, n: int = 0) -> None:
-        shape = _SHAPES[tag]
-        if shape.arity == 1 and n != 0:
+        if tag.arity == 1 and n != 0:
             raise ValueError(f"{tag.value} values have a single component")
-        if shape.modulus is not None and not 0 <= m < shape.modulus:
-            residues = " or ".join(str(r) for r in range(shape.modulus))
+        if tag.modulus is not None and not 0 <= m < tag.modulus:
+            residues = " or ".join(str(r) for r in range(tag.modulus))
             raise ValueError(f"{tag.value} values are {residues}")
         self._fill(tag, m, n)
-
-
-@lru_cache(maxsize=None)
-def _retraction(name: str) -> SpaceMap:
-    """The retraction onto the circle that a builtin's record gives."""
-    source = builtin(name)
-    circle = builtin("circle")
-    return SpaceMap(
-        source=source,
-        target=circle,
-        point_map={pt: circle.basepoint for pt in source.points},
-        gen_map=dict(_builtin_record(source).retraction),
-    )
-
-
-@lru_cache(maxsize=None)
-def _retraction_images(name: str) -> dict:
-    """The checked retraction's generator images, as circle letters."""
-    m = _retraction(name)
-    return {g: free_normalize(m.target, t).letters for g, t in m.gen_map.items()}
 
 
 def _group_record(space: SpacePresentation, op: str) -> _Builtin:
@@ -76,24 +50,32 @@ def _group_record(space: SpacePresentation, op: str) -> _Builtin:
     return rec
 
 
-def _require_basepoint_loop(space: SpacePresentation, src: str, tgt: str) -> None:
-    if src != space.basepoint or tgt != space.basepoint:
-        raise NotABasepointLoopError(
-            f"encode needs a loop at '{space.basepoint}', got {src} -> {tgt}"
-        )
+def _check_images(*records: _Builtin) -> None:
+    """Refuse a record whose generator images break one of its relations:
+    both sides must fold to one element, or encode is not defined on loop
+    classes."""
+    for rec in records:
+        for rel in rec.space.relations:
+            lhs, rhs = (rec.fold(free_normalize(rec.space, side).letters)
+                        for side in (rel.lhs, rel.rhs))
+            if lhs != rhs:
+                raise ValueError(f"the images of {rec.space.name}'s generators "
+                                 f"send relation '{rel.name}' to {lhs} and {rhs}")
+
+
+_check_images(*_BUILTINS.values())
 
 
 def encode(space: SpacePresentation, p: PathExpr) -> GroupValue:
-    """The group element of a basepoint loop: folded from its free word."""
+    """The group element of a basepoint loop: its free word folded through
+    the generator images."""
     rec = _group_record(space, "encode")
     word = free_normalize(space, p)
-    _require_basepoint_loop(space, word.src, word.tgt)
-    letters = word.letters
-    if rec.retraction is not None:
-        rec = _builtin_record(_retraction(space.name).target)
-        letters = _substitute(letters, _retraction_images(space.name))
-    m, n = rec.fold(letters)
-    return GroupValue(space.group_tag, m, n)
+    if word.src != space.basepoint or word.tgt != space.basepoint:
+        raise NotABasepointLoopError(
+            f"encode needs a loop at '{space.basepoint}', got {word.src} -> {word.tgt}"
+        )
+    return GroupValue(space.group_tag, *rec.fold(word.letters))
 
 
 def decode(space: SpacePresentation, value: GroupValue) -> PathClass:
@@ -109,9 +91,10 @@ def decode(space: SpacePresentation, value: GroupValue) -> PathClass:
     return PathClass(space, space.name, NormalForm(word), base, base)
 
 
-def _reduced(tag: GroupTag, m: int, n: int) -> GroupValue:
-    modulus = _SHAPES[tag].modulus
-    return GroupValue(tag, m if modulus is None else m % modulus, n)
+def _product(tag: GroupTag, m1: int, n1: int, m2: int, n2: int) -> GroupValue:
+    # appending (m2, n2) twists n1 once per unit of m2; a modulus reduces m
+    m = m1 + m2 if tag.modulus is None else (m1 + m2) % tag.modulus
+    return GroupValue(tag, m, tag.flip(m2) * n1 + n2)
 
 
 def group_identity(tag: GroupTag) -> GroupValue:
@@ -123,15 +106,12 @@ def group_mul(v1: GroupValue, v2: GroupValue) -> GroupValue:
         raise GroupTagMismatchError(
             f"cannot combine {v1.tag.value} with {v2.tag.value}"
         )
-    # Appending v2 twists v1's second coordinate once per unit of v2's
-    # first coordinate.
-    flip = _SHAPES[v1.tag].flip(v2.m)
-    return _reduced(v1.tag, v1.m + v2.m, flip * v1.n + v2.n)
+    return _product(v1.tag, v1.m, v1.n, v2.m, v2.n)
 
 
 def group_inv(v: GroupValue) -> GroupValue:
-    flip = _SHAPES[v.tag].flip(v.m)
-    return _reduced(v.tag, -v.m, -flip * v.n)
+    # (m, n)^-1 = (0, -n) * (-m, 0)
+    return _product(v.tag, 0, -v.n, -v.m, 0)
 
 
 def homomorphism_check(
@@ -144,7 +124,7 @@ def homomorphism_check(
 
 
 def render_group_value(value: GroupValue) -> str:
-    if _SHAPES[value.tag].arity == 2:
+    if value.tag.arity == 2:
         return f"({value.m}, {value.n})"
     return str(value.m)
 
@@ -152,7 +132,7 @@ def render_group_value(value: GroupValue) -> str:
 def parse_group_value(tag: GroupTag, text: str) -> GroupValue:
     """Parse a group element in the shape render_group_value emits."""
     stripped = text.strip()
-    if _SHAPES[tag].arity == 2:
+    if tag.arity == 2:
         parts = stripped[1:-1].split(",")
         if stripped[:1] != "(" or stripped[-1:] != ")" or len(parts) != 2:
             raise ParseError(

@@ -6,10 +6,10 @@ presentations loaded from files carry no tag and normalize by free
 reduction only.
 
 This module owns the builtin table, the one place each builtin is handled:
-`_SHAPES` gives each group tag its arithmetic and `_BUILTINS` gives each
-builtin its presentation and how to compute in it. Normal forms, traces,
-encode/decode, group arithmetic and rendering read these records instead
-of testing which space or tag they have.
+each group tag carries its arithmetic, and `_BUILTINS` gives each builtin
+its presentation, its generators' images in its group and how to compute
+in it. Normal forms, traces, encode/decode, group arithmetic and rendering
+read these records instead of testing which space or tag they have.
 """
 
 from __future__ import annotations
@@ -27,12 +27,28 @@ if TYPE_CHECKING:
 
 
 class GroupTag(enum.Enum):
-    """Which group a builtin space's basepoint loops form."""
+    """Which group a builtin space's basepoint loops form, written as pairs
+    (m, n) multiplied by
 
-    FREE_Z = "FreeZ"
-    ZXZ = "ZxZ"
-    Z_SEMIDIRECT_Z = "ZSemidirectZ"
-    Z2 = "Z2"
+        (m1, n1) * (m2, n2) = (m1 + m2, flip(m2) * n1 + n2)
+
+    where flip(m) is -1 for odd m in a twisted group and 1 otherwise. Arity
+    1 keeps n at 0; a modulus reduces m."""
+
+    FREE_Z = ("FreeZ", 1)
+    ZXZ = ("ZxZ", 2)
+    Z_SEMIDIRECT_Z = ("ZSemidirectZ", 2, None, True)
+    Z2 = ("Z2", 1, 2)
+
+    def __new__(cls, value: str, arity: int, modulus: int | None = None,
+                twisted: bool = False) -> GroupTag:
+        tag = object.__new__(cls)
+        tag._value_ = value
+        tag.arity, tag.modulus, tag.twisted = arity, modulus, twisted
+        return tag
+
+    def flip(self, m: int) -> int:
+        return -1 if self.twisted and m % 2 else 1
 
 
 class Generator(_Record):
@@ -82,41 +98,15 @@ class SpacePresentation(_Record):
 _Letters = tuple[tuple[str, int], ...]
 
 
-class _GroupShape(_Record):
-    """A tagged group written as pairs (m, n), multiplied by
-
-        (m1, n1) * (m2, n2) = (m1 + m2, flip(m2) * n1 + n2)
-
-    where flip(m) is -1 for odd m in a twisted group and 1 otherwise. Arity
-    1 keeps n at 0; a modulus reduces m."""
-
-    __slots__ = _fields = ("arity", "modulus", "twisted")
-
-    def __init__(
-        self, arity: int, modulus: int | None = None, twisted: bool = False
-    ) -> None:
-        self._fill(arity, modulus, twisted)
-
-    def flip(self, m: int) -> int:
-        return -1 if self.twisted and m % 2 else 1
-
-
-_SHAPES = {
-    GroupTag.FREE_Z: _GroupShape(1),
-    GroupTag.ZXZ: _GroupShape(2),
-    GroupTag.Z_SEMIDIRECT_Z: _GroupShape(2, twisted=True),
-    GroupTag.Z2: _GroupShape(1, modulus=2),
-}
-
-
 class _Builtin(_Record):
     """A builtin presentation and how to compute in it.
 
     `loops` are the generators a, b of the canonical loops a^m b^n. A space
     with a `substitution` canonicalizes by replacing the letters it names
     and reducing freely; any other folds its letters into (m, n) and writes
-    a^m b^n. `retraction` maps generators onto the circle for encoding, and
-    `display` renames generators on output.
+    a^m b^n. `images` gives each generator's element (m, n) of the group,
+    by default (1, 0) and (0, 1) for the loops, and `display` renames
+    generators on output.
 
     `spine_rules` are the tiers of relation rules `trace` applies after free
     cancellation. A tier maps a pattern of one letter or two adjacent
@@ -125,34 +115,38 @@ class _Builtin(_Record):
     positions inside the pattern's node. `rewrite` compiles them once per
     space."""
 
-    _fields = ("space", "loops", "substitution", "retraction", "spine_rules", "display")
+    _fields = ("space", "loops", "substitution", "images", "spine_rules", "display")
     __slots__ = _fields
 
     def __init__(
         self, space: SpacePresentation, loops: tuple[str, ...],
         substitution: Mapping[str, _Letters] | None = None,
-        retraction: Mapping[str, PathExpr] | None = None,
+        images: Mapping[str, tuple[int, int]] | None = None,
         spine_rules: tuple[Mapping[str, tuple[str, ...]], ...] = (),
         display: Mapping[str, str] | None = None,
     ) -> None:
-        self._fill(space, loops, substitution, retraction, spine_rules,
+        if images is None:
+            images = dict(zip(loops, ((1, 0), (0, 1))))
+        self._fill(space, loops, substitution, images, spine_rules,
                    {} if display is None else display)
 
     def fold(self, letters: _Letters) -> tuple[int, int]:
-        """The group element (m, n) of a word over the loop generators."""
-        a = self.loops[0]
-        shape = _SHAPES[self.space.group_tag]
-        twisted = shape.twisted
+        """The group element (m, n) of a word: the product of its letters'
+        images, an inverse letter's inverted."""
+        tag = self.space.group_tag
+        twisted, images = tag.twisted, self.images
         m = n = 0
         for name, sign in letters:
-            if name == a:
-                m += sign
-                if twisted:
-                    n = -n
+            # right-multiply by the image (dm, dn) or its inverse
+            # (-dm, -flip(dm) * dn); a flip makes both n -> dn - n
+            dm, dn = images[name]
+            m += sign * dm
+            if twisted and dm % 2:
+                n = dn - n
             else:
-                n += sign
-        if shape.modulus is not None:
-            m %= shape.modulus
+                n += sign * dn
+        if tag.modulus is not None:
+            m %= tag.modulus
         return m, n
 
     def write(self, m: int, n: int) -> _Letters:
@@ -197,7 +191,8 @@ _BUILTINS = {
         ),
         loops=("l0",),
         substitution={"l1": (("s", -1), ("l0", 1), ("s", 1))},
-        retraction={"s": Refl("pt"), "l0": Gen("a"), "l1": Gen("a")},
+        # the retraction onto the near loop, on loop classes
+        images={"s": (0, 0), "l0": (1, 0), "l1": (1, 0)},
         # eliminate the far loop through the square relation: l1 -> ~s l0 s
         spine_rules=({
             "l1": ("trans_refl_left_intro @ root",
@@ -214,11 +209,7 @@ _BUILTINS = {
                     "assoc_left @ root"),
         },),
     ),
-    "mobius": _Builtin(
-        _one_point("mobius", GroupTag.FREE_Z, ("a",)),
-        loops=("a",),
-        retraction={"a": Gen("a")},
-    ),
+    "mobius": _Builtin(_one_point("mobius", GroupTag.FREE_Z, ("a",)), loops=("a",)),
     "torus": _Builtin(
         _one_point(
             "torus",

@@ -11,6 +11,7 @@ from pathrw import (
     NotABasepointLoopError,
     ParseError,
     Refl,
+    SpaceMap,
     Symm,
     Trans,
     UnknownGeneratorError,
@@ -35,8 +36,8 @@ from pathrw import (
     term_of_word,
     zpow,
 )
-from pathrw.pi1 import _group_record, _retraction
-from pathrw.spaces import _builtin_record
+from pathrw.pi1 import _check_images, _group_record
+from pathrw.spaces import _Builtin, _builtin_record
 
 CIRCLE = builtin("circle")
 CYL = builtin("cylinder")
@@ -50,13 +51,23 @@ ALL = (CIRCLE, CYL, MOBIUS, TORUS, KLEIN, RP2)
 A = Gen("a")
 B = Gen("b")
 
+# the retractions onto the circle that the cylinder and the Möbius band
+# were once encoded through, as checked space maps
+RETRACTIONS = {
+    CYL: SpaceMap(
+        CYL, CIRCLE, {"b0": "pt", "b1": "pt"}, {"s": Refl("pt"), "l0": A, "l1": A}
+    ),
+    MOBIUS: SpaceMap(MOBIUS, CIRCLE, {"pt": "pt"}, {"a": A}),
+}
+
 
 def _former_encode(space, p):
     """encode as it was computed through terms: normalize the loop, or on the
     cylinder and the Möbius band push it through the retraction with
     `map_path` and normalize the image in the circle."""
     rec = _group_record(space, "encode")
-    if rec.retraction is None:
+    retraction = RETRACTIONS.get(space)
+    if retraction is None:
         word = normalize(space, p).word
         src, tgt = word.src, word.tgt
     else:
@@ -65,12 +76,11 @@ def _former_encode(space, p):
         raise NotABasepointLoopError(
             f"encode needs a loop at '{space.basepoint}', got {src} -> {tgt}"
         )
-    if rec.retraction is None:
+    if retraction is None:
         m, n = rec.fold(word.letters)
     else:
-        circle = builtin("circle")
-        image = normalize(circle, map_path(_retraction(space.name), p))
-        m, n = _builtin_record(circle).fold(image.word.letters)
+        image = normalize(CIRCLE, map_path(retraction, p))
+        m, n = _builtin_record(CIRCLE).fold(image.word.letters)
     return GroupValue(space.group_tag, m, n)
 
 
@@ -191,15 +201,39 @@ class TestEncodeParity:
 
 
 class TestRetractions:
+    """The cylinder's and the Möbius band's generator images are the
+    winding numbers of their retractions' images in the circle."""
+
     def test_cylinder_retraction_images(self):
-        m = _retraction("cylinder")
-        assert m.gen_map["s"] == Refl("pt")
-        assert m.gen_map["l0"] == Gen("a")
-        assert m.gen_map["l1"] == Gen("a")
+        images = {"s": (0, 0), "l0": (1, 0), "l1": (1, 0)}
+        assert _builtin_record(CYL).images == images
+        for g, t in RETRACTIONS[CYL].gen_map.items():
+            assert encode(CIRCLE, t).m == images[g][0]
 
     def test_mobius_retraction_is_degree_one(self):
-        m = _retraction("mobius")
-        assert m.gen_map["a"] == Gen("a")
+        assert _builtin_record(MOBIUS).images == {"a": (1, 0)}
+        assert encode(CIRCLE, RETRACTIONS[MOBIUS].gen_map["a"]).m == 1
+
+
+class TestImageCheck:
+    """`pi1` checks every builtin record's images at import; a record whose
+    images break a relation is refused, naming it."""
+
+    @pytest.mark.parametrize("space, images, message", [
+        (CYL, {"s": (0, 0), "l0": (1, 0), "l1": (2, 0)},
+         "the images of cylinder's generators send relation 'cylSquare' to "
+         "(2, 0) and (1, 0)"),
+        (KLEIN, {"a": (1, 0), "b": (1, 0)},
+         "the images of klein's generators send relation 'kleinSurf' to "
+         "(1, 0) and (-1, 0)"),
+    ])
+    def test_corrupted_images_are_refused(self, space, images, message):
+        rec = _builtin_record(space)
+        bad = _Builtin(rec.space, rec.loops, rec.substitution, images,
+                       rec.spine_rules, rec.display)
+        with pytest.raises(ValueError) as err:
+            _check_images(bad)
+        assert str(err.value) == message
 
 
 class TestDecode:
@@ -320,6 +354,21 @@ class TestHomomorphism:
                 p = random_term(space, 1 + rng.randint(10), rng, base, base)
                 q = random_term(space, 1 + rng.randint(10), rng, base, base)
                 assert homomorphism_check(space, p, q)
+
+    def test_fold_multiplies_the_images(self):
+        # images with both coordinates set, which no builtin uses: fold is
+        # the product of the letters' images under group_mul
+        rng = Lcg(61)
+        for space in (TORUS, KLEIN):
+            tag = space.group_tag
+            rec = _Builtin(space, ("a", "b"), images={"a": (3, -2), "b": (-1, 5)})
+            image = {g: GroupValue(tag, *v) for g, v in rec.images.items()}
+            for _ in range(40):
+                letters = [(rng.choice("ab"), rng.choice((1, -1))) for _ in range(12)]
+                want = group_identity(tag)
+                for g, sign in letters:
+                    want = group_mul(want, image[g] if sign > 0 else group_inv(image[g]))
+                assert GroupValue(tag, *rec.fold(tuple(letters))) == want
 
     def test_inverse_maps_to_group_inverse(self):
         rng = Lcg(59)

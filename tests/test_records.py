@@ -30,7 +30,7 @@ from pathrw import (
 )
 from pathrw.checks import CheckResult
 from pathrw.oracle import BUDGET_EXHAUSTED, DEFAULT_MAX_STATES, EQUAL
-from pathrw.spaces import _BUILTINS, _Builtin, _GroupShape
+from pathrw.spaces import _BUILTINS, _Builtin
 
 CIRCLE = builtin("circle")
 CYL = builtin("cylinder")
@@ -106,25 +106,19 @@ RECORDS = {
             _circle_copy(group_tag=None),
         ],
     ),
-    "_GroupShape": (
-        lambda: _GroupShape(2, None, True),
-        "_GroupShape(arity=2, modulus=None, twisted=True)",
-        ("arity", "modulus", "twisted"),
-        [_GroupShape(1, None, True), _GroupShape(2, 2, True), _GroupShape(2)],
-    ),
     "_Builtin": (
-        lambda: _Builtin(CIRCLE, ("a",), None, {"a": Gen("a")}, SPINE, {"a": "A"}),
+        lambda: _Builtin(CIRCLE, ("a",), None, {"a": (2, 0)}, SPINE, {"a": "A"}),
         f"_Builtin(space={CIRCLE_REPR}, loops=('a',), substitution=None, "
-        "retraction={'a': Gen(name='a')}, "
+        "images={'a': (2, 0)}, "
         "spine_rules=({'a a': ('relation_fwd(r) @ root',)},), display={'a': 'A'})",
-        ("space", "loops", "substitution", "retraction", "spine_rules", "display"),
+        ("space", "loops", "substitution", "images", "spine_rules", "display"),
         [
-            _Builtin(TORUS, ("a",), None, {"a": Gen("a")}, SPINE, {"a": "A"}),
-            _Builtin(CIRCLE, ("b",), None, {"a": Gen("a")}, SPINE, {"a": "A"}),
-            _Builtin(CIRCLE, ("a",), {}, {"a": Gen("a")}, SPINE, {"a": "A"}),
+            _Builtin(TORUS, ("a",), None, {"a": (2, 0)}, SPINE, {"a": "A"}),
+            _Builtin(CIRCLE, ("b",), None, {"a": (2, 0)}, SPINE, {"a": "A"}),
+            _Builtin(CIRCLE, ("a",), {}, {"a": (2, 0)}, SPINE, {"a": "A"}),
             _Builtin(CIRCLE, ("a",), None, None, SPINE, {"a": "A"}),
-            _Builtin(CIRCLE, ("a",), None, {"a": Gen("a")}, (), {"a": "A"}),
-            _Builtin(CIRCLE, ("a",), None, {"a": Gen("a")}, SPINE),
+            _Builtin(CIRCLE, ("a",), None, {"a": (2, 0)}, (), {"a": "A"}),
+            _Builtin(CIRCLE, ("a",), None, {"a": (2, 0)}, SPINE),
         ],
     ),
     "GroupValue": (
@@ -217,7 +211,7 @@ NAMES = sorted(RECORDS)
 
 
 def test_every_record_class_is_pinned():
-    assert len(RECORDS) == 15
+    assert len(RECORDS) == 14
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -281,7 +275,6 @@ class TestDefaults:
     def test_defaults(self):
         assert _circle_copy().group_tag is GroupTag.FREE_Z
         assert SpacePresentation("s", ("p",), (), (), "p").group_tag is None
-        assert _GroupShape(1) == _GroupShape(1, None, False)
         assert GroupValue(GroupTag.FREE_Z) == GroupValue(GroupTag.FREE_Z, 0, 0)
         assert GroupValue(GroupTag.ZXZ, n=4) == GroupValue(GroupTag.ZXZ, 0, 4)
         assert Budget() == Budget(DEFAULT_MAX_STATES, None)
@@ -292,7 +285,9 @@ class TestDefaults:
 
     def test_builtin_record_defaults(self):
         a, b = _Builtin(CIRCLE, ("a",)), _Builtin(CIRCLE, ("a",))
-        assert (a.substitution, a.retraction, a.spine_rules) == (None, None, ())
+        assert (a.substitution, a.images, a.spine_rules) == (None, {"a": (1, 0)}, ())
+        # the loops' images default to the generators of the group
+        assert _Builtin(TORUS, ("a", "b")).images == {"a": (1, 0), "b": (0, 1)}
         # each record gets its own empty display table
         assert a.display == {} and a.display is not b.display
         assert a == b
@@ -302,7 +297,6 @@ class TestDefaults:
             lambda: Generator("a", "pt"),
             lambda: Relation("r", Gen("a")),
             lambda: SpacePresentation("s", ("p",), (), ()),
-            lambda: _GroupShape(),
             lambda: _Builtin(CIRCLE),
             lambda: GroupValue(),
             lambda: PathClass(TORUS, "torus", NormalForm(_word()), "pt"),
@@ -347,14 +341,26 @@ class TestDerivedFields:
         assert x.representative() == Gen("a")
         assert class_of(TORUS, Gen("a")) == x
 
+    def test_group_tags_carry_their_arithmetic(self):
+        # a tag's value is the name reprs and messages print, and finds it
+        assert GroupTag("FreeZ") is GroupTag.FREE_Z
+        assert GroupTag("ZSemidirectZ") is GroupTag.Z_SEMIDIRECT_Z
+        assert {tag.value: (tag.arity, tag.modulus, tag.twisted) for tag in GroupTag} == {
+            "FreeZ": (1, None, False),
+            "ZxZ": (2, None, False),
+            "ZSemidirectZ": (2, None, True),
+            "Z2": (1, 2, False),
+        }
+
     def test_methods_and_properties(self):
         assert str(RuleId("relation_fwd", "r")) == "relation_fwd(r)"
         assert str(RuleId("symm_symm")) == "symm_symm"
         assert OracleVerdict(EQUAL, 0).is_equal
         assert OracleVerdict(EQUAL, 0).is_decided
         assert not OracleVerdict(BUDGET_EXHAUSTED, 0).is_decided
-        shape = _GroupShape(2, twisted=True)
-        assert (shape.flip(1), shape.flip(2), _GroupShape(2).flip(1)) == (-1, 1, 1)
+        twisted = GroupTag.Z_SEMIDIRECT_Z
+        assert (twisted.flip(1), twisted.flip(2), GroupTag.ZXZ.flip(1)) == (-1, 1, 1)
+        assert (twisted.flip(-3), GroupTag.Z2.flip(1)) == (-1, 1)
         assert _BUILTINS["klein"].fold((("b", 1), ("a", 1))) == (1, -1)
         assert _BUILTINS["torus"].write(1, -1) == (("a", 1), ("b", -1))
 
