@@ -4,9 +4,8 @@ All four builtin groups are pairs (m, n), and each group tag carries its
 arity, modulus and twist. Encoding multiplies the images a builtin's
 record in `spaces` gives the letters of a loop's free word, decoding
 writes a^m b^n, and the group arithmetic is one formula for every tag, so
-the translation can be checked to be a homomorphism. The cylinder's images
-are those of its retraction onto the near loop, and every record's images
-are checked at import to respect its relations.
+the translation can be checked to be a homomorphism. A record's images
+come from its presentation, and are checked to respect its relations.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from .errors import (
 )
 from .groupoid import PathClass
 from .rewrite import NormalForm, Word, free_normalize
-from .spaces import _BUILTINS, GroupTag, SpacePresentation, _Builtin, _builtin_record
+from .spaces import GroupTag, SpacePresentation, _Builtin, _builtin_record
 from .syntax import MAX_TERM_NODES, _int
 from .terms import PathExpr, Trans, _Record
 
@@ -48,22 +47,6 @@ def _group_record(space: SpacePresentation, op: str) -> _Builtin:
                else "is not a builtin presentation")
         raise GroupTagMismatchError(f"space '{space.name}' {why}; {op} is undefined")
     return rec
-
-
-def _check_images(*records: _Builtin) -> None:
-    """Refuse a record whose generator images break one of its relations:
-    both sides must fold to one element, or encode is not defined on loop
-    classes."""
-    for rec in records:
-        for rel in rec.space.relations:
-            lhs, rhs = (rec.fold(free_normalize(rec.space, side).letters)
-                        for side in (rel.lhs, rel.rhs))
-            if lhs != rhs:
-                raise ValueError(f"the images of {rec.space.name}'s generators "
-                                 f"send relation '{rel.name}' to {lhs} and {rhs}")
-
-
-_check_images(*_BUILTINS.values())
 
 
 def encode(space: SpacePresentation, p: PathExpr) -> GroupValue:

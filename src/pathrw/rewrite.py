@@ -34,17 +34,16 @@ looked up by the side they rewrite. The search oracle restates the rows
 over its own node ids, and its tests hold the two statements equal.
 
 `normalize` computes words directly: one walk yields the reduced letters
-and endpoints, then the canonical-word rule of the space's record (see
-`spaces`). Most builtins fold the letters into their group element (m, n)
-and write a^m b^n; the cylinder substitutes its far loop and reduces again;
-a space without a record keeps its freely reduced word. `trace` performs
-the same normalization as an explicit rule-by-rule derivation and records
-it: it flattens the term into a right-nested spine of letters, then
-rewrites the spine by tiers of spine rules. A tier maps a pattern of one
-letter or two adjacent letters to the steps that rewrite it; free
-cancellation is the first tier, and the relation tiers of the space's
-record follow. The two routes are independent and the tests hold them
-equal.
+and endpoints, then the space's record (see `spaces`) folds the letters
+into their group element (m, n) and writes a^m b^n, entered and left along
+its spanning tree; a space without a record keeps its freely reduced word.
+`trace` performs the same normalization as an explicit rule-by-rule
+derivation and records it: it flattens the term into a right-nested spine
+of letters, then rewrites the spine by tiers of spine rules. A tier maps a
+pattern of one letter or two adjacent letters to the steps that rewrite
+it; free cancellation is the first tier, and the relation tiers of the
+space's record follow. The two routes are independent and the tests hold
+them equal.
 
 `trace` never rebuilds the whole term. Its flattening phases rewrite by a
 preorder scan that resumes at the parent of each rewritten node; the scan
@@ -65,8 +64,10 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from .errors import EndpointMismatchError, StepNotEnabledError
-from .spaces import Relation, SpacePresentation, _builtin_record, _Letters
-from .terms import Gen, PathExpr, Refl, Symm, Trans, _Record, endpoints
+from .spaces import Relation, SpacePresentation, _builtin_record
+from .terms import (
+    Gen, PathExpr, Refl, Symm, Trans, Word, _Record, endpoints, free_normalize,
+)
 
 Position = tuple[int, ...]
 
@@ -123,16 +124,6 @@ class RewriteStep(_Record):
         _step_rule(self, rule)
         _step_at(self, at)
         _step_payload(self, payload)
-
-
-class Word(_Record):
-    """A freely reduced signed-letter sequence with explicit endpoints,
-    so empty words at different points stay distinct."""
-
-    __slots__ = _fields = ("letters", "src", "tgt")
-
-    def __init__(self, letters: tuple[tuple[str, int], ...], src: str, tgt: str) -> None:
-        self._fill(letters, src, tgt)
 
 
 class NormalForm(_Record):
@@ -388,79 +379,13 @@ def _climb(parents: list[PathExpr], path, node: PathExpr, depth: int) -> PathExp
 # words and direct normalization
 
 
-def free_normalize(space: "SpacePresentation", p: PathExpr) -> Word:
-    """The freely reduced word of a term: flatten, push inverses to the
-    letters, drop constant paths, cancel adjacent inverse pairs.
-
-    One walk from the root does it all. It carries the sign, as an inverse
-    reverses its leg, and the point reached: a term is well formed exactly
-    when each atom of its flattening (a letter or a constant path) starts
-    where the one before it ends."""
-    gens = space.generator_map
-    letters: list[tuple[str, int]] = []
-    src = at = None
-    todo: list[tuple[PathExpr, int]] = [(p, 1)]
-    while todo:
-        node, sign = todo.pop()
-        while True:  # down to the next atom, stacking the legs after it
-            cls = type(node)
-            if cls is Trans:
-                if sign > 0:
-                    todo.append((node.second, 1))
-                    node = node.first
-                else:
-                    todo.append((node.first, -1))
-                    node = node.second
-            elif cls is Symm:
-                node, sign = node.inner, -sign
-            else:
-                break
-        if cls is Gen and node.name in gens:
-            gen = gens[node.name]
-            start, end = (gen.src, gen.tgt) if sign > 0 else (gen.tgt, gen.src)
-            if letters and letters[-1] == (node.name, -sign):
-                letters.pop()
-            else:
-                letters.append((node.name, sign))
-        elif cls is Refl and node.point in space.point_set:
-            start = end = node.point
-        else:
-            break
-        if start != at:
-            if at is not None:
-                break
-            src = start
-        at = end
-    else:
-        return Word(tuple(letters), src, at)
-    # ill-formed: raise the first fault in the order `endpoints` meets them
-    endpoints(space, p)
-    raise AssertionError("endpoints accepted an ill-formed term")
-
-
 def normalize(space: "SpacePresentation", p: PathExpr) -> NormalForm:
     """Canonical word of a term under the space's strategy. Idempotent."""
     w = free_normalize(space, p)
     rec = _builtin_record(space)
     if rec is None:
         return NormalForm(w)
-    if rec.substitution is None:
-        return NormalForm(Word(rec.write(*rec.fold(w.letters)), w.src, w.tgt))
-    return NormalForm(Word(_substitute(w.letters, rec.substitution), w.src, w.tgt))
-
-
-def _substitute(letters: _Letters, images: dict[str, _Letters]) -> _Letters:
-    """Each letter replaced by its image, or kept where it has none, freely
-    reduced; an inverse letter takes its image reversed, signs flipped."""
-    out: list[tuple[str, int]] = []
-    for name, sign in letters:
-        image = images.get(name, ((name, 1),))
-        for g, s in image if sign > 0 else reversed(image):
-            if out and out[-1] == (g, -s * sign):
-                out.pop()
-            else:
-                out.append((g, s * sign))
-    return tuple(out)
+    return NormalForm(Word(rec.canonical(w.letters, w.src, w.tgt), w.src, w.tgt))
 
 
 def normal_forms_decide(space: "SpacePresentation") -> bool:

@@ -6,10 +6,10 @@ presentations loaded from files carry no tag and normalize by free
 reduction only.
 
 This module owns the builtin table, the one place each builtin is handled:
-each group tag carries its arithmetic, and `_BUILTINS` gives each builtin
-its presentation, its generators' images in its group and how to compute
-in it. Normal forms, traces, encode/decode, group arithmetic and rendering
-read these records instead of testing which space or tag they have.
+each group tag carries its arithmetic, and each record in `_BUILTINS`
+derives its spanning tree and generator images from its presentation.
+Normal forms, traces, encode/decode, group arithmetic and rendering read
+these records instead of testing which space or tag they have.
 """
 
 from __future__ import annotations
@@ -101,12 +101,10 @@ _Letters = tuple[tuple[str, int], ...]
 class _Builtin(_Record):
     """A builtin presentation and how to compute in it.
 
-    `loops` are the generators a, b of the canonical loops a^m b^n. A space
-    with a `substitution` canonicalizes by replacing the letters it names
-    and reducing freely; any other folds its letters into (m, n) and writes
-    a^m b^n. `images` gives each generator's element (m, n) of the group,
-    by default (1, 0) and (0, 1) for the loops, and `display` renames
-    generators on output.
+    `loops` are the generators a, b of the canonical loops a^m b^n, and
+    `display` renames generators on output. Derived once, and out of
+    equality and the repr: `tree`, each point's word along a breadth-first
+    spanning tree from the basepoint, and `images`, each generator's (m, n).
 
     `spine_rules` are the tiers of relation rules `trace` applies after free
     cancellation. A tier maps a pattern of one letter or two adjacent
@@ -115,20 +113,46 @@ class _Builtin(_Record):
     positions inside the pattern's node. `rewrite` compiles them once per
     space."""
 
-    _fields = ("space", "loops", "substitution", "images", "spine_rules", "display")
-    __slots__ = _fields
+    _fields = ("space", "loops", "spine_rules", "display")
+    __slots__ = (*_fields, "tree", "images")
 
     def __init__(
         self, space: SpacePresentation, loops: tuple[str, ...],
-        substitution: Mapping[str, _Letters] | None = None,
-        images: Mapping[str, tuple[int, int]] | None = None,
         spine_rules: tuple[Mapping[str, tuple[str, ...]], ...] = (),
         display: Mapping[str, str] | None = None,
     ) -> None:
-        if images is None:
-            images = dict(zip(loops, ((1, 0), (0, 1))))
-        self._fill(space, loops, substitution, images, spine_rules,
-                   {} if display is None else display)
+        tree: dict[str, _Letters] = {space.basepoint: ()}
+        images = dict(zip(loops, ((1, 0), (0, 1))))
+        todo = [space.basepoint]
+        for at in todo:  # a queue: each point is appended as it is reached
+            for g in space.generators:
+                for start, end, sign in ((g.src, g.tgt, 1), (g.tgt, g.src, -1)):
+                    if start == at and end not in tree:
+                        tree[end] = (*tree[at], (g.name, sign))
+                        images[g.name] = (0, 0)  # the identity on the tree
+                        todo.append(end)
+        self._fill(space, loops, spine_rules, display or {}, tree, images)
+        # Tietze elimination in declaration order: a relator u g^s v in which
+        # g is the one letter without an image makes g^-s = v u
+        for rel in space.relations:
+            letters = terms.free_normalize(space, Trans(rel.lhs, Symm(rel.rhs))).letters
+            free = [i for i, (name, _) in enumerate(letters) if name not in images]
+            if len(free) == 1:
+                (i,) = free
+                name, sign = letters[i]
+                rest = letters[i + 1:] + letters[:i]
+                images[name] = self.fold(rest if sign < 0 else
+                                         [(g, -s) for g, s in reversed(rest)])
+        missing = [g.name for g in space.generators if g.name not in images]
+        if missing:
+            raise ValueError(f"{space.name}'s generator '{missing[0]}' has no image")
+        # each relation's sides must fold to one element, or encode is undefined
+        for rel in space.relations:
+            lhs, rhs = (self.fold(terms.free_normalize(space, side).letters)
+                        for side in (rel.lhs, rel.rhs))
+            if lhs != rhs:
+                raise ValueError(f"the images of {space.name}'s generators "
+                                 f"send relation '{rel.name}' to {lhs} and {rhs}")
 
     def fold(self, letters: _Letters) -> tuple[int, int]:
         """The group element (m, n) of a word: the product of its letters'
@@ -155,6 +179,15 @@ class _Builtin(_Record):
         for name, e in zip(self.loops, (m, n)):
             out.extend([(name, 1 if e > 0 else -1)] * abs(e))
         return tuple(out)
+
+    def canonical(self, letters: _Letters, src: str, tgt: str) -> _Letters:
+        """The normal form of a freely reduced word w: x -> y, the basepoint
+        loop tree[x] w ~tree[y] written a^m b^n and led back to x and y."""
+        head, tail = self.tree[src], self.tree[tgt]
+        loop = self.write(*self.fold(letters))
+        while not loop and head and tail and head[0] == tail[0]:
+            head, tail = head[1:], tail[1:]  # the tree words' shared prefix cancels
+        return tuple([(g, -s) for g, s in reversed(head)]) + loop + tail
 
 
 def _one_point(
@@ -190,9 +223,6 @@ _BUILTINS = {
             group_tag=GroupTag.FREE_Z,
         ),
         loops=("l0",),
-        substitution={"l1": (("s", -1), ("l0", 1), ("s", 1))},
-        # the retraction onto the near loop, on loop classes
-        images={"s": (0, 0), "l0": (1, 0), "l1": (1, 0)},
         # eliminate the far loop through the square relation: l1 -> ~s l0 s
         spine_rules=({
             "l1": ("trans_refl_left_intro @ root",

@@ -179,6 +179,17 @@ _set_first, _set_second = Trans._setters
 PathExpr = Refl | Gen | Symm | Trans
 
 
+# words live here, not in `rewrite`, as `spaces` folds them at import
+class Word(_Record):
+    """A freely reduced signed-letter sequence with explicit endpoints,
+    so empty words at different points stay distinct."""
+
+    __slots__ = _fields = ("letters", "src", "tgt")
+
+    def __init__(self, letters: tuple[tuple[str, int], ...], src: str, tgt: str) -> None:
+        self._fill(letters, src, tgt)
+
+
 # markers on the work stacks of `endpoints` and `map_path`
 _FLIP = object()
 _JOIN = object()
@@ -226,6 +237,56 @@ def endpoints(space: "SpacePresentation", p: PathExpr) -> tuple[str, str]:
         else:
             raise TypeError(f"not a path term: {node!r}")
     return ends[0]
+
+
+def free_normalize(space: "SpacePresentation", p: PathExpr) -> Word:
+    """The freely reduced word of a term: flatten, push inverses to the
+    letters, drop constant paths, cancel adjacent inverse pairs.
+
+    One walk from the root does it all. It carries the sign, as an inverse
+    reverses its leg, and the point reached: a term is well formed exactly
+    when each atom of its flattening (a letter or a constant path) starts
+    where the one before it ends."""
+    gens = space.generator_map
+    letters: list[tuple[str, int]] = []
+    src = at = None
+    todo: list[tuple[PathExpr, int]] = [(p, 1)]
+    while todo:
+        node, sign = todo.pop()
+        while True:  # down to the next atom, stacking the legs after it
+            cls = type(node)
+            if cls is Trans:
+                if sign > 0:
+                    todo.append((node.second, 1))
+                    node = node.first
+                else:
+                    todo.append((node.first, -1))
+                    node = node.second
+            elif cls is Symm:
+                node, sign = node.inner, -sign
+            else:
+                break
+        if cls is Gen and node.name in gens:
+            gen = gens[node.name]
+            start, end = (gen.src, gen.tgt) if sign > 0 else (gen.tgt, gen.src)
+            if letters and letters[-1] == (node.name, -sign):
+                letters.pop()
+            else:
+                letters.append((node.name, sign))
+        elif cls is Refl and node.point in space.point_set:
+            start = end = node.point
+        else:
+            break
+        if start != at:
+            if at is not None:
+                break
+            src = start
+        at = end
+    else:
+        return Word(tuple(letters), src, at)
+    # ill-formed: raise the first fault in the order `endpoints` meets them
+    endpoints(space, p)
+    raise AssertionError("endpoints accepted an ill-formed term")
 
 
 def size(p: PathExpr) -> int:

@@ -36,8 +36,8 @@ from pathrw import (
     term_of_word,
     zpow,
 )
-from pathrw.pi1 import _check_images, _group_record
-from pathrw.spaces import _Builtin, _builtin_record
+from pathrw.pi1 import _group_record
+from pathrw.spaces import Generator, Relation, SpacePresentation, _Builtin, _builtin_record
 
 CIRCLE = builtin("circle")
 CYL = builtin("cylinder")
@@ -201,8 +201,9 @@ class TestEncodeParity:
 
 
 class TestRetractions:
-    """The cylinder's and the Möbius band's generator images are the
-    winding numbers of their retractions' images in the circle."""
+    """The cylinder's and the Möbius band's generator images, derived from
+    their presentations, are the winding numbers of their retractions'
+    images in the circle."""
 
     def test_cylinder_retraction_images(self):
         images = {"s": (0, 0), "l0": (1, 0), "l1": (1, 0)}
@@ -215,25 +216,72 @@ class TestRetractions:
         assert encode(CIRCLE, RETRACTIONS[MOBIUS].gen_map["a"]).m == 1
 
 
-class TestImageCheck:
-    """`pi1` checks every builtin record's images at import; a record whose
-    images break a relation is refused, naming it."""
+def _one_point_space(name, tag, gens, *relations):
+    return SpacePresentation(name, ("pt",), tuple(Generator(g, "pt", "pt") for g in gens),
+                             relations, "pt", tag)
 
-    @pytest.mark.parametrize("space, images, message", [
-        (CYL, {"s": (0, 0), "l0": (1, 0), "l1": (2, 0)},
-         "the images of cylinder's generators send relation 'cylSquare' to "
-         "(2, 0) and (1, 0)"),
-        (KLEIN, {"a": (1, 0), "b": (1, 0)},
+
+class TestImageCheck:
+    """A record checks its images against every relation at construction,
+    once they are derived; a record whose images break a relation, or that
+    leaves a generator with none, is refused, naming it."""
+
+    @pytest.mark.parametrize("space, loops, message", [
+        (KLEIN, ("b", "a"),
          "the images of klein's generators send relation 'kleinSurf' to "
-         "(1, 0) and (-1, 0)"),
-    ])
-    def test_corrupted_images_are_refused(self, space, images, message):
-        rec = _builtin_record(space)
-        bad = _Builtin(rec.space, rec.loops, rec.substitution, images,
-                       rec.spine_rules, rec.display)
+         "(1, -2) and (-1, 0)"),
+        (_one_point_space("circle", GroupTag.FREE_Z, "a", Relation("r", Trans(A, A), A)),
+         ("a",),
+         "the images of circle's generators send relation 'r' to (2, 0) and (1, 0)"),
+    ], ids=["klein-loops-swapped", "circle-a-a-is-a"])
+    def test_images_that_break_a_relation_are_refused(self, space, loops, message):
         with pytest.raises(ValueError) as err:
-            _check_images(bad)
+            _Builtin(space, loops)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("space, loops, message", [
+        # b occurs twice in the torus's one relator, so it defines nothing
+        (TORUS, ("a",), "torus's generator 'b' has no image"),
+        (_one_point_space("circle", GroupTag.FREE_Z, "ac"), ("a",),
+         "circle's generator 'c' has no image"),
+    ], ids=["torus-without-b", "circle-with-a-spare-loop"])
+    def test_a_generator_left_without_an_image_is_refused(self, space, loops, message):
+        with pytest.raises(ValueError) as err:
+            _Builtin(space, loops)
+        assert str(err.value) == message
+
+
+class TestDerivedImages:
+    """A relator u g^s v in which g is the one letter without an image
+    defines g by g^-s = v u."""
+
+    @pytest.mark.parametrize("lhs, rhs, image", [
+        # c = a b, and c = b a through a ~c b = refl: in the twisted group
+        # the order of the letters shows
+        (Gen("c"), Trans(A, B), (1, 1)),
+        (Trans(A, Trans(Symm(Gen("c")), B)), Refl("pt"), (1, -1)),
+    ], ids=["c-is-a-b", "c-is-b-a"])
+    def test_a_relation_defines_its_one_letter_without_an_image(self, lhs, rhs, image):
+        space = _one_point_space("kleinC", GroupTag.Z_SEMIDIRECT_Z, "abc",
+                                 Relation("r", lhs, rhs))
+        assert _Builtin(space, ("a", "b")).images == {"a": (1, 0), "b": (0, 1), "c": image}
+
+    def test_relations_are_read_once_in_declaration_order(self):
+        # read first, d = c c holds two letters without images and defines
+        # nothing, so d is left without one; read after c = a b, it defines d
+        space = _one_point_space(
+            "torusCD", GroupTag.ZXZ, "abcd",
+            Relation("r1", Gen("d"), Trans(Gen("c"), Gen("c"))),
+            Relation("r2", Gen("c"), Trans(A, B)),
+        )
+        with pytest.raises(ValueError, match="^torusCD's generator 'd' has no image$"):
+            _Builtin(space, ("a", "b"))
+        space = _one_point_space(
+            "torusCD", GroupTag.ZXZ, "abcd",
+            Relation("r2", Gen("c"), Trans(A, B)),
+            Relation("r1", Gen("d"), Trans(Gen("c"), Gen("c"))),
+        )
+        assert _Builtin(space, ("a", "b")).images["d"] == (2, 2)
 
 
 class TestDecode:
@@ -361,7 +409,9 @@ class TestHomomorphism:
         rng = Lcg(61)
         for space in (TORUS, KLEIN):
             tag = space.group_tag
-            rec = _Builtin(space, ("a", "b"), images={"a": (3, -2), "b": (-1, 5)})
+            rec = _Builtin(space, ("a", "b"))
+            set_images = _Builtin._setters[_Builtin.__slots__.index("images")]
+            set_images(rec, {"a": (3, -2), "b": (-1, 5)})
             image = {g: GroupValue(tag, *v) for g, v in rec.images.items()}
             for _ in range(40):
                 letters = [(rng.choice("ab"), rng.choice((1, -1))) for _ in range(12)]

@@ -35,6 +35,7 @@ from pathrw.spaces import _BUILTINS, _Builtin
 CIRCLE = builtin("circle")
 CYL = builtin("cylinder")
 TORUS = builtin("torus")
+KLEIN = builtin("klein")
 # one tier of spine rules for a `_Builtin`
 SPINE = ({"a a": ("relation_fwd(r) @ root",)},)
 
@@ -52,6 +53,15 @@ CYL_REPR = (
     "lhs=Trans(first=Gen(name='s'), second=Gen(name='l1')), "
     "rhs=Trans(first=Gen(name='l0'), second=Gen(name='s'))),), "
     "basepoint='b0', group_tag=<GroupTag.FREE_Z: 'FreeZ'>)"
+)
+TORUS_REPR = (
+    "SpacePresentation(name='torus', points=('pt',), "
+    "generators=(Generator(name='a', src='pt', tgt='pt'), "
+    "Generator(name='b', src='pt', tgt='pt')), "
+    "relations=(Relation(name='torusComm', "
+    "lhs=Trans(first=Gen(name='a'), second=Gen(name='b')), "
+    "rhs=Trans(first=Gen(name='b'), second=Gen(name='a'))),), "
+    "basepoint='pt', group_tag=<GroupTag.ZXZ: 'ZxZ'>)"
 )
 RETRACTION = {"s": Refl("pt"), "l0": Gen("a"), "l1": Gen("a")}
 
@@ -107,18 +117,15 @@ RECORDS = {
         ],
     ),
     "_Builtin": (
-        lambda: _Builtin(CIRCLE, ("a",), None, {"a": (2, 0)}, SPINE, {"a": "A"}),
-        f"_Builtin(space={CIRCLE_REPR}, loops=('a',), substitution=None, "
-        "images={'a': (2, 0)}, "
+        lambda: _Builtin(TORUS, ("a", "b"), SPINE, {"a": "A"}),
+        f"_Builtin(space={TORUS_REPR}, loops=('a', 'b'), "
         "spine_rules=({'a a': ('relation_fwd(r) @ root',)},), display={'a': 'A'})",
-        ("space", "loops", "substitution", "images", "spine_rules", "display"),
+        ("space", "loops", "spine_rules", "display"),
         [
-            _Builtin(TORUS, ("a",), None, {"a": (2, 0)}, SPINE, {"a": "A"}),
-            _Builtin(CIRCLE, ("b",), None, {"a": (2, 0)}, SPINE, {"a": "A"}),
-            _Builtin(CIRCLE, ("a",), {}, {"a": (2, 0)}, SPINE, {"a": "A"}),
-            _Builtin(CIRCLE, ("a",), None, None, SPINE, {"a": "A"}),
-            _Builtin(CIRCLE, ("a",), None, {"a": (2, 0)}, (), {"a": "A"}),
-            _Builtin(CIRCLE, ("a",), None, {"a": (2, 0)}, SPINE),
+            _Builtin(KLEIN, ("a", "b"), SPINE, {"a": "A"}),
+            _Builtin(TORUS, ("b", "a"), SPINE, {"a": "A"}),
+            _Builtin(TORUS, ("a", "b"), (), {"a": "A"}),
+            _Builtin(TORUS, ("a", "b"), SPINE),
         ],
     ),
     "GroupValue": (
@@ -285,9 +292,11 @@ class TestDefaults:
 
     def test_builtin_record_defaults(self):
         a, b = _Builtin(CIRCLE, ("a",)), _Builtin(CIRCLE, ("a",))
-        assert (a.substitution, a.images, a.spine_rules) == (None, {"a": (1, 0)}, ())
-        # the loops' images default to the generators of the group
+        assert (a.tree, a.images, a.spine_rules) == ({"pt": ()}, {"a": (1, 0)}, ())
+        # the loops' images are the generators of the group
         assert _Builtin(TORUS, ("a", "b")).images == {"a": (1, 0), "b": (0, 1)}
+        # the cylinder's tree reaches its far point along s
+        assert _BUILTINS["cylinder"].tree == {"b0": (), "b1": (("s", 1),)}
         # each record gets its own empty display table
         assert a.display == {} and a.display is not b.display
         assert a == b
@@ -331,6 +340,17 @@ class TestDerivedFields:
         assert x == y and hash(x) == hash(y)
         object.__setattr__(y, "_hash", 7)
         assert x == y and hash(y) == 7
+
+    def test_builtin_tree_and_images_stay_out_of_equality_and_repr(self):
+        x, y = _Builtin(TORUS, ("a", "b")), _Builtin(TORUS, ("a", "b"))
+        assert x.tree == {"pt": ()} and x.images == {"a": (1, 0), "b": (0, 1)}
+        set_tree, set_images = _Builtin._setters[-2:]
+        set_tree(y, {})
+        set_images(y, {"a": (3, 0)})
+        assert x == y and repr(x) == repr(y)
+        for field in ("tree", "images"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(x, field, None)
 
     def test_path_class_space_stays_out_of_equality_hash_and_repr(self):
         nf = NormalForm(_word(("a", 1)))

@@ -62,7 +62,7 @@ from pathrw.rewrite import (
     replay,
 )
 from pathrw.spaces import (
-    Generator, GroupTag, SpacePresentation, _builtin_record, parse_space_text,
+    Generator, GroupTag, SpacePresentation, _Builtin, _builtin_record, parse_space_text,
 )
 from pathrw.syntax import render_path
 
@@ -598,6 +598,85 @@ class TestNormalizeAnchors:
                 t = random_term(sp, 1 + rng.randint(14), rng)
                 nf = normalize(sp, t)
                 assert normalize(sp, term_of_word(nf.word)) == nf
+
+
+# the cylinder's former canonical-word rule: its far loop substituted
+FAR_LOOP = {"l1": (("s", -1), ("l0", 1), ("s", 1))}
+
+
+def _former_normalize(space, p):
+    """normalize as it was before records derived a spanning tree: the
+    cylinder substituted l1 -> ~s l0 s and reduced freely, and every other
+    builtin wrote the fold of its letters."""
+    w = free_normalize(space, p)
+    rec = _builtin_record(space)
+    if space is not CYL:
+        return NormalForm(Word(rec.write(*rec.fold(w.letters)), w.src, w.tgt))
+    out = []
+    for name, sign in w.letters:
+        image = FAR_LOOP.get(name, ((name, 1),))
+        for g, s in image if sign > 0 else reversed(image):
+            if out and out[-1] == (g, -s * sign):
+                out.pop()
+            else:
+                out.append((g, s * sign))
+    return NormalForm(Word(tuple(out), w.src, w.tgt))
+
+
+class TestFormerNormalizeParity:
+    """normalize, the one tree-and-fold route of every builtin, gives the
+    normal forms of the former routes, kept in `_former_normalize`."""
+
+    def test_enumerated_terms(self):
+        checked = 0
+        for space in ALL_SPACES:
+            for src in space.points:
+                for tgt in space.points:
+                    for n in range(1, 8):
+                        for t in enumerate_terms(space, n, src, tgt)[:400]:
+                            assert normalize(space, t) == _former_normalize(space, t)
+                            checked += 1
+        assert checked == 5576
+
+    def test_random_terms(self):
+        rng = Lcg(101)
+        for space in ALL_SPACES:
+            for src in space.points:
+                for tgt in space.points:
+                    for _ in range(300):
+                        t = random_term(space, 8 + rng.randint(193), rng, src, tgt)
+                        assert normalize(space, t) == _former_normalize(space, t)
+
+
+# b0 -e-> x -f-> y with a loop a at b0: a tree two letters deep, which no
+# builtin has
+THREE_POINTS = SpacePresentation(
+    "threePoints", ("b0", "x", "y"),
+    (Generator("e", "b0", "x"), Generator("f", "x", "y"), Generator("a", "b0", "b0")),
+    (), "b0", GroupTag.FREE_Z,
+)
+
+
+class TestSpanningTree:
+    def test_tree_words_and_images(self):
+        rec = _Builtin(THREE_POINTS, ("a",))
+        assert rec.tree == {"b0": (), "x": (("e", 1),), "y": (("e", 1), ("f", 1))}
+        assert rec.images == {"a": (1, 0), "e": (0, 0), "f": (0, 0)}
+
+    def test_canonical_drops_the_shared_prefix_of_the_tree_words(self):
+        rec = _Builtin(THREE_POINTS, ("a",))
+        assert rec.canonical((("f", 1),), "x", "y") == (("f", 1),)
+        assert rec.canonical((("f", -1),), "y", "x") == (("f", -1),)
+        assert rec.canonical((), "y", "y") == ()
+        assert rec.canonical((("f", -1), ("e", -1)), "y", "b0") == (
+            ("f", -1), ("e", -1))
+
+    def test_canonical_keeps_the_tree_words_around_a_loop(self):
+        rec = _Builtin(THREE_POINTS, ("a",))
+        word = (("f", -1), ("e", -1), ("a", 1), ("a", 1), ("e", 1))
+        assert rec.canonical(word, "y", "x") == word
+        assert rec.canonical((("e", -1), ("a", -1), ("e", 1)), "x", "x") == (
+            ("e", -1), ("a", -1), ("e", 1))
 
 
 class TestRwEq:
