@@ -5,163 +5,104 @@ relations between composite paths. Path terms are compared by a rewriting
 engine with per-space canonical forms; basepoint loops translate to and
 from concrete group elements; an exhaustive search oracle double-checks
 the engine from the outside.
+
+`_EXPORTS` names each public name's module once. A module is imported the
+first time one of its names is read (PEP 562), so `import pathrw` loads no
+submodule, and an error raised while importing one surfaces there.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    EndpointMismatchError,
-    GroupTagMismatchError,
-    NotABasepointLoopError,
-    NotALoopError,
-    ParseError,
-    PathError,
-    SpaceMapError,
-    SpaceMismatchError,
-    StepNotEnabledError,
-    UnknownGeneratorError,
-    UnknownPointError,
-    UnknownSpaceError,
-    UnreachableEndpointsError,
-)
-from .groupoid import PathClass, class_of, comp, identity, inv, zpow_class
-from .oracle import (
-    Budget,
-    Lcg,
-    OracleVerdict,
-    bfs_rw_eq,
-    enumerate_loops,
-    enumerate_terms,
-    explore_class,
-    local_confluence_probe,
-    random_term,
-)
-from .pi1 import (
-    GroupValue,
-    decode,
-    encode,
-    group_identity,
-    group_inv,
-    group_mul,
-    homomorphism_check,
-    parse_group_value,
-    render_group_value,
-)
-from .rewrite import (
-    NormalForm,
-    RewriteStep,
-    RuleId,
-    Word,
-    apply_step,
-    format_step,
-    free_normalize,
-    normalize,
-    redexes,
-    relation_bwd,
-    relation_fwd,
-    rw_eq,
-    term_of_word,
-    trace,
-)
-from .spaces import (
-    BUILTIN_NAMES,
-    Generator,
-    GroupTag,
-    Relation,
-    SpacePresentation,
-    builtin,
-    parse_space_file,
-    parse_space_text,
-    validate,
-)
-from .syntax import parse_path, render_path, render_word
-from .terms import (
-    Gen,
-    PathExpr,
-    Refl,
-    SpaceMap,
-    Symm,
-    Trans,
-    endpoints,
-    map_path,
-    size,
-    zpow,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_NAMES",
-    "Budget",
-    "EndpointMismatchError",
-    "Gen",
-    "Generator",
-    "GroupTag",
-    "GroupTagMismatchError",
-    "GroupValue",
-    "Lcg",
-    "NormalForm",
-    "NotABasepointLoopError",
-    "NotALoopError",
-    "OracleVerdict",
-    "ParseError",
-    "PathClass",
-    "PathError",
-    "PathExpr",
-    "Refl",
-    "Relation",
-    "RewriteStep",
-    "RuleId",
-    "SpaceMap",
-    "SpaceMapError",
-    "SpaceMismatchError",
-    "SpacePresentation",
-    "StepNotEnabledError",
-    "Symm",
-    "Trans",
-    "UnknownGeneratorError",
-    "UnknownPointError",
-    "UnknownSpaceError",
-    "UnreachableEndpointsError",
-    "Word",
-    "apply_step",
-    "bfs_rw_eq",
-    "builtin",
-    "class_of",
-    "comp",
-    "decode",
-    "encode",
-    "endpoints",
-    "enumerate_loops",
-    "enumerate_terms",
-    "explore_class",
-    "format_step",
-    "free_normalize",
-    "group_identity",
-    "group_inv",
-    "group_mul",
-    "homomorphism_check",
-    "identity",
-    "inv",
-    "local_confluence_probe",
-    "map_path",
-    "normalize",
-    "parse_group_value",
-    "parse_path",
-    "parse_space_file",
-    "parse_space_text",
-    "random_term",
-    "redexes",
-    "relation_bwd",
-    "relation_fwd",
-    "render_group_value",
-    "render_path",
-    "render_word",
-    "rw_eq",
-    "size",
-    "term_of_word",
-    "trace",
-    "validate",
-    "zpow",
-    "zpow_class",
-]
+_EXPORTS = {
+    "BUILTIN_NAMES": "spaces",
+    "Budget": "oracle",
+    "EndpointMismatchError": "errors",
+    "Gen": "terms",
+    "Generator": "spaces",
+    "GroupTag": "spaces",
+    "GroupTagMismatchError": "errors",
+    "GroupValue": "pi1",
+    "Lcg": "oracle",
+    "NormalForm": "rewrite",
+    "NotABasepointLoopError": "errors",
+    "NotALoopError": "errors",
+    "OracleVerdict": "oracle",
+    "ParseError": "errors",
+    "PathClass": "groupoid",
+    "PathError": "errors",
+    "PathExpr": "terms",
+    "Refl": "terms",
+    "Relation": "spaces",
+    "RewriteStep": "rewrite",
+    "RuleId": "rewrite",
+    "SpaceMap": "terms",
+    "SpaceMapError": "errors",
+    "SpaceMismatchError": "errors",
+    "SpacePresentation": "spaces",
+    "StepNotEnabledError": "errors",
+    "Symm": "terms",
+    "Trans": "terms",
+    "UnknownGeneratorError": "errors",
+    "UnknownPointError": "errors",
+    "UnknownSpaceError": "errors",
+    "UnreachableEndpointsError": "errors",
+    "Word": "terms",
+    "apply_step": "rewrite",
+    "bfs_rw_eq": "oracle",
+    "builtin": "spaces",
+    "class_of": "groupoid",
+    "comp": "groupoid",
+    "decode": "pi1",
+    "encode": "pi1",
+    "endpoints": "terms",
+    "enumerate_loops": "oracle",
+    "enumerate_terms": "oracle",
+    "explore_class": "oracle",
+    "format_step": "rewrite",
+    "free_normalize": "terms",
+    "group_identity": "pi1",
+    "group_inv": "pi1",
+    "group_mul": "pi1",
+    "homomorphism_check": "pi1",
+    "identity": "groupoid",
+    "inv": "groupoid",
+    "local_confluence_probe": "oracle",
+    "map_path": "terms",
+    "normalize": "rewrite",
+    "parse_group_value": "pi1",
+    "parse_path": "syntax",
+    "parse_space_file": "spaces",
+    "parse_space_text": "spaces",
+    "random_term": "oracle",
+    "redexes": "rewrite",
+    "relation_bwd": "rewrite",
+    "relation_fwd": "rewrite",
+    "render_group_value": "pi1",
+    "render_path": "syntax",
+    "render_word": "syntax",
+    "rw_eq": "rewrite",
+    "size": "terms",
+    "term_of_word": "rewrite",
+    "trace": "rewrite",
+    "validate": "spaces",
+    "zpow": "terms",
+    "zpow_class": "groupoid",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # a non-empty fromlist makes __import__ return the submodule itself
+    module = __import__(_EXPORTS[name], globals(), None, (name,), 1)
+    # bound here, so that later reads of the name are plain lookups
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return list({*globals(), *__all__})

@@ -25,7 +25,8 @@ names, malformed values).
 Sources may be compiled at every start, so no module of the package
 imports `typing`, the records are plain slotted classes that load nothing
 such as `inspect`, `ast`, `dis` or `tokenize`, and this one loads argparse,
-json and the check suites only when a command uses them.
+json, the search oracle, the loop groups (`pi1`) and the check suites only
+when a command uses them.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from __future__ import annotations
 import sys
 
 from .errors import PathError
-from .oracle import DEFAULT_MAX_STATES, Budget, _size_cap, bfs_rw_eq
-from .pi1 import _group_record, encode, decode, parse_group_value, render_group_value
 from .rewrite import format_step, normal_forms_decide, normalize, rw_eq, trace
 from .spaces import BUILTIN_NAMES, SpacePresentation, builtin, parse_space_file
 from .syntax import parse_path, render_path, render_word
@@ -137,6 +136,8 @@ _VERDICTS = {"EQUAL": "equal", "NOT_EQUAL_WITHIN_BUDGET": "not-equal"}
 
 
 def _run_equal(args, space):
+    from .oracle import DEFAULT_MAX_STATES, Budget, _size_cap, bfs_rw_eq
+
     p = parse_path(space, args.expr1)
     q = parse_path(space, args.expr2)
     # the search budget is checked with or without --oracle, so out-of-range
@@ -164,12 +165,16 @@ def _run_equal(args, space):
 
 
 def _run_encode(args, space):
+    from .pi1 import encode, render_group_value
+
     value = encode(space, parse_path(space, args.expr))
     rendered = render_group_value(value)
     return 0, args.expr, {"tag": value.tag.value, "value": rendered}, None, rendered
 
 
 def _run_decode(args, space):
+    from .pi1 import _group_record, decode, parse_group_value
+
     _group_record(space, "decode")  # a value parses only against a group tag
     cls = decode(space, parse_group_value(space.group_tag, args.value))
     rendered = render_path(space, cls.representative())
@@ -179,6 +184,7 @@ def _run_decode(args, space):
 
 def _run_check(args, space):
     from .checks import run_checks
+    from .oracle import Budget
 
     budget = Budget(
         max_states=args.max_states, max_term_size=args.max_term_size

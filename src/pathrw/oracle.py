@@ -44,7 +44,6 @@ from functools import lru_cache
 
 from .errors import EndpointMismatchError, UnreachableEndpointsError
 from .rewrite import (
-    Word,
     _plain_relations,
     apply_step,
     normal_forms_decide,
@@ -53,7 +52,7 @@ from .rewrite import (
     term_of_word,
 )
 from .spaces import SpacePresentation
-from .terms import Gen, PathExpr, Refl, Symm, Trans, _Record, endpoints, size
+from .terms import Gen, PathExpr, Refl, Symm, Trans, Word, _Record, endpoints, size
 
 DEFAULT_MAX_STATES = 200_000
 DEFAULT_SIZE_MARGIN = 6

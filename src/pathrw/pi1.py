@@ -16,10 +16,10 @@ from .errors import (
     ParseError,
 )
 from .groupoid import PathClass
-from .rewrite import NormalForm, Word, free_normalize
+from .rewrite import NormalForm
 from .spaces import GroupTag, SpacePresentation, _Builtin, _builtin_record
 from .syntax import MAX_TERM_NODES, _int
-from .terms import PathExpr, Trans, _Record
+from .terms import PathExpr, Trans, Word, _Record, free_normalize
 
 
 class GroupValue(_Record):

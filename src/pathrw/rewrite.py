@@ -64,7 +64,8 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from .errors import EndpointMismatchError, StepNotEnabledError
-from .spaces import Relation, SpacePresentation, _builtin_record
+from .spaces import SpacePresentation, _builtin_record
+from .syntax import parse_path, render_path
 from .terms import (
     Gen, PathExpr, Refl, Symm, Trans, Word, _Record, endpoints, free_normalize,
 )
@@ -151,7 +152,7 @@ def format_step(step: RewriteStep, space: "SpacePresentation | None" = None) -> 
     if step.payload is None:
         return base
     if space is not None:
-        return f"{base} [{syntax.render_path(space, step.payload)}]"
+        return f"{base} [{render_path(space, step.payload)}]"
     return f"{base} [payload]"
 
 
@@ -442,7 +443,7 @@ def _read_step(space: "SpacePresentation", line: str) -> RewriteStep:
     return RewriteStep(
         RuleId(kind, relation[:-1] or None),
         () if pos == "root" else tuple(map(int, pos.split("."))),
-        syntax.parse_path(space, payload[:-1]) if payload else None,
+        parse_path(space, payload[:-1]) if payload else None,
     )
 
 
@@ -643,7 +644,3 @@ def trace(
     nz.rewrite_spine(p, _spine_rules(space))
     # filter drops a constant path's None; a letter pair is never false
     return NormalForm(Word(tuple(filter(None, nz.letters)), src, tgt)), tuple(nz.steps)
-
-
-# format_step renders payloads with syntax, which imports this module
-from . import syntax  # noqa: E402

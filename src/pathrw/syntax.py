@@ -23,9 +23,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .errors import ParseError
-from .rewrite import Word
 from .spaces import SpacePresentation, _builtin_record
-from .terms import Gen, PathExpr, Refl, Symm, Trans, zpow
+from .terms import Gen, PathExpr, Refl, Symm, Trans, Word, zpow
 
 # The most nodes a parsed term may have, checked before anything is built,
 # so a short text such as `a^100000000` is refused instead of allocated. A

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathrw.cli import run
+from pathrw.cli import main, run
 from pathrw.rewrite import normalize, term_of_word
 from pathrw.spaces import builtin
 from pathrw.syntax import parse_path
@@ -593,20 +593,26 @@ class TestDeepInputs:
         assert code == 0 and text.endswith("all checks passed")
 
 
+_SRC = Path(__file__).resolve().parent.parent / "src"
+SUBMODULES = tuple(
+    sorted(f"pathrw.{p.stem}" for p in (_SRC / "pathrw").glob("[!_]*.py"))
+)
+
+
 class TestColdStart:
-    def _loaded(self, imports, modules):
-        """Which of `modules` a fresh interpreter holds after `imports`."""
+    def _loaded(self, imports, modules, call=""):
+        """Which of `modules` a fresh interpreter holds after `imports` and
+        then `call`."""
         # -S keeps site-packages' start-up hooks, which may import typing,
         # out of the fresh interpreter
-        src = str(Path(__file__).resolve().parent.parent / "src")
         probe = (
-            f"import sys, {imports}\n"
+            f"import sys, {imports}\n{call}\n"
             f"print(*[m for m in {modules!r} if m in sys.modules])"
         )
         done = subprocess.run(
             [sys.executable, "-S", "-c", probe],
             capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=src),
+            env=dict(os.environ, PYTHONPATH=str(_SRC)),
         )
         assert done.returncode == 0, done.stderr
         return done.stdout.split()
@@ -620,6 +626,153 @@ class TestColdStart:
     def test_check_suites_load_no_dataclasses(self):
         assert self._loaded("pathrw.checks", ("dataclasses", "inspect")) == []
 
+    def test_import_loads_no_submodule(self):
+        assert "pathrw.oracle" in SUBMODULES
+        assert self._loaded("pathrw", SUBMODULES) == []
+
+    def test_normalize_loads_neither_the_oracle_nor_the_groups(self):
+        modules = ("pathrw.oracle", "pathrw.pi1", "pathrw.groupoid", "pathrw.checks")
+        call = 'assert pathrw.cli.run(["normalize", "--space", "torus", "b * a"])[0] == 0'
+        assert self._loaded("pathrw.cli", modules, call) == []
+
+    def test_encode_loads_the_groups_but_not_the_oracle(self):
+        modules = ("pathrw.oracle", "pathrw.pi1")
+        call = 'assert pathrw.cli.run(["encode", "--space", "torus", "b * a"])[0] == 0'
+        assert self._loaded("pathrw.cli", modules, call) == ["pathrw.pi1"]
+
+
+_SPACE_OPTIONS = """\
+  -h, --help            show this help message and exit
+  --space SPACE         builtin space name
+  --space-file SPACE_FILE
+                        path to a presentation file
+  --json                emit one JSON object
+"""
+_TOP_USAGE = "usage: pathrw [-h] {normalize,equal,encode,decode,check,spaces} ...\n"
+_NORMALIZE_USAGE = """\
+usage: pathrw normalize [-h] [--space SPACE] [--space-file SPACE_FILE]
+                        [--json] [--emit-trace]
+                        expr
+"""
+
+# what `pathrw --help` and each subcommand's --help print, at 80 columns
+HELP_TEXT = {
+    (): _TOP_USAGE + """
+normalize, compare, and count paths in presented spaces
+
+positional arguments:
+  {normalize,equal,encode,decode,check,spaces}
+    normalize           rewrite a path to normal form
+    equal               decide equality of two paths
+    encode              group element of a basepoint loop
+    decode              canonical loop of a group element
+    check               run self-check suites
+    spaces              list builtin spaces
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("normalize",): _NORMALIZE_USAGE + """
+positional arguments:
+  expr                  path expression
+
+options:
+""" + _SPACE_OPTIONS + """\
+  --emit-trace          also print every rewrite step taken
+""",
+    ("equal",): """\
+usage: pathrw equal [-h] [--space SPACE] [--space-file SPACE_FILE] [--json]
+                    [--oracle] [--max-states MAX_STATES]
+                    [--max-term-size MAX_TERM_SIZE]
+                    expr1 expr2
+
+positional arguments:
+  expr1
+  expr2
+
+options:
+""" + _SPACE_OPTIONS + """\
+  --oracle              decide by exhaustive search instead of normal forms
+  --max-states MAX_STATES
+  --max-term-size MAX_TERM_SIZE
+""",
+    ("encode",): """\
+usage: pathrw encode [-h] [--space SPACE] [--space-file SPACE_FILE] [--json]
+                     expr
+
+positional arguments:
+  expr
+
+options:
+""" + _SPACE_OPTIONS,
+    ("decode",): """\
+usage: pathrw decode [-h] [--space SPACE] [--space-file SPACE_FILE] [--json]
+                     value
+
+positional arguments:
+  value                 group element, e.g. 3 or (2, -1)
+
+options:
+""" + _SPACE_OPTIONS,
+    ("check",): """\
+usage: pathrw check [-h] [--space SPACE] [--space-file SPACE_FILE] [--json]
+                    [--seed SEED] [--samples SAMPLES] [--size SIZE]
+                    [--max-states MAX_STATES] [--max-term-size MAX_TERM_SIZE]
+
+options:
+""" + _SPACE_OPTIONS + """\
+  --seed SEED
+  --samples SAMPLES
+  --size SIZE           largest sampled term
+  --max-states MAX_STATES
+  --max-term-size MAX_TERM_SIZE
+""",
+    ("spaces",): """\
+usage: pathrw spaces [-h] [--json]
+
+options:
+  -h, --help  show this help message and exit
+  --json
+""",
+}
+
+# what a malformed command line prints to stderr, after which it exits 2
+USAGE_ERRORS = {
+    (): _TOP_USAGE + "pathrw: error: the following arguments are required: cmd\n",
+    ("frobnicate",): _TOP_USAGE + (
+        "pathrw: error: argument cmd: invalid choice: 'frobnicate' (choose from "
+        "'normalize', 'equal', 'encode', 'decode', 'check', 'spaces')\n"
+    ),
+    ("normalize", "--space", "circle"): _NORMALIZE_USAGE + (
+        "pathrw normalize: error: the following arguments are required: expr\n"
+    ),
+}
+
+
+# argparse words and wraps its help differently across Python versions
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="text pinned on 3.11")
+class TestHelpText:
+    """The help and usage text, byte for byte, as the console script prints
+    it at 80 columns."""
+
+    def _main(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(sys, "argv", ["pathrw", *argv])
+        code = main()
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("cmd", list(HELP_TEXT))
+    def test_help(self, monkeypatch, capsys, cmd):
+        assert self._main(monkeypatch, capsys, [*cmd, "--help"]) == (
+            0, HELP_TEXT[cmd], ""
+        )
+
+    @pytest.mark.parametrize("argv", list(USAGE_ERRORS))
+    def test_usage_error(self, monkeypatch, capsys, argv):
+        assert self._main(monkeypatch, capsys, list(argv)) == (
+            2, "", USAGE_ERRORS[argv]
+        )
 
 # the grammar's own alphabet, as tokens, so drawn texts get past the
 # tokenizer into the parser and the commands behind it
