@@ -37,7 +37,7 @@ _EXPORTS = {
     "Relation": "spaces",
     "RewriteStep": "rewrite",
     "RuleId": "rewrite",
-    "SpaceMap": "terms",
+    "SpaceMap": "oracle",
     "SpaceMapError": "errors",
     "SpaceMismatchError": "errors",
     "SpacePresentation": "spaces",
@@ -73,8 +73,8 @@ _EXPORTS = {
     "normalize": "rewrite",
     "parse_group_value": "pi1",
     "parse_path": "syntax",
-    "parse_space_file": "spaces",
-    "parse_space_text": "spaces",
+    "parse_space_file": "syntax",
+    "parse_space_text": "syntax",
     "random_term": "oracle",
     "redexes": "rewrite",
     "relation_bwd": "rewrite",
@@ -86,7 +86,7 @@ _EXPORTS = {
     "size": "terms",
     "term_of_word": "rewrite",
     "trace": "rewrite",
-    "validate": "spaces",
+    "validate": "syntax",
     "zpow": "terms",
     "zpow_class": "groupoid",
 }

@@ -35,8 +35,8 @@ import sys
 
 from .errors import PathError
 from .rewrite import format_step, normal_forms_decide, normalize, rw_eq, trace
-from .spaces import BUILTIN_NAMES, SpacePresentation, builtin, parse_space_file
-from .syntax import parse_path, render_path, render_word
+from .spaces import BUILTIN_NAMES, SpacePresentation, builtin
+from .syntax import parse_path, parse_space_file, render_path, render_word
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -278,7 +278,11 @@ def run(argv: list[str]) -> tuple[int, str]:
 def main() -> int:
     code, text = run(sys.argv[1:])
     if text:
-        print(text, file=sys.stderr if code == 2 else sys.stdout)
+        out = sys.stderr if code == 2 else sys.stdout
+        if hasattr(out, "reconfigure"):  # a StringIO has no encoding to set
+            # UTF-8 under any locale; stderr keeps its handler, which never raises
+            out.reconfigure(encoding="utf-8", errors=out.errors)
+        print(text, file=out)
     return code
 
 

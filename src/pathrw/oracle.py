@@ -33,26 +33,30 @@ when its state budget runs out or once it has made MAX_NEIGHBORS neighbours.
 
 Also here: a deterministic random term generator (a fixed 64-bit linear
 congruential generator, so seeds mean the same thing everywhere), exhaustive
-loop and term enumerators, and a one-step confluence probe.
+loop and term enumerators, a one-step confluence probe, and maps of
+presentations (`SpaceMap`), whose check that a relation is preserved may
+search where normal forms do not decide.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from functools import lru_cache
 
-from .errors import EndpointMismatchError, UnreachableEndpointsError
+from .errors import EndpointMismatchError, SpaceMapError, UnreachableEndpointsError
 from .rewrite import (
     _plain_relations,
     apply_step,
     normal_forms_decide,
     normalize,
     redexes,
+    rw_eq,
     term_of_word,
 )
 from .spaces import SpacePresentation
-from .terms import Gen, PathExpr, Refl, Symm, Trans, Word, _Record, endpoints, size
+from .terms import (Gen, PathExpr, Refl, Symm, Trans, Word, _Record, endpoints,
+                    map_path, size)
 
 DEFAULT_MAX_STATES = 200_000
 DEFAULT_SIZE_MARGIN = 6
@@ -641,6 +645,68 @@ def explore_class(
     search, _, met = _bfs(space, (p,), budget or Budget())
     finished = met is not None and size(p) <= search.cap
     return {search.term(i) for i, seen in enumerate(search.mark) if seen}, finished
+
+
+# states the search oracle may spend proving one relation preserved, where
+# the target's normal forms do not decide equality
+PRESERVATION_STATES = 2_000
+
+
+class SpaceMap(_Record):
+    """A map of presentations: points to points, generators to target terms.
+
+    Construction eagerly checks that generator images connect the mapped
+    endpoints and that both sides of every source relation stay equal in the
+    target, so an ill-defined map never escapes into map_path. Where the
+    target's normal forms do not decide equality, a relation whose sides
+    the search oracle cannot join within PRESERVATION_STATES states leaves
+    the map undecided, which raises too.
+    """
+
+    __slots__ = _fields = ("source", "target", "point_map", "gen_map")
+
+    def __init__(
+        self, source: SpacePresentation, target: SpacePresentation,
+        point_map: Mapping[str, str], gen_map: Mapping[str, PathExpr],
+    ) -> None:
+        self._fill(source, target, point_map, gen_map)
+        for pt in self.source.points:
+            if pt not in self.point_map:
+                raise SpaceMapError(f"point '{pt}' has no image")
+            img = self.point_map[pt]
+            if img not in self.target.point_set:
+                raise SpaceMapError(
+                    f"point image '{img}' is not a point of '{self.target.name}'"
+                )
+        for gen in self.source.generators:
+            if gen.name not in self.gen_map:
+                raise SpaceMapError(f"generator '{gen.name}' has no image")
+            img_term = self.gen_map[gen.name]
+            src, tgt = endpoints(self.target, img_term)
+            want = (self.point_map[gen.src], self.point_map[gen.tgt])
+            if (src, tgt) != want:
+                raise SpaceMapError(
+                    f"image of generator '{gen.name}' runs {src} -> {tgt}, "
+                    f"expected {want[0]} -> {want[1]}"
+                )
+        for rel in self.source.relations:
+            lhs = map_path(self, rel.lhs)
+            rhs = map_path(self, rel.rhs)
+            if rw_eq(self.target, lhs, rhs):
+                continue
+            if normal_forms_decide(self.target):
+                raise SpaceMapError(
+                    f"relation '{rel.name}' is not preserved by the map"
+                )
+            # distinct normal forms prove nothing here; a derivation found by
+            # a short search does, and finding none leaves the map unproven
+            budget = Budget(max_states=PRESERVATION_STATES)
+            if not bfs_rw_eq(self.target, lhs, rhs, budget).is_equal:
+                raise SpaceMapError(
+                    f"preservation of relation '{rel.name}' is undecided: "
+                    f"no derivation in the target within {PRESERVATION_STATES} "
+                    "search states"
+                )
 
 
 def local_confluence_probe(space: SpacePresentation, p: PathExpr) -> bool:

@@ -18,7 +18,7 @@ from .errors import (
 from .groupoid import PathClass
 from .rewrite import NormalForm
 from .spaces import GroupTag, SpacePresentation, _Builtin, _builtin_record
-from .syntax import MAX_TERM_NODES, _int
+from .syntax import MAX_TERM_NODES, _int, _is_token
 from .terms import PathExpr, Trans, Word, _Record, free_normalize
 
 
@@ -113,25 +113,23 @@ def render_group_value(value: GroupValue) -> str:
 
 
 def parse_group_value(tag: GroupTag, text: str) -> GroupValue:
-    """Parse a group element in the shape render_group_value emits."""
+    """Parse a group element in the shape render_group_value emits, each
+    component one integer token, read as an exponent is."""
     stripped = text.strip()
     if tag.arity == 2:
-        parts = stripped[1:-1].split(",")
+        parts = [part.strip() for part in stripped[1:-1].split(",")]
         if stripped[:1] != "(" or stripped[-1:] != ")" or len(parts) != 2:
             raise ParseError(
                 f"{tag.value} values look like (m, n); got {text!r}"
             )
-        try:
-            coords = [_int(part.strip(), "value") for part in parts]
-        except ValueError:
-            raise ParseError(f"bad integer in {text!r}") from None
+        bad = f"bad integer in {text!r}"
     else:
-        try:
-            coords = [_int(stripped, "value")]
-        except ValueError:
-            raise ParseError(
-                f"{tag.value} values are integers; got {text!r}"
-            ) from None
+        parts, bad = [stripped], f"{tag.value} values are integers; got {text!r}"
+    coords = []
+    for part in parts:
+        if not _is_token(part, "int"):
+            raise ParseError(bad)
+        coords.append(_int(part, "value"))
     try:
         value = GroupValue(tag, *coords)
     except ValueError as exc:

@@ -2,8 +2,8 @@
 
 Six builtin presentations ship with the library (circle, cylinder, mobius,
 torus, klein, rp2). Each carries a group tag naming its fundamental group;
-presentations loaded from files carry no tag and normalize by free
-reduction only.
+presentations loaded from files (`syntax` reads them) carry no tag and
+normalize by free reduction only.
 
 This module owns the builtin table, the one place each builtin is handled:
 each group tag carries its arithmetic, and each record in `_BUILTINS`
@@ -17,13 +17,8 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 
-from . import terms
-from .errors import ParseError, UnknownSpaceError
-from .terms import Gen, PathExpr, Refl, Symm, Trans, _Record
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from pathlib import Path
+from .errors import UnknownSpaceError
+from .terms import Gen, PathExpr, Refl, Symm, Trans, _Record, free_normalize
 
 
 class GroupTag(enum.Enum):
@@ -135,7 +130,7 @@ class _Builtin(_Record):
         # Tietze elimination in declaration order: a relator u g^s v in which
         # g is the one letter without an image makes g^-s = v u
         for rel in space.relations:
-            letters = terms.free_normalize(space, Trans(rel.lhs, Symm(rel.rhs))).letters
+            letters = free_normalize(space, Trans(rel.lhs, Symm(rel.rhs))).letters
             free = [i for i, (name, _) in enumerate(letters) if name not in images]
             if len(free) == 1:
                 (i,) = free
@@ -148,7 +143,7 @@ class _Builtin(_Record):
             raise ValueError(f"{space.name}'s generator '{missing[0]}' has no image")
         # each relation's sides must fold to one element, or encode is undefined
         for rel in space.relations:
-            lhs, rhs = (self.fold(terms.free_normalize(space, side).letters)
+            lhs, rhs = (self.fold(free_normalize(space, side).letters)
                         for side in (rel.lhs, rel.rhs))
             if lhs != rhs:
                 raise ValueError(f"the images of {space.name}'s generators "
@@ -360,153 +355,3 @@ def _builtin_record(space: SpacePresentation) -> _Builtin | None:
     """The table record of a builtin presentation; None for any other
     space, such as one loaded from a file."""
     return _RECORDS.get(space)
-
-
-def _one_name_token(name: str) -> bool:
-    """Whether the expression grammar reads `name` as exactly one name."""
-    from .syntax import _tokenize
-
-    try:
-        return _tokenize(name) == [("name", name)]
-    except ParseError:
-        return False
-
-
-def validate(space: SpacePresentation) -> list[str]:
-    """All well-formedness violations of a presentation; empty means valid.
-
-    Every point and generator name must be one name token of the expression
-    grammar, and no generator may be called `refl`, so each can be written
-    in an input and printed output parses back."""
-    out: list[str] = []
-    seen_points: set[str] = set()
-    for pt in space.points:
-        if not pt:
-            out.append("UnknownPoint: empty point name")
-        elif not _one_name_token(pt):
-            out.append(f"BadName: point '{pt}' is not one name token")
-        elif pt in seen_points:
-            out.append(f"DuplicateName: point '{pt}' declared twice")
-        seen_points.add(pt)
-    seen_names = set(seen_points)
-    for g in space.generators:
-        if g.name == "refl":
-            out.append("BadName: generator 'refl' would read as the constant path")
-        elif not _one_name_token(g.name):
-            out.append(f"BadName: generator '{g.name}' is not one name token")
-        if g.name in seen_names:
-            out.append(f"DuplicateName: '{g.name}' declared more than once")
-        seen_names.add(g.name)
-        if g.src not in space.point_set:
-            out.append(
-                f"UnknownPoint: generator '{g.name}' source '{g.src}' "
-                "is not a declared point"
-            )
-        if g.tgt not in space.point_set:
-            out.append(
-                f"UnknownPoint: generator '{g.name}' target '{g.tgt}' "
-                "is not a declared point"
-            )
-    if space.basepoint not in space.point_set:
-        out.append(f"UnknownPoint: basepoint '{space.basepoint}' is not declared")
-    rel_names: set[str] = set()
-    for rel in space.relations:
-        if rel.name in rel_names or rel.name in seen_names:
-            out.append(f"DuplicateName: relation '{rel.name}' reuses a name")
-        rel_names.add(rel.name)
-        sides = []
-        for label, side in (("lhs", rel.lhs), ("rhs", rel.rhs)):
-            try:
-                sides.append(terms.endpoints(space, side))
-            except Exception as exc:
-                out.append(f"{type(exc).__name__}: relation '{rel.name}' {label}: {exc}")
-        if len(sides) == 2 and sides[0] != sides[1]:
-            out.append(
-                f"EndpointMismatch: relation '{rel.name}' sides run "
-                f"{sides[0][0]} -> {sides[0][1]} and {sides[1][0]} -> {sides[1][1]}"
-            )
-    return out
-
-
-def parse_space_text(text: str, name: str = "user-space") -> SpacePresentation:
-    """Parse the plain-text space format.
-
-    Lines: `point <name>`, `gen <name> : <src> -> <tgt>`,
-    `rel <name> : <expr> = <expr>`, `base <name>`. `#` starts a comment.
-    Relations may reference any generator declared anywhere in the file.
-    """
-    points: list[str] = []
-    gens: list[Generator] = []
-    rel_lines: list[tuple[int, str, str, str]] = []
-    basepoint: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "point":
-            if not rest or " " in rest:
-                raise ParseError(f"line {lineno}: expected 'point <name>'")
-            points.append(rest)
-        elif head == "gen":
-            gname, sep, arrow = rest.partition(":")
-            src, sep2, tgt = arrow.partition("->")
-            if not sep or not sep2:
-                raise ParseError(
-                    f"line {lineno}: expected 'gen <name> : <src> -> <tgt>'"
-                )
-            gens.append(Generator(gname.strip(), src.strip(), tgt.strip()))
-        elif head == "rel":
-            rname, sep, eqn = rest.partition(":")
-            lhs, sep2, rhs = eqn.partition("=")
-            if not sep or not sep2:
-                raise ParseError(
-                    f"line {lineno}: expected 'rel <name> : <expr> = <expr>'"
-                )
-            rel_lines.append((lineno, rname.strip(), lhs.strip(), rhs.strip()))
-        elif head == "base":
-            if not rest or " " in rest:
-                raise ParseError(f"line {lineno}: expected 'base <name>'")
-            basepoint = rest
-        else:
-            raise ParseError(f"line {lineno}: unknown directive '{head}'")
-    if not points:
-        raise ParseError("space file declares no points")
-    if basepoint is None:
-        basepoint = points[0]
-    skeleton = SpacePresentation(
-        name=name,
-        points=tuple(points),
-        generators=tuple(gens),
-        relations=(),
-        basepoint=basepoint,
-    )
-    from .syntax import parse_path
-
-    rels: list[Relation] = []
-    for lineno, rname, lhs_text, rhs_text in rel_lines:
-        try:
-            lhs = parse_path(skeleton, lhs_text)
-            rhs = parse_path(skeleton, rhs_text)
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        rels.append(Relation(rname, lhs, rhs))
-    space = SpacePresentation(
-        name=name,
-        points=tuple(points),
-        generators=tuple(gens),
-        relations=tuple(rels),
-        basepoint=basepoint,
-    )
-    violations = validate(space)
-    if violations:
-        raise ParseError("invalid space: " + "; ".join(violations))
-    return space
-
-
-def parse_space_file(path: str | Path) -> SpacePresentation:
-    from pathlib import Path
-
-    p = Path(path)
-    return parse_space_text(p.read_text(), name=p.stem)

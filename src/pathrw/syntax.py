@@ -1,4 +1,4 @@
-"""Text form of path terms: a small expression grammar plus renderers.
+"""Text forms: path expressions, their renderers, and space files.
 
 Grammar (loosest to tightest):
 
@@ -16,6 +16,9 @@ digits or `_`) and integers (decimal digits, after an optional `-`). The
 parser reads the token list by index in one loop and gives all uses of a
 generator one shared leaf; a long integer loses its leading zeros and is
 then refused by its digit count if still too long for the node limit.
+
+A space file declares points, generators and relations, one a line, and
+`validate` holds each name to one name token, so that it reads back.
 """
 
 from __future__ import annotations
@@ -23,8 +26,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .errors import ParseError
-from .spaces import SpacePresentation, _builtin_record
-from .terms import Gen, PathExpr, Refl, Symm, Trans, Word, zpow
+from .spaces import Generator, Relation, SpacePresentation, _builtin_record
+from .terms import Gen, PathExpr, Refl, Symm, Trans, Word, endpoints, zpow
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from pathlib import Path
 
 # The most nodes a parsed term may have, checked before anything is built,
 # so a short text such as `a^100000000` is refused instead of allocated. A
@@ -76,13 +83,21 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def _is_token(text: str, kind: str) -> bool:
+    """Whether the grammar reads `text` as one token of `kind` ("name", "int")."""
+    try:
+        return _tokenize(text) == [(kind, text)]
+    except ParseError:
+        return False
+
+
 def _int(text: str, what: str) -> int:
-    """int(text), but a long signed run of digits loses its leading zeros
-    and is refused if still too long: int() never meets its digit limit."""
-    sign = text[:1] if text[:1] in ("+", "-") else ""
-    digits = text[len(sign):]
-    if len(text) <= _MAX_DIGITS or not digits.isdecimal():
+    """The value of an integer token; a long one loses its leading zeros and
+    is refused if still too long, so int() never meets its digit limit."""
+    if len(text) <= _MAX_DIGITS:
         return int(text)
+    sign = text[:1] if text[:1] == "-" else ""
+    digits = text[len(sign):]
     digits = digits[next((i for i, ch in enumerate(digits) if int(ch)), len(digits) - 1):]
     if len(digits) > _MAX_DIGITS:
         raise ParseError(
@@ -243,3 +258,141 @@ def render_word(space: "SpacePresentation", word: "Word") -> str:
         shown = display.get(name, name)
         parts.append(shown if sign > 0 else f"~{shown}")
     return " * ".join(parts)
+
+
+def validate(space: SpacePresentation) -> list[str]:
+    """All well-formedness violations of a presentation; empty means valid.
+
+    Every point and generator name must be one name token of the expression
+    grammar, and no generator may be called `refl`, so each can be written
+    in an input and printed output parses back."""
+    out: list[str] = []
+    seen_points: set[str] = set()
+    for pt in space.points:
+        if not pt:
+            out.append("UnknownPoint: empty point name")
+        elif not _is_token(pt, "name"):
+            out.append(f"BadName: point '{pt}' is not one name token")
+        elif pt in seen_points:
+            out.append(f"DuplicateName: point '{pt}' declared twice")
+        seen_points.add(pt)
+    seen_names = set(seen_points)
+    for g in space.generators:
+        if g.name == "refl":
+            out.append("BadName: generator 'refl' would read as the constant path")
+        elif not _is_token(g.name, "name"):
+            out.append(f"BadName: generator '{g.name}' is not one name token")
+        if g.name in seen_names:
+            out.append(f"DuplicateName: '{g.name}' declared more than once")
+        seen_names.add(g.name)
+        if g.src not in space.point_set:
+            out.append(
+                f"UnknownPoint: generator '{g.name}' source '{g.src}' "
+                "is not a declared point"
+            )
+        if g.tgt not in space.point_set:
+            out.append(
+                f"UnknownPoint: generator '{g.name}' target '{g.tgt}' "
+                "is not a declared point"
+            )
+    if space.basepoint not in space.point_set:
+        out.append(f"UnknownPoint: basepoint '{space.basepoint}' is not declared")
+    rel_names: set[str] = set()
+    for rel in space.relations:
+        if rel.name in rel_names or rel.name in seen_names:
+            out.append(f"DuplicateName: relation '{rel.name}' reuses a name")
+        rel_names.add(rel.name)
+        sides = []
+        for label, side in (("lhs", rel.lhs), ("rhs", rel.rhs)):
+            try:
+                sides.append(endpoints(space, side))
+            except Exception as exc:
+                out.append(f"{type(exc).__name__}: relation '{rel.name}' {label}: {exc}")
+        if len(sides) == 2 and sides[0] != sides[1]:
+            out.append(
+                f"EndpointMismatch: relation '{rel.name}' sides run "
+                f"{sides[0][0]} -> {sides[0][1]} and {sides[1][0]} -> {sides[1][1]}"
+            )
+    return out
+
+
+def parse_space_text(text: str, name: str = "user-space") -> SpacePresentation:
+    """Parse the plain-text space format.
+
+    Lines: `point <name>`, `gen <name> : <src> -> <tgt>`,
+    `rel <name> : <expr> = <expr>`, `base <name>`. `#` starts a comment.
+    Relations may reference any generator declared anywhere in the file.
+    """
+    points: list[str] = []
+    gens: list[Generator] = []
+    rel_lines: list[tuple[int, str, str, str]] = []
+    basepoint: str | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if head == "point":
+            if not rest or " " in rest:
+                raise ParseError(f"line {lineno}: expected 'point <name>'")
+            points.append(rest)
+        elif head == "gen":
+            gname, sep, arrow = rest.partition(":")
+            src, sep2, tgt = arrow.partition("->")
+            if not sep or not sep2:
+                raise ParseError(
+                    f"line {lineno}: expected 'gen <name> : <src> -> <tgt>'"
+                )
+            gens.append(Generator(gname.strip(), src.strip(), tgt.strip()))
+        elif head == "rel":
+            rname, sep, eqn = rest.partition(":")
+            lhs, sep2, rhs = eqn.partition("=")
+            if not sep or not sep2:
+                raise ParseError(
+                    f"line {lineno}: expected 'rel <name> : <expr> = <expr>'"
+                )
+            rel_lines.append((lineno, rname.strip(), lhs.strip(), rhs.strip()))
+        elif head == "base":
+            if not rest or " " in rest:
+                raise ParseError(f"line {lineno}: expected 'base <name>'")
+            basepoint = rest
+        else:
+            raise ParseError(f"line {lineno}: unknown directive '{head}'")
+    if not points:
+        raise ParseError("space file declares no points")
+    if basepoint is None:
+        basepoint = points[0]
+    skeleton = SpacePresentation(
+        name=name,
+        points=tuple(points),
+        generators=tuple(gens),
+        relations=(),
+        basepoint=basepoint,
+    )
+    rels: list[Relation] = []
+    for lineno, rname, lhs_text, rhs_text in rel_lines:
+        try:
+            lhs = parse_path(skeleton, lhs_text)
+            rhs = parse_path(skeleton, rhs_text)
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        rels.append(Relation(rname, lhs, rhs))
+    space = SpacePresentation(
+        name=name,
+        points=tuple(points),
+        generators=tuple(gens),
+        relations=tuple(rels),
+        basepoint=basepoint,
+    )
+    violations = validate(space)
+    if violations:
+        raise ParseError("invalid space: " + "; ".join(violations))
+    return space
+
+
+def parse_space_file(path: str | Path) -> SpacePresentation:
+    from pathlib import Path
+
+    p = Path(path)
+    return parse_space_text(p.read_text(encoding="utf-8"), name=p.stem)

@@ -3,25 +3,26 @@
 A term is one of four immutable tree shapes: the constant path at a point,
 a named generator path, the inverse of a term, or the composition of two
 terms. Equality and hashing are structural, which is what the rewrite
-engine's visited sets and cancellation checks rely on.
+engine's visited sets and cancellation checks rely on. `map_path` pushes a
+term through a `SpaceMap`, which lives in `oracle`, as checking that a map
+preserves the relations may need a search.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import reduce
 
 from .errors import (
     EndpointMismatchError,
     NotALoopError,
-    SpaceMapError,
     UnknownGeneratorError,
     UnknownPointError,
 )
 
-# spaces imports this module, so SpacePresentation is for type checkers only
+# this module imports only `errors`: the rest of the package builds on it
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from .oracle import SpaceMap
     from .spaces import SpacePresentation
 
 # Records and terms are plain slotted classes: no per-instance `__dict__`,
@@ -312,73 +313,6 @@ def zpow(space: "SpacePresentation", loop: PathExpr, n: int) -> PathExpr:
     if n < 0:
         loop, n = Symm(loop), -n
     return reduce(Trans, [loop] * n)
-
-
-# states the search oracle may spend proving one relation preserved, where
-# the target's normal forms do not decide equality
-PRESERVATION_STATES = 2_000
-
-
-class SpaceMap(_Record):
-    """A map of presentations: points to points, generators to target terms.
-
-    Construction eagerly checks that generator images connect the mapped
-    endpoints and that both sides of every source relation stay equal in the
-    target, so an ill-defined map never escapes into map_path. Where the
-    target's normal forms do not decide equality, a relation whose sides
-    the search oracle cannot join within PRESERVATION_STATES states leaves
-    the map undecided, which raises too.
-    """
-
-    __slots__ = _fields = ("source", "target", "point_map", "gen_map")
-
-    def __init__(
-        self, source: "SpacePresentation", target: "SpacePresentation",
-        point_map: Mapping[str, str], gen_map: Mapping[str, PathExpr],
-    ) -> None:
-        self._fill(source, target, point_map, gen_map)
-        for pt in self.source.points:
-            if pt not in self.point_map:
-                raise SpaceMapError(f"point '{pt}' has no image")
-            img = self.point_map[pt]
-            if img not in self.target.point_set:
-                raise SpaceMapError(
-                    f"point image '{img}' is not a point of '{self.target.name}'"
-                )
-        for gen in self.source.generators:
-            if gen.name not in self.gen_map:
-                raise SpaceMapError(f"generator '{gen.name}' has no image")
-            img_term = self.gen_map[gen.name]
-            src, tgt = endpoints(self.target, img_term)
-            want = (self.point_map[gen.src], self.point_map[gen.tgt])
-            if (src, tgt) != want:
-                raise SpaceMapError(
-                    f"image of generator '{gen.name}' runs {src} -> {tgt}, "
-                    f"expected {want[0]} -> {want[1]}"
-                )
-        # Relation preservation needs the rewrite engine and the search
-        # oracle; import here to keep the module graph acyclic.
-        from .oracle import Budget, bfs_rw_eq
-        from .rewrite import normal_forms_decide, rw_eq
-
-        for rel in self.source.relations:
-            lhs = map_path(self, rel.lhs)
-            rhs = map_path(self, rel.rhs)
-            if rw_eq(self.target, lhs, rhs):
-                continue
-            if normal_forms_decide(self.target):
-                raise SpaceMapError(
-                    f"relation '{rel.name}' is not preserved by the map"
-                )
-            # distinct normal forms prove nothing here; a derivation found by
-            # a short search does, and finding none leaves the map unproven
-            budget = Budget(max_states=PRESERVATION_STATES)
-            if not bfs_rw_eq(self.target, lhs, rhs, budget).is_equal:
-                raise SpaceMapError(
-                    f"preservation of relation '{rel.name}' is undecided: "
-                    f"no derivation in the target within {PRESERVATION_STATES} "
-                    "search states"
-                )
 
 
 def map_path(m: SpaceMap, p: PathExpr) -> PathExpr:

@@ -1,5 +1,7 @@
 """End-to-end tests for the command line interface, via cli.run."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -480,6 +482,15 @@ class TestErrorExits:
         )
         assert run(["decode", "--space", "circle", "0" * 4999 + "3"]) == (0, "a * a * a")
 
+    @pytest.mark.parametrize("space, value, message", [
+        ("circle", "1_000", "FreeZ values are integers; got '1_000'"),
+        ("circle", "+5", "FreeZ values are integers; got '+5'"),
+        ("torus", "(+1, 0_1)", "bad integer in '(+1, 0_1)'"),
+    ])
+    def test_decode_reads_integers_as_exponents_do(self, space, value, message):
+        # `normalize --space circle "a^1_000"` is refused, so `decode` is too
+        assert run(["decode", "--space", space, value]) == (2, f"error: {message}")
+
     def test_endpoint_mismatch_is_reported(self):
         code, text = run(["equal", "--space", "cylinder", "s", "l0"])
         assert code == 2
@@ -639,6 +650,45 @@ class TestColdStart:
         modules = ("pathrw.oracle", "pathrw.pi1")
         call = 'assert pathrw.cli.run(["encode", "--space", "torus", "b * a"])[0] == 0'
         assert self._loaded("pathrw.cli", modules, call) == ["pathrw.pi1"]
+
+
+class TestCLocale:
+    """The console script under the C locale, with neither UTF-8 mode nor
+    locale coercion: space files are read and text is written as UTF-8."""
+
+    def _pathrw(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(_SRC), LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0")
+        env.pop("PYTHONIOENCODING", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "pathrw", *argv],
+            capture_output=True, timeout=60, env=env,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    def test_display_names_print_as_utf8(self):
+        assert self._pathrw("normalize", "--space", "rp2", "alpha") == (
+            0, "α\n".encode(), b""
+        )
+
+    def test_space_files_are_read_as_utf8(self, tmp_path):
+        f = tmp_path / "beta.space"
+        f.write_bytes("point pt\ngen a : pt -> pt\ngen β : pt -> pt\n".encode())
+        assert self._pathrw("normalize", "--space-file", str(f), "a * ~a") == (
+            0, b"refl\n", b""
+        )
+
+    def test_main_writes_to_any_text_stream(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["pathrw", "normalize", "--space", "rp2", "alpha"])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main() == 0
+        assert out.getvalue() == "α\n"
+
+    def test_an_argument_that_is_not_utf8_is_bad_input(self):
+        code, out, err = self._pathrw("normalize", "--space", "circle", b"\xff")
+        assert (code, out) == (2, b"")
+        assert err.startswith(b"error: unexpected character ")
 
 
 _SPACE_OPTIONS = """\

@@ -41,8 +41,8 @@ from pathrw.rewrite import (
     normalize,
     redexes,
 )
-from pathrw.spaces import BUILTIN_NAMES, builtin, parse_space_text
-from pathrw.syntax import parse_path, render_path
+from pathrw.spaces import BUILTIN_NAMES, builtin
+from pathrw.syntax import parse_path, parse_space_text, render_path
 from pathrw.terms import Gen, Refl, Symm, Trans, endpoints, size
 
 CIRCLE = builtin("circle")

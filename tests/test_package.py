@@ -29,7 +29,7 @@ PUBLIC = [
     ("Relation", "spaces"),
     ("RewriteStep", "rewrite"),
     ("RuleId", "rewrite"),
-    ("SpaceMap", "terms"),
+    ("SpaceMap", "oracle"),
     ("SpaceMapError", "errors"),
     ("SpaceMismatchError", "errors"),
     ("SpacePresentation", "spaces"),
@@ -65,8 +65,8 @@ PUBLIC = [
     ("normalize", "rewrite"),
     ("parse_group_value", "pi1"),
     ("parse_path", "syntax"),
-    ("parse_space_file", "spaces"),
-    ("parse_space_text", "spaces"),
+    ("parse_space_file", "syntax"),
+    ("parse_space_text", "syntax"),
     ("random_term", "oracle"),
     ("redexes", "rewrite"),
     ("relation_bwd", "rewrite"),
@@ -78,7 +78,7 @@ PUBLIC = [
     ("size", "terms"),
     ("term_of_word", "rewrite"),
     ("trace", "rewrite"),
-    ("validate", "spaces"),
+    ("validate", "syntax"),
     ("zpow", "terms"),
     ("zpow_class", "groupoid"),
 ]

@@ -476,7 +476,6 @@ class TestValueText:
         zeros = "0" * 4999
         assert parse_group_value(GroupTag.FREE_Z, zeros + "3").m == 3
         assert parse_group_value(GroupTag.FREE_Z, f" -{zeros}3 ").m == -3
-        assert parse_group_value(GroupTag.FREE_Z, "+" + zeros).m == 0
         value = parse_group_value(GroupTag.ZXZ, f"({zeros}2, -{zeros}1)")
         assert (value.m, value.n) == (2, -1)
         for tag, text in [
@@ -489,7 +488,17 @@ class TestValueText:
                 ParseError, match=r"value too large: a number of [\d,]+ digits"
             ):
                 parse_group_value(tag, text)
-        # other text still goes to int() as it is
-        assert parse_group_value(GroupTag.FREE_Z, "1_000").m == 1000
-        with pytest.raises(ParseError, match="values are integers"):
-            parse_group_value(GroupTag.FREE_Z, "+-3")
+        # a component is one integer token, as an exponent is: no `+`, no `_`
+        for text in ("+" + zeros, "1_000", "+5", "+-3"):
+            with pytest.raises(ParseError) as refused:
+                parse_group_value(GroupTag.FREE_Z, text)
+            assert str(refused.value) == f"FreeZ values are integers; got {text!r}"
+        with pytest.raises(ParseError) as refused:
+            parse_group_value(GroupTag.ZXZ, "(+1, 0_1)")
+        assert str(refused.value) == "bad integer in '(+1, 0_1)'"
+
+    def test_spaces_signs_and_zeros_are_read(self):
+        assert parse_group_value(GroupTag.FREE_Z, " 007 ").m == 7
+        assert parse_group_value(GroupTag.FREE_Z, "-0").m == 0
+        value = parse_group_value(GroupTag.ZXZ, "( 2 , -1 )")
+        assert (value.m, value.n) == (2, -1)

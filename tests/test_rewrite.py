@@ -61,10 +61,8 @@ from pathrw.rewrite import (
     normal_forms_decide,
     replay,
 )
-from pathrw.spaces import (
-    Generator, GroupTag, SpacePresentation, _Builtin, _builtin_record, parse_space_text,
-)
-from pathrw.syntax import render_path
+from pathrw.spaces import Generator, GroupTag, SpacePresentation, _Builtin, _builtin_record
+from pathrw.syntax import parse_space_text, render_path
 
 CIRCLE = builtin("circle")
 CYL = builtin("cylinder")
