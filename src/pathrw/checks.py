@@ -19,7 +19,7 @@ from .groupoid import class_of, comp, identity, inv, zpow_class
 from .oracle import Budget, Lcg, bfs_rw_eq, local_confluence_probe, random_term
 from .pi1 import decode, encode, group_mul, homomorphism_check
 from .rewrite import (
-    free_normalize, normal_forms_decide, normalize, replay, rw_eq, term_of_word, trace,
+    free_normalize, normalize, replay, rw_eq, term_of_word, trace,
 )
 from .spaces import SpacePresentation, _builtin_record
 from .syntax import render_path
@@ -141,10 +141,7 @@ def _oracle_agreement(space, rng, max_size, budget):
     verdict = bfs_rw_eq(space, p, q, budget)
     if not verdict.is_decided:
         return (p, q), "undecided"
-    # Where normal forms ignore the space's relations, the search may prove
-    # equal pairs the fast path cannot; only the fast path's positive
-    # answers are binding there.
-    if verdict.is_equal != fast and (fast or normal_forms_decide(space)):
+    if fast is not None and verdict.is_equal != fast:
         return (p, q), f"normalize said {fast}, search said {verdict.kind}"
     return (p, q), None
 
@@ -184,6 +181,8 @@ _SUITES = (
 )
 # encode and decode need a builtin record
 _GROUP_SUITES = {"group-round-trip", "homomorphism"}
+# the oracle-agreement suite's state budget when none is given
+CHECK_MAX_STATES = 20_000
 
 
 def run_checks(
@@ -199,7 +198,7 @@ def run_checks(
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
     if budget is None:
-        budget = Budget(max_states=20_000)
+        budget = Budget(max_states=CHECK_MAX_STATES)
     results = [
         _drive(space, seed, offset, name, suite, samples, max_size)
         for name, offset, suite in _SUITES

@@ -12,8 +12,8 @@ Subcommands:
 
 Every subcommand accepts --space NAME (builtin) or --space-file PATH (a
 presentation file; such spaces carry no group structure, so encode and
-decode refuse them, and where they declare relations, `equal` without
---oracle answers `undecided` for paths whose free normal forms differ).
+decode refuse them, and where they declare relations, `rw_eq`, so `equal`
+without --oracle, answers undecided for differing free normal forms).
 --json swaps the text output for a single JSON object with exactly the keys
 cmd, space, input, result, trace; `run` writes it, from what each handler
 returns, in one place.
@@ -34,7 +34,7 @@ from __future__ import annotations
 import sys
 
 from .errors import PathError
-from .rewrite import format_step, normal_forms_decide, normalize, rw_eq, trace
+from .rewrite import format_step, normalize, rw_eq, trace
 from .spaces import BUILTIN_NAMES, SpacePresentation, builtin
 from .syntax import parse_path, parse_space_file, render_path, render_word
 
@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--seed", type=int, default=0)
     p_chk.add_argument("--samples", type=int, default=50)
     p_chk.add_argument("--size", type=int, default=12, help="largest sampled term")
-    p_chk.add_argument("--max-states", type=int, default=20_000)
+    p_chk.add_argument("--max-states", type=int, default=None)
     p_chk.add_argument("--max-term-size", type=int, default=None)
 
     p_sp = sub.add_parser("spaces", help="list builtin spaces")
@@ -132,7 +132,7 @@ def _run_normalize(args, space):
     return 0, args.expr, result, lines, "\n".join([*(lines or ()), rendered])
 
 
-_VERDICTS = {"EQUAL": "equal", "NOT_EQUAL_WITHIN_BUDGET": "not-equal"}
+_VERDICTS = {True: "equal", False: "not-equal", None: "undecided"}
 
 
 def _run_equal(args, space):
@@ -150,16 +150,12 @@ def _run_equal(args, space):
     )
     if args.oracle:
         verdict = bfs_rw_eq(space, p, q, budget)
-        result = _VERDICTS.get(verdict.kind, "undecided")
+        result = _VERDICTS[verdict.is_equal if verdict.is_decided else None]
         cap = _size_cap(budget, p, q)  # a not-equal holds within it only
         within = f" within size cap {cap}" if result == "not-equal" else ""
         detail = f"{result}{within} (searched {verdict.explored} states)"
     else:
-        if rw_eq(space, p, q):
-            result = "equal"
-        else:
-            result = "not-equal" if normal_forms_decide(space) else "undecided"
-        detail = result
+        detail = result = _VERDICTS[rw_eq(space, p, q)]
     code = 0 if result == "equal" else 1
     return code, [args.expr1, args.expr2], result, None, detail
 
@@ -183,12 +179,11 @@ def _run_decode(args, space):
 
 
 def _run_check(args, space):
-    from .checks import run_checks
+    from .checks import CHECK_MAX_STATES, run_checks
     from .oracle import Budget
 
-    budget = Budget(
-        max_states=args.max_states, max_term_size=args.max_term_size
-    )
+    max_states = CHECK_MAX_STATES if args.max_states is None else args.max_states
+    budget = Budget(max_states=max_states, max_term_size=args.max_term_size)
     results = run_checks(
         space,
         seed=args.seed,

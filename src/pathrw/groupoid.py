@@ -3,7 +3,9 @@
 A PathClass is the quotient view of a path term: two terms land in the same
 class exactly when normalization agrees. Operations work on canonical
 representatives (the normal-form word read back as a term), so composing,
-inverting, and powering classes always stays canonical.
+inverting, and powering classes always stays canonical. On a file space
+with relations, PathClass equality is equality of free normal forms: two
+classes may differ while the relations equate their paths.
 """
 
 from __future__ import annotations

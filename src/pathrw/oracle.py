@@ -648,7 +648,7 @@ def explore_class(
 
 
 # states the search oracle may spend proving one relation preserved, where
-# the target's normal forms do not decide equality
+# `rw_eq` is undecided
 PRESERVATION_STATES = 2_000
 
 
@@ -657,10 +657,10 @@ class SpaceMap(_Record):
 
     Construction eagerly checks that generator images connect the mapped
     endpoints and that both sides of every source relation stay equal in the
-    target, so an ill-defined map never escapes into map_path. Where the
-    target's normal forms do not decide equality, a relation whose sides
-    the search oracle cannot join within PRESERVATION_STATES states leaves
-    the map undecided, which raises too.
+    target, so an ill-defined map never escapes into map_path. Where
+    `rw_eq` leaves a relation undecided, the search oracle must join its
+    sides within PRESERVATION_STATES states, or the map is undecided,
+    which raises too.
     """
 
     __slots__ = _fields = ("source", "target", "point_map", "gen_map")
@@ -692,14 +692,14 @@ class SpaceMap(_Record):
         for rel in self.source.relations:
             lhs = map_path(self, rel.lhs)
             rhs = map_path(self, rel.rhs)
-            if rw_eq(self.target, lhs, rhs):
+            preserved = rw_eq(self.target, lhs, rhs)
+            if preserved:
                 continue
-            if normal_forms_decide(self.target):
+            if preserved is False:
                 raise SpaceMapError(
                     f"relation '{rel.name}' is not preserved by the map"
                 )
-            # distinct normal forms prove nothing here; a derivation found by
-            # a short search does, and finding none leaves the map unproven
+            # undecided: a short search's derivation proves preservation
             budget = Budget(max_states=PRESERVATION_STATES)
             if not bfs_rw_eq(self.target, lhs, rhs, budget).is_equal:
                 raise SpaceMapError(

@@ -396,15 +396,17 @@ def normal_forms_decide(space: "SpacePresentation") -> bool:
     return _builtin_record(space) is not None or not space.relations
 
 
-def rw_eq(space: "SpacePresentation", p: PathExpr, q: PathExpr) -> bool:
-    """Decide equality in the rewrite quotient by comparing normal forms.
-
-    A True is always right; a False is right where `normal_forms_decide`
-    holds. Use the search oracle when the relations matter."""
+def rw_eq(space: "SpacePresentation", p: PathExpr, q: PathExpr) -> bool | None:
+    """Decide equality in the rewrite quotient by comparing normal forms:
+    True when they agree, False when they differ where `normal_forms_decide`
+    holds, and None, undecided, elsewhere. The search oracle may settle a
+    None."""
     nf_p, nf_q = normalize(space, p), normalize(space, q)
     if (nf_p.word.src, nf_p.word.tgt) != (nf_q.word.src, nf_q.word.tgt):
         raise EndpointMismatchError("rw_eq compares paths with identical endpoints")
-    return nf_p == nf_q
+    if nf_p == nf_q:
+        return True
+    return False if normal_forms_decide(space) else None
 
 
 def term_of_word(word: Word) -> PathExpr:
@@ -463,9 +465,8 @@ def _spine_rules(space: "SpacePresentation") -> tuple[_Tier, ...]:
         tier: _Tier = {}
         for letters, lines in rules.items():
             if type(letters) is str:  # a record's pattern, such as "b ~a"
-                letters = tuple(
-                    (w[1:], -1) if w[0] == "~" else (w, 1) for w in letters.split()
-                )
+                term = parse_path(space, letters.replace(" ", " * "))
+                letters = free_normalize(space, term).letters
             steps = tuple(_read_step(space, line) for line in lines)
             # a pattern is never empty, so its word's endpoints go unread
             new = replay(space, term_of_word(Word(letters, "", "")), steps)

@@ -103,8 +103,8 @@ class _Builtin(_Record):
 
     `spine_rules` are the tiers of relation rules `trace` applies after free
     cancellation. A tier maps a pattern of one letter or two adjacent
-    letters (`"b ~a"`: b, then the inverse of a) to the steps that rewrite
-    it, one line each in the text `rewrite.format_step` prints, at
+    letters (`"b ~a"`, read as the expression `b * ~a`) to the steps that
+    rewrite it, one line each in the text `rewrite.format_step` prints, at
     positions inside the pattern's node. `rewrite` compiles them once per
     space."""
 

@@ -281,6 +281,20 @@ class TestCheck:
         assert "FAIL oracle-agreement: 0/10 decided" in text.splitlines()
 
 
+    def test_only_a_decided_fast_answer_binds(self, monkeypatch):
+        argv = ["check", "--space", "circle", "--samples", "5", "--size", "4"]
+        monkeypatch.setattr("pathrw.checks.rw_eq", lambda space, p, q: None)
+        code, text = run(argv)
+        assert code == 0, text
+        assert "PASS oracle-agreement: 10/10 decided, all agree" in text.splitlines()
+        monkeypatch.setattr("pathrw.checks.rw_eq", lambda space, p, q: False)
+        code, text = run(argv)
+        assert code == 1
+        assert _failing_detail(text, "oracle-agreement") == (
+            "--seed 0, sample 0: normalize said False, search said EQUAL: "
+            "~refl * a | refl * a"
+        )
+
     def test_failure_names_seed_sample_and_term(self, monkeypatch):
         seen = []
 

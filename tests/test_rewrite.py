@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathrw import (
     EndpointMismatchError,
+    ParseError,
     UnknownGeneratorError,
     Gen,
     Lcg,
@@ -688,6 +689,40 @@ class TestRwEq:
         with pytest.raises(EndpointMismatchError):
             rw_eq(CYL, Gen("s"), Gen("l0"))
 
+    # a builtin's normal forms decide; a file space's decide only without
+    # relations, and elsewhere differing free normal forms answer None
+    @pytest.mark.parametrize("space, p, q, answer", [
+        ("circle", "a * a", "a^2", True),
+        ("circle", "a", "~a", False),
+        ("cylinder", "l0", "s * l1 * ~s", True),
+        ("cylinder", "s", "l0 * s", False),
+        ("mobius", "a^2", "a * a", True),
+        ("mobius", "a", "~a", False),
+        ("torus", "a * b", "b * a", True),
+        ("torus", "a", "b", False),
+        ("klein", "a * b", "~b * a", True),
+        ("klein", "a * b", "b * a", False),
+        ("rp2", "alpha", "~alpha", True),
+        ("rp2", "alpha", "refl", False),
+        ("free", "a * ~a * b", "b", True),
+        ("free", "a * b", "b * a", False),
+        ("torusfile", "a * b * ~b", "a", True),
+        ("torusfile", "a * b", "b * a", None),
+        ("torusfile", "a", "b", None),
+        ("kleinfile", "b * a * ~a", "b", True),
+        ("kleinfile", "a * b", "~b * a", None),
+    ])
+    def test_true_false_or_undecided(self, space, p, q, answer):
+        files = {
+            "free": "point pt\ngen a : pt -> pt\ngen b : pt -> pt\n",
+            "torusfile": TORUS_FILE,
+            "kleinfile": "point pt\ngen a : pt -> pt\ngen b : pt -> pt\n"
+                         "rel surf : a * b = ~b * a\n",
+        }
+        sp = parse_space_text(files[space], space) if space in files else builtin(space)
+        # `is`: a decided answer is the bool object itself
+        assert rw_eq(sp, parse_path(sp, p), parse_path(sp, q)) is answer
+
     def test_single_step_soundness(self):
         for sp in ALL_SPACES:
             rng = Lcg(23)
@@ -1355,6 +1390,14 @@ class TestSpineRules:
     def test_compiled_once_per_space(self):
         assert _spine_rules(KLEIN) is _spine_rules(builtin("klein"))
 
+    def test_patterns_are_read_by_the_grammar(self, monkeypatch):
+        # a misspelt generator in a record's pattern is refused when the
+        # record's rules are compiled, not left to never match
+        record = _Builtin(TORUS, ("a", "b"), ({"b ~c": ("symm_symm_intro @ root",)},))
+        monkeypatch.setattr("pathrw.rewrite._builtin_record", lambda space: record)
+        with pytest.raises(ParseError, match="'c' is not a generator of 'torus'"):
+            _spine_rules.__wrapped__(TORUS)
+
     def test_reader_round_trips_the_pinned_traces(self):
         cases = _pinned_trace_cases()
         assert len(cases) == 214
@@ -1383,7 +1426,7 @@ class TestRecordLookup:
         x, y = Gen("x"), Gen("y")
         assert _builtin_record(XY_TORUS) is None
         assert normalize(XY_TORUS, Trans(y, x)).word.letters == (("y", 1), ("x", 1))
-        assert not rw_eq(XY_TORUS, x, y)
+        assert rw_eq(XY_TORUS, x, y) is False
         assert normal_forms_decide(XY_TORUS)
         assert trace(XY_TORUS, Trans(y, x)) == (normalize(XY_TORUS, Trans(y, x)), ())
         assert _error(lambda: encode(XY_TORUS, x)) == (
@@ -1394,7 +1437,7 @@ class TestRecordLookup:
     def test_a_renamed_builtin_decides_nothing_its_relations_settle(self):
         ab, ba = Trans(A, B), Trans(B, A)
         assert _builtin_record(MY_TORUS) is None
-        assert not rw_eq(MY_TORUS, ab, ba)
+        assert rw_eq(MY_TORUS, ab, ba) is None
         assert not normal_forms_decide(MY_TORUS)
         assert bfs_rw_eq(MY_TORUS, ab, ba).kind == EQUAL
         for call in (lambda: encode(MY_TORUS, ab),
