@@ -838,6 +838,26 @@ class TestHelpText:
             2, "", USAGE_ERRORS[argv]
         )
 
+
+# command lines and what `main` printed for each at 80 columns, captured
+# while every subparser still carried all its arguments: help before and
+# after each subcommand, unknown options, missing positionals, bad integers,
+# abbreviations, `--`, subcommand names as arguments, and plain runs
+CORPUS = json.loads((Path(__file__).parent / "cli_corpus.json").read_text())
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="text pinned on 3.11")
+class TestArgvCorpus:
+    @pytest.mark.parametrize(
+        "case", CORPUS, ids=[" ".join(c["argv"]) or "(empty)" for c in CORPUS]
+    )
+    def test_main(self, monkeypatch, capsys, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(sys, "argv", ["pathrw", *case["argv"]])
+        code = main()
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
 # the grammar's own alphabet, as tokens, so drawn texts get past the
 # tokenizer into the parser and the commands behind it
 _TOKENS = ["a", "b", "~", "*", "^", "(", ")", "-", " ", "refl", *"0123456789"]
