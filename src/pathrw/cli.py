@@ -26,11 +26,14 @@ Sources may be compiled at every start, so no module of the package
 imports `typing`, the records are plain slotted classes that load nothing
 such as `inspect`, `ast`, `dis` or `tokenize`, and this one loads argparse,
 json, the search oracle, the loop groups (`pi1`) and the check suites only
-when a command uses them.
+when a command uses them. Each call builds all six subparsers but adds
+arguments only to those whose name is one of its argv strings: argparse runs
+no other, so every help, usage and error text reads as if all had them.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 
 from .errors import PathError
@@ -43,7 +46,43 @@ if TYPE_CHECKING:
     import argparse
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_FLAG, _INT = {"action": "store_true"}, {"type": int}
+_SPACE_ARGS = (
+    ("--space", "builtin space name", {}),
+    ("--space-file", "path to a presentation file", {}),
+    ("--json", "emit one JSON object", _FLAG),
+)
+_BUDGET_ARGS = (("--max-states", None, _INT), ("--max-term-size", None, _INT))
+
+# each subcommand's help line and its arguments (name, help, options), in the
+# order they are added
+_COMMANDS = {
+    "normalize": ("rewrite a path to normal form", (
+        *_SPACE_ARGS,
+        ("expr", "path expression", {}),
+        ("--emit-trace", "also print every rewrite step taken", _FLAG),
+    )),
+    "equal": ("decide equality of two paths", (
+        *_SPACE_ARGS, ("expr1", None, {}), ("expr2", None, {}),
+        ("--oracle", "decide by exhaustive search instead of normal forms", _FLAG),
+        *_BUDGET_ARGS,
+    )),
+    "encode": ("group element of a basepoint loop", (*_SPACE_ARGS, ("expr", None, {}))),
+    "decode": ("canonical loop of a group element", (
+        *_SPACE_ARGS, ("value", "group element, e.g. 3 or (2, -1)", {}),
+    )),
+    "check": ("run self-check suites", (
+        *_SPACE_ARGS,
+        ("--seed", None, {"type": int, "default": 0}),
+        ("--samples", None, {"type": int, "default": 50}),
+        ("--size", "largest sampled term", {"type": int, "default": 12}),
+        *_BUDGET_ARGS,
+    )),
+    "spaces": ("list builtin spaces", (("--json", None, _FLAG),)),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -51,52 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="normalize, compare, and count paths in presented spaces",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add_space_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--space", help="builtin space name")
-        p.add_argument("--space-file", help="path to a presentation file")
-        p.add_argument("--json", action="store_true", help="emit one JSON object")
-
-    p_norm = sub.add_parser("normalize", help="rewrite a path to normal form")
-    add_space_args(p_norm)
-    p_norm.add_argument("expr", help="path expression")
-    p_norm.add_argument(
-        "--emit-trace",
-        action="store_true",
-        help="also print every rewrite step taken",
-    )
-
-    p_eq = sub.add_parser("equal", help="decide equality of two paths")
-    add_space_args(p_eq)
-    p_eq.add_argument("expr1")
-    p_eq.add_argument("expr2")
-    p_eq.add_argument(
-        "--oracle",
-        action="store_true",
-        help="decide by exhaustive search instead of normal forms",
-    )
-    p_eq.add_argument("--max-states", type=int, default=None)
-    p_eq.add_argument("--max-term-size", type=int, default=None)
-
-    p_enc = sub.add_parser("encode", help="group element of a basepoint loop")
-    add_space_args(p_enc)
-    p_enc.add_argument("expr")
-
-    p_dec = sub.add_parser("decode", help="canonical loop of a group element")
-    add_space_args(p_dec)
-    p_dec.add_argument("value", help="group element, e.g. 3 or (2, -1)")
-
-    p_chk = sub.add_parser("check", help="run self-check suites")
-    add_space_args(p_chk)
-    p_chk.add_argument("--seed", type=int, default=0)
-    p_chk.add_argument("--samples", type=int, default=50)
-    p_chk.add_argument("--size", type=int, default=12, help="largest sampled term")
-    p_chk.add_argument("--max-states", type=int, default=None)
-    p_chk.add_argument("--max-term-size", type=int, default=None)
-
-    p_sp = sub.add_parser("spaces", help="list builtin spaces")
-    p_sp.add_argument("--json", action="store_true")
-
+    for name, (help_, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        # argparse runs only the subparser whose name is one of the argv
+        # strings, so the others need no arguments
+        if name in argv:
+            for arg, arg_help, options in arguments:
+                p.add_argument(arg, help=arg_help, **options)
     return parser
 
 
@@ -136,18 +136,16 @@ _VERDICTS = {True: "equal", False: "not-equal", None: "undecided"}
 
 
 def _run_equal(args, space):
-    from .oracle import DEFAULT_MAX_STATES, Budget, _size_cap, bfs_rw_eq
-
     p = parse_path(space, args.expr1)
     q = parse_path(space, args.expr2)
-    # the search budget is checked with or without --oracle, so out-of-range
-    # values are bad input either way
-    budget = Budget(
-        max_states=(
-            DEFAULT_MAX_STATES if args.max_states is None else args.max_states
-        ),
-        max_term_size=args.max_term_size,
-    )
+    # a given search budget is checked with or without --oracle, so
+    # out-of-range values are bad input either way; the defaults are valid,
+    # so a plain `equal` loads no oracle
+    if args.oracle or args.max_states is not None or args.max_term_size is not None:
+        from .oracle import DEFAULT_MAX_STATES, Budget, _size_cap, bfs_rw_eq
+
+        max_states = DEFAULT_MAX_STATES if args.max_states is None else args.max_states
+        budget = Budget(max_states, args.max_term_size)
     if args.oracle:
         verdict = bfs_rw_eq(space, p, q, budget)
         result = _VERDICTS[verdict.is_equal if verdict.is_decided else None]
@@ -183,13 +181,9 @@ def _run_check(args, space):
     from .oracle import Budget
 
     max_states = CHECK_MAX_STATES if args.max_states is None else args.max_states
-    budget = Budget(max_states=max_states, max_term_size=args.max_term_size)
+    budget = Budget(max_states, args.max_term_size)
     results = run_checks(
-        space,
-        seed=args.seed,
-        samples=args.samples,
-        max_size=args.size,
-        budget=budget,
+        space, seed=args.seed, samples=args.samples, max_size=args.size, budget=budget
     )
     ok = all(r.passed for r in results)
     result = {
@@ -245,7 +239,7 @@ _HANDLERS = {
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Execute one CLI invocation; returns (exit code, output text)."""
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -271,7 +265,11 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 
 def main() -> int:
-    code, text = run(sys.argv[1:])
+    # arguments are UTF-8 under any locale: Python decoded them with the
+    # file-system encoding, so encode them back and decode as UTF-8; bytes
+    # that are not UTF-8 stay lone surrogates, which the parser refuses
+    argv = [os.fsencode(a).decode("utf-8", "surrogateescape") for a in sys.argv[1:]]
+    code, text = run(argv)
     if text:
         out = sys.stderr if code == 2 else sys.stdout
         if hasattr(out, "reconfigure"):  # a StringIO has no encoding to set

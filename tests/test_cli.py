@@ -665,6 +665,15 @@ class TestColdStart:
         call = 'assert pathrw.cli.run(["encode", "--space", "torus", "b * a"])[0] == 0'
         assert self._loaded("pathrw.cli", modules, call) == ["pathrw.pi1"]
 
+    def test_equal_loads_the_oracle_only_for_a_search_or_a_budget(self):
+        call = 'assert pathrw.cli.run(["equal", "--space", "torus", "a", "a"])[0] == 0'
+        assert self._loaded("pathrw.cli", ("pathrw.oracle",), call) == []
+        call = (
+            'assert pathrw.cli.run(["equal", "--space", "torus", '
+            '"--max-states", "5", "a", "a"])[0] == 0'
+        )
+        assert self._loaded("pathrw.cli", ("pathrw.oracle",), call) == ["pathrw.oracle"]
+
 
 class TestCLocale:
     """The console script under the C locale, with neither UTF-8 mode nor
@@ -703,6 +712,19 @@ class TestCLocale:
         code, out, err = self._pathrw("normalize", "--space", "circle", b"\xff")
         assert (code, out) == (2, b"")
         assert err.startswith(b"error: unexpected character ")
+
+    def test_arguments_are_read_as_utf8(self):
+        assert self._pathrw("normalize", "--space", "rp2", "α".encode()) == (
+            0, "α\n".encode(), b""
+        )
+
+    def test_a_file_generator_is_named_in_utf8(self, tmp_path):
+        f = tmp_path / "beta.space"
+        f.write_bytes("point pt\ngen a : pt -> pt\ngen β : pt -> pt\n".encode())
+        expr = "β * a * ~a".encode()
+        assert self._pathrw("normalize", "--space-file", str(f), expr) == (
+            0, "β\n".encode(), b""
+        )
 
 
 _SPACE_OPTIONS = """\
