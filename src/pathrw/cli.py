@@ -54,8 +54,7 @@ _SPACE_ARGS = (
 )
 _BUDGET_ARGS = (("--max-states", None, _INT), ("--max-term-size", None, _INT))
 
-# each subcommand's help line and its arguments (name, help, options), in the
-# order they are added
+# each subcommand's help line and its arguments, as (name, help, options)
 _COMMANDS = {
     "normalize": ("rewrite a path to normal form", (
         *_SPACE_ARGS,
@@ -145,7 +144,7 @@ def _run_equal(args, space):
         from .oracle import DEFAULT_MAX_STATES, Budget, _size_cap, bfs_rw_eq
 
         max_states = DEFAULT_MAX_STATES if args.max_states is None else args.max_states
-        budget = Budget(max_states, args.max_term_size)
+        budget = Budget(max_states=max_states, max_term_size=args.max_term_size)
     if args.oracle:
         verdict = bfs_rw_eq(space, p, q, budget)
         result = _VERDICTS[verdict.is_equal if verdict.is_decided else None]
@@ -181,9 +180,13 @@ def _run_check(args, space):
     from .oracle import Budget
 
     max_states = CHECK_MAX_STATES if args.max_states is None else args.max_states
-    budget = Budget(max_states, args.max_term_size)
+    budget = Budget(max_states=max_states, max_term_size=args.max_term_size)
     results = run_checks(
-        space, seed=args.seed, samples=args.samples, max_size=args.size, budget=budget
+        space,
+        seed=args.seed,
+        samples=args.samples,
+        max_size=args.size,
+        budget=budget,
     )
     ok = all(r.passed for r in results)
     result = {
@@ -265,9 +268,8 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 
 def main() -> int:
-    # arguments are UTF-8 under any locale: Python decoded them with the
-    # file-system encoding, so encode them back and decode as UTF-8; bytes
-    # that are not UTF-8 stay lone surrogates, which the parser refuses
+    # arguments are UTF-8 under any locale: undo the file-system decoding;
+    # bytes that are not UTF-8 stay lone surrogates, which the parser refuses
     argv = [os.fsencode(a).decode("utf-8", "surrogateescape") for a in sys.argv[1:]]
     code, text = run(argv)
     if text:
