@@ -44,8 +44,9 @@ from collections import deque
 from collections.abc import Iterator, Mapping
 from functools import lru_cache
 
-from .errors import EndpointMismatchError, SpaceMapError, UnreachableEndpointsError
+from .errors import SpaceMapError, UnreachableEndpointsError
 from .rewrite import (
+    _check_ends,
     _plain_relations,
     apply_step,
     normal_forms_decide,
@@ -587,8 +588,7 @@ def _bfs(
     fronts = [deque([search.intern(t)]) for t in starts]
     front_p, front_q = fronts[0], fronts[-1]
     p, q = front_p[0], front_q[0]
-    if search.src[p] != search.src[q] or search.tgt[p] != search.tgt[q]:
-        raise EndpointMismatchError("the oracle compares paths with identical endpoints")
+    _check_ends(search.src[p], search.tgt[p], search.src[q], search.tgt[q])
     if p == q and front_p is not front_q:  # equal starts meet at once
         return search, 0, True
     search.cap = _size_cap(budget, *starts)

@@ -396,14 +396,21 @@ def normal_forms_decide(space: "SpacePresentation") -> bool:
     return _builtin_record(space) is not None or not space.relations
 
 
+def _check_ends(*ends: str) -> None:
+    """Refuse two paths, given as src, tgt, src, tgt, whose endpoints differ:
+    `rw_eq` and the search oracle compare only paths with the same ones."""
+    if ends[:2] != ends[2:]:
+        got = "{} -> {} and {} -> {}".format(*ends)
+        raise EndpointMismatchError(f"cannot compare paths with different endpoints: got {got}")
+
+
 def rw_eq(space: "SpacePresentation", p: PathExpr, q: PathExpr) -> bool | None:
     """Decide equality in the rewrite quotient by comparing normal forms:
     True when they agree, False when they differ where `normal_forms_decide`
     holds, and None, undecided, elsewhere. The search oracle may settle a
     None."""
     nf_p, nf_q = normalize(space, p), normalize(space, q)
-    if (nf_p.word.src, nf_p.word.tgt) != (nf_q.word.src, nf_q.word.tgt):
-        raise EndpointMismatchError("rw_eq compares paths with identical endpoints")
+    _check_ends(nf_p.word.src, nf_p.word.tgt, nf_q.word.src, nf_q.word.tgt)
     if nf_p == nf_q:
         return True
     return False if normal_forms_decide(space) else None

@@ -1269,10 +1269,12 @@ class TestIllFormedTerms:
 
     def test_well_formed_terms_with_other_endpoints(self):
         assert _error(lambda: rw_eq(CYL, S, L0)) == (
-            "EndpointMismatchError: rw_eq compares paths with identical endpoints"
+            "EndpointMismatchError: cannot compare paths with different endpoints: "
+            "got b0 -> b1 and b0 -> b0"
         )
         assert _error(lambda: rw_eq(CYL, Trans(RIGHT_CHAIN, S), L1)) == (
-            "EndpointMismatchError: rw_eq compares paths with identical endpoints"
+            "EndpointMismatchError: cannot compare paths with different endpoints: "
+            "got b0 -> b1 and b1 -> b1"
         )
         assert _error(lambda: encode(CYL, S)) == (
             "NotABasepointLoopError: encode needs a loop at 'b0', got b0 -> b1"
