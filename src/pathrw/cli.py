@@ -27,8 +27,9 @@ imports `typing`, the records are plain slotted classes that load nothing
 such as `inspect`, `ast`, `dis` or `tokenize`, and this one loads argparse,
 json, the search oracle, the loop groups (`pi1`) and the check suites only
 when a command uses them. Each call builds all six subparsers but adds
-arguments only to those whose name is one of its argv strings: argparse runs
-no other, so every help, usage and error text reads as if all had them.
+arguments, the help option among them, only to those whose name is one of its
+argv strings: argparse runs no other, so every help, usage and error text
+reads as if all had them.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
     for name, (help_, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_)
         # argparse runs only the subparser whose name is one of the argv
-        # strings, so the others need no arguments
+        # strings, so the others need no arguments, not even -h/--help
+        p = sub.add_parser(name, help=help_, add_help=name in argv)
         if name in argv:
             for arg, arg_help, options in arguments:
                 p.add_argument(arg, help=arg_help, **options)
@@ -181,13 +182,8 @@ def _run_check(args, space):
 
     max_states = CHECK_MAX_STATES if args.max_states is None else args.max_states
     budget = Budget(max_states=max_states, max_term_size=args.max_term_size)
-    results = run_checks(
-        space,
-        seed=args.seed,
-        samples=args.samples,
-        max_size=args.size,
-        budget=budget,
-    )
+    results = run_checks(space, seed=args.seed, samples=args.samples,
+                         max_size=args.size, budget=budget)
     ok = all(r.passed for r in results)
     result = {
         "passed": ok,
@@ -205,8 +201,7 @@ def _run_check(args, space):
 
 
 def _run_spaces(args, space):
-    rows = []
-    lines = []
+    rows, lines = [], []
     for name in BUILTIN_NAMES:
         sp = builtin(name)
         gens = [{"name": g.name, "src": g.src, "tgt": g.tgt} for g in sp.generators]

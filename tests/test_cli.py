@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface, via cli.run."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathrw.cli import main, run
+from pathrw.cli import _COMMANDS, _build_parser, main, run
 from pathrw.rewrite import normalize, term_of_word
 from pathrw.spaces import builtin
 from pathrw.syntax import parse_path
@@ -859,6 +860,27 @@ class TestHelpText:
         assert self._main(monkeypatch, capsys, list(argv)) == (
             2, "", USAGE_ERRORS[argv]
         )
+
+
+class TestParserArguments:
+    """The parser adds arguments, the help option among them, only to itself
+    and to the subcommand argv names; argparse runs no other subparser."""
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_only_the_named_subcommand_gets_arguments(self, monkeypatch, name):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def recording(parser, *args, **kwargs):
+            added.append((parser.prog, args[0]))
+            return add_argument(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+        _build_parser([name])
+        rows = [arg for arg, _, _ in _COMMANDS[name][1]]
+        prog = f"pathrw {name}"
+        assert added == [("pathrw", "-h"), (prog, "-h"), *((prog, a) for a in rows)]
+        assert len(added) == 2 + len(_COMMANDS[name][1])
 
 
 # command lines and what `main` printed for each at 80 columns, captured
