@@ -880,13 +880,14 @@ class TestParserArguments:
         rows = [arg for arg, _, _ in _COMMANDS[name][1]]
         prog = f"pathrw {name}"
         assert added == [("pathrw", "-h"), (prog, "-h"), *((prog, a) for a in rows)]
-        assert len(added) == 2 + len(_COMMANDS[name][1])
 
 
 # command lines and what `main` printed for each at 80 columns, captured
-# while every subparser still carried all its arguments: help before and
-# after each subcommand, unknown options, missing positionals, bad integers,
-# abbreviations, `--`, subcommand names as arguments, and plain runs
+# while every subparser still carried its help option, and most while each
+# carried all its arguments: help before and after each subcommand and
+# through abbreviations, unknown options, missing positionals, bad integers,
+# abbreviations, `--`, subcommand names as arguments, paths with different
+# endpoints, and plain runs
 CORPUS = json.loads((Path(__file__).parent / "cli_corpus.json").read_text())
 
 
