@@ -26,10 +26,10 @@ Sources may be compiled at every start, so no module of the package
 imports `typing`, the records are plain slotted classes that load nothing
 such as `inspect`, `ast`, `dis` or `tokenize`, and this one loads argparse,
 json, the search oracle, the loop groups (`pi1`) and the check suites only
-when a command uses them. Each call builds all six subparsers but adds
-arguments, the help option among them, only to those whose name is one of its
-argv strings: argparse runs no other, so every help, usage and error text
-reads as if all had them.
+when a command uses them. Each call records all six subcommands' choices and
+help lines but builds a parser only for those whose name is one of its argv
+strings: argparse fetches no other, so every help, usage and error text
+reads as if all were built.
 """
 
 from __future__ import annotations
@@ -89,12 +89,16 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         prog="pathrw",
         description="normalize, compare, and count paths in presented spaces",
     )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    # argparse fetches only the subparser whose name is one of the argv
+    # strings, so the others are choices with a help line and no parser;
+    # "pathrw" is the prog argparse would derive from the top-level usage
+    sub = parser.add_subparsers(
+        dest="cmd", required=True, prog="pathrw",
+        parser_class=lambda named, **kw: argparse.ArgumentParser(**kw) if named else None,
+    )
     for name, (help_, arguments) in _COMMANDS.items():
-        # argparse runs only the subparser whose name is one of the argv
-        # strings, so the others need no arguments, not even -h/--help
-        p = sub.add_parser(name, help=help_, add_help=name in argv)
-        if name in argv:
+        p = sub.add_parser(name, help=help_, named=name in argv)
+        if p is not None:
             for arg, arg_help, options in arguments:
                 p.add_argument(arg, help=arg_help, **options)
     return parser

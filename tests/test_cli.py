@@ -862,9 +862,20 @@ class TestHelpText:
         )
 
 
+# argv tokens for the parser alone: the subcommand names and a prefix of
+# one, every option and some abbreviations of them, `--`, and values
+_ARGV_TOKENS = list(dict.fromkeys([
+    *_COMMANDS, "norm",
+    *(arg for _, args in _COMMANDS.values() for arg, _, _ in args if arg[0] == "-"),
+    "-h", "--help", "--he", "--sp", "--space-f", "--max", "--max-s", "--em",
+    "--", "circle", "a * b", "3", "x",
+]))
+
+
 class TestParserArguments:
-    """The parser adds arguments, the help option among them, only to itself
-    and to the subcommand argv names; argparse runs no other subparser."""
+    """The parser builds a subparser, with its arguments and help option,
+    only for the subcommands argv names; the others stay choices with a help
+    line, and argparse fetches no other subparser."""
 
     @pytest.mark.parametrize("name", list(_COMMANDS))
     def test_only_the_named_subcommand_gets_arguments(self, monkeypatch, name):
@@ -881,10 +892,42 @@ class TestParserArguments:
         prog = f"pathrw {name}"
         assert added == [("pathrw", "-h"), (prog, "-h"), *((prog, a) for a in rows)]
 
+    @pytest.mark.parametrize("argv, named", [
+        *(([name], [name]) for name in _COMMANDS),
+        (["normalize", "--space", "circle", "equal"], ["normalize", "equal"]),
+    ])
+    def test_only_the_named_subparsers_are_built(self, monkeypatch, argv, named):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def recording(parser, *args, **kwargs):
+            built.append(kwargs["prog"])
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+        parser = _build_parser(argv)
+        assert built == ["pathrw", *(f"pathrw {name}" for name in named)]
+        (sub,) = parser._get_positional_actions()
+        assert list(sub.choices) == list(_COMMANDS)
+
+    # no handler runs, so a named `check` costs only its parser
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(argv=st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8))
+    def test_any_argv_parses_to_a_named_command_or_exits_0_or_2(self, argv):
+        # a placeholder for an unbuilt subparser would raise AttributeError
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                args = _build_parser(argv).parse_args(argv)
+            except SystemExit as exc:
+                assert exc.code in (0, 2), argv
+            else:
+                assert args.cmd in argv
+
 
 # command lines and what `main` printed for each at 80 columns, captured
-# while every subparser still carried its help option, and most while each
-# carried all its arguments: help before and after each subcommand and
+# while all six subparsers were still built, each with its help option and
+# most with all their arguments: help before and after each subcommand and
 # through abbreviations, unknown options, missing positionals, bad integers,
 # abbreviations, `--`, subcommand names as arguments, paths with different
 # endpoints, and plain runs
